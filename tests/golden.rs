@@ -1,16 +1,22 @@
-//! Golden-output snapshots for the experiment renderers.
+//! Golden-output snapshots for the experiment renderers and the run
+//! ledger.
 //!
 //! The fixtures under `tests/golden/` are checked in; the tests compare
 //! `to_table()` / `to_csv()` byte-for-byte against them, pinning the
 //! RFC-4180 quoting path, ragged-series rendering, and the header/notes
-//! layout. Regenerate after an intentional format change with:
+//! layout. The quick fig6.4a `--ledger` document is pinned the same way:
+//! it is host-independent, so it freezes every simulated observable of
+//! that sweep. Regenerate after an intentional format change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
-use pcapbench::core::{Experiment, Series, SeriesPoint};
+use pcapbench::core::{figures, ExecConfig, Experiment, Scale, Series, SeriesPoint};
+use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
+use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerMeta};
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -116,4 +122,49 @@ fn empty_experiment_renders_header_only() {
         "experiment,series,x,capture_pct,worst_pct,best_pct,cpu_pct\n"
     );
     assert_matches_golden("empty.table.txt", &e.to_table());
+}
+
+/// The quick fig6.4a sweep's ledger, rendered exactly as
+/// `experiments run fig6.4a --scale quick --ledger PATH` writes it.
+fn fig64a_quick_ledger() -> &'static str {
+    static LEDGER: OnceLock<String> = OnceLock::new();
+    LEDGER.get_or_init(|| {
+        let collector = Arc::new(TraceCollector::new(TraceSpec {
+            filter: StageFilter::none(),
+            ..TraceSpec::default()
+        }));
+        let exec = ExecConfig::with_jobs(2)
+            .with_stage_times(true)
+            .with_trace(Arc::clone(&collector));
+        figures::fig6_4_buffer_sweep(&Scale::quick(), false, &exec);
+        let meta = LedgerMeta {
+            scale: "quick".into(),
+            experiments: vec!["fig6.4a".into()],
+            faults: None,
+        };
+        render_ledger(&meta, &collector.cells(), None)
+    })
+}
+
+#[test]
+fn quick_fig64a_ledger_matches_golden() {
+    assert_matches_golden("fig6.4a_quick.ledger.json", fig64a_quick_ledger());
+}
+
+#[test]
+fn ledger_with_a_batching_profile_block_still_diffs_clean() {
+    // Written with `--profile` by an engine that still reported the
+    // batching config bit (`batch_sims_on`/`batch_sims_off`/
+    // `batch_coalesce_cap`). `obs diff` compares ledgers across commits,
+    // so such a ledger must still parse, and the same sweep must show no
+    // drift against it: the profile block is never compared.
+    let path = golden_path("fig6.4a_quick.batch_profile.ledger.json");
+    let old = std::fs::read_to_string(&path).expect("fixture present");
+    assert!(old.contains("\"batch_sims_on\":48"));
+    assert!(old.contains("\"batch_coalesce_cap\":64"));
+    let old = Ledger::parse(&old).expect("an older ledger must still parse");
+    let new = Ledger::parse(fig64a_quick_ledger()).expect("ledger parses");
+    let report = diff_ledgers(&old, &new);
+    assert!(!report.has_drift(), "{}", report.render(8));
+    assert_eq!(report.cells_compared, 12);
 }
