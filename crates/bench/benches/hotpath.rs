@@ -1,50 +1,30 @@
 //! Hot-path benchmarks backing the CI perf-regression gate
 //! (`scripts/check_perf.py` against `BENCH_HOTPATH.json`).
 //!
-//! The `sched_overhead` group repeats the sweep bench's headline pair on
-//! the shared 40k-packet workload so the gate has both the number it
-//! guards (`full-pipeline`) and a machine-speed calibration reference
-//! (`event-queue-floor`: the bare pcs-des queue running the same arrival
-//! chain with no stage work — it exercises none of the pooled paths, so
-//! it moves only when the host or the event queue itself moves). The
-//! `hotpath` group isolates what the allocation-free refactor bought:
-//! the same full simulation with buffer pooling on (the default) vs
-//! forced off (every hot-path buffer freshly allocated, as before the
-//! refactor), plus macro-batched event admission on vs off
-//! (`batch-on`/`batch-off`). All variants produce byte-identical
-//! reports; only the hot-path cost differs.
+//! The `sched_overhead` group holds the number the gate guards
+//! (`full-pipeline`: one `MachineSim::run_source` over the shared
+//! 40k-packet workload, replayed from pre-generated chunks) and a
+//! machine-speed calibration reference (`event-queue-floor`: the bare
+//! pcs-des queue running the same arrival chain with no stage work — it
+//! moves only when the host or the event queue itself moves). The
+//! `hotpath` group adds the same run with per-stage time attribution
+//! armed (`stage-times-on`), the cost every `--ledger` run pays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pcs_bench::{hotpath_stream, HOTPATH_COUNT};
+use pcs_bench::{hotpath_stream, ReplayChunks, HOTPATH_COUNT};
 use pcs_des::EventQueue;
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, SimConfig};
-use pcs_pktgen::{Chunk, PacketSource};
-use std::sync::Arc;
-
-/// Replays pre-generated chunks (`Arc` clones, no packet copies).
-struct ReplayChunks {
-    chunks: Vec<Chunk>,
-    next: usize,
-}
-
-impl PacketSource for ReplayChunks {
-    fn next_chunk(&mut self) -> Option<Chunk> {
-        let chunk = self.chunks.get(self.next)?;
-        self.next += 1;
-        Some(Arc::clone(chunk))
-    }
-}
 
 fn bench_sched_overhead(c: &mut Criterion) {
-    let (_, packets) = hotpath_stream();
+    let (chunks, packets) = hotpath_stream();
     let mut g = c.benchmark_group("sched_overhead");
     g.sample_size(10);
     g.throughput(Throughput::Elements(HOTPATH_COUNT));
     g.bench_function("full-pipeline", |b| {
         b.iter(|| {
             MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
+                .run_source(ReplayChunks::new(&chunks))
         })
     });
     g.bench_function("event-queue-floor", |b| {
@@ -68,66 +48,23 @@ fn bench_sched_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pooling(c: &mut Criterion) {
-    let (chunks, packets) = hotpath_stream();
+fn bench_stage_times(c: &mut Criterion) {
+    let (chunks, _) = hotpath_stream();
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(10);
     g.throughput(Throughput::Elements(HOTPATH_COUNT));
-    g.bench_function("pool-on", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .with_pooling(true)
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
-        })
-    });
-    g.bench_function("pool-off", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .with_pooling(false)
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
-        })
-    });
-    // The clone-free ingest path with pooling: the fastest way through
-    // the simulator, for context next to the owned-injection numbers.
-    g.bench_function("pool-on-shared-ref", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default()).run_source(ReplayChunks {
-                chunks: chunks.clone(),
-                next: 0,
-            })
-        })
-    });
-    // Full pipeline with per-stage time attribution armed (what every
-    // --ledger run pays): a handful of integer adds per dispatch, so
-    // this must track `pool-on` within the perf gate's tolerance.
+    // Full pipeline with per-stage time attribution armed: a handful of
+    // integer adds per dispatch, so this must track `full-pipeline`
+    // within the perf gate's tolerance.
     g.bench_function("stage-times-on", |b| {
         b.iter(|| {
             MachineSim::new(MachineSpec::swan(), SimConfig::default())
                 .with_stage_times(true)
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
-        })
-    });
-    // Macro-batched admission on (the default) vs forced off (the
-    // legacy per-packet engine, `PCS_NO_BATCH=1`). Byte-identical
-    // reports — `batching_is_invisible` proves it — so the gap is pure
-    // hot-path cost: lazy arrival admission, NIC-run coalescing and the
-    // cost-model memos.
-    g.bench_function("batch-on", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .with_batching(true)
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
-        })
-    });
-    g.bench_function("batch-off", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .with_batching(false)
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
+                .run_source(ReplayChunks::new(&chunks))
         })
     });
     g.finish();
 }
 
-criterion_group!(hotpath, bench_sched_overhead, bench_pooling);
+criterion_group!(hotpath, bench_sched_overhead, bench_stage_times);
 criterion_main!(hotpath);

@@ -2,10 +2,13 @@
 //! simulation charges, measured for real.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcs_bench::sample_packet;
+use pcs_bench::{collect_chunks, sample_packet, ReplayChunks};
 use pcs_bpf::{compile, opt, programs, vm};
 use pcs_des::Pcg32;
-use pcs_pktgen::{DistConfig, Generator, PktgenConfig, SizeSource, TwoStageDist, TxModel};
+use pcs_pktgen::{
+    ChunkedGenerator, DistConfig, Generator, PktgenConfig, SizeSource, TwoStageDist, TxModel,
+    DEFAULT_CHUNK_PACKETS,
+};
 use pcs_zdeflate::{crc32, deflate, gunzip, GzWriter};
 use std::hint::black_box;
 
@@ -113,7 +116,7 @@ fn bench_machine_sim(c: &mut Criterion) {
         TwoStageDist::from_counts(counts.iter().map(|(&s, &c)| (s, c)), &DistConfig::default())
             .unwrap();
     let mean = pcs_pktgen::mwn_mean(&counts) + 14.0;
-    let make_stream = |count: u64| -> Vec<(pcs_des::SimTime, pcs_wire::SimPacket)> {
+    let make_stream = |count: u64| {
         let cfg = PktgenConfig {
             count,
             size: SizeSource::Distribution(dist.clone()),
@@ -122,9 +125,9 @@ fn bench_machine_sim(c: &mut Criterion) {
         let mut gen = Generator::new(cfg, TxModel::syskonnect(), 11);
         gen.set_target_rate(500.0, mean);
         gen.set_burstiness(64);
-        gen.map(|tp| (tp.time, tp.packet)).collect()
+        collect_chunks(ChunkedGenerator::new(gen, DEFAULT_CHUNK_PACKETS))
     };
-    let stream = make_stream(10_000);
+    let chunks = make_stream(10_000);
     g.throughput(Throughput::Elements(10_000));
     for spec in [MachineSpec::moorhen(), MachineSpec::swan()] {
         g.bench_with_input(
@@ -133,7 +136,7 @@ fn bench_machine_sim(c: &mut Criterion) {
             |b, spec| {
                 b.iter(|| {
                     MachineSim::new(*spec, SimConfig::default())
-                        .run(stream.iter().map(|(t, p)| (*t, p.clone())))
+                        .run_source(ReplayChunks::new(&chunks))
                 })
             },
         );

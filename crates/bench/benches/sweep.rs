@@ -1,7 +1,6 @@
 //! Sweep-engine benchmarks: serial vs parallel cell scheduling, the
 //! run-cache hit path, the streaming pipeline vs the materialized
-//! reference, clone-free packet injection, and the content-addressed
-//! stream cache.
+//! reference, and the content-addressed stream cache.
 //!
 //! On a multi-core host the `jobs-N` variants should approach N× the
 //! serial cell throughput (cells are independent simulations); the
@@ -10,23 +9,16 @@
 //! at several chunk sizes against the materialize-then-fanout baseline —
 //! the streamed variants overlap generation with consumption (and bound
 //! memory), which is where their advantage on multi-core hosts comes
-//! from. The `injection` group isolates the machine-sim ingest path:
-//! per-packet cloning (`MachineSim::run`) vs shared references into
-//! pre-generated chunks (`MachineSim::run_refs`). The `sched_overhead`
-//! group pins the event-scheduled pipeline's dispatch cost against the
-//! bare pcs-des event-queue floor on the same arrival chain. The
-//! `stream-cache` group runs the same sweep with sharing off, cold
-//! (each iteration generates and publishes) and warm (every cell
-//! subscribes to already published chunks).
+//! from. The `stream-cache` group runs the same sweep with sharing off,
+//! cold (each iteration generates and publishes) and warm (every cell
+//! subscribes to already published chunks). The single-machine hot path
+//! is benched in `hotpath.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcs_bench::{hotpath_stream, HOTPATH_COUNT};
-use pcs_des::EventQueue;
 use pcs_hw::MachineSpec;
-use pcs_oskernel::{MachineSim, SimConfig};
-use pcs_pktgen::{Chunk, PacketSource, StreamCache, TimedPacket};
+use pcs_oskernel::SimConfig;
+use pcs_pktgen::StreamCache;
 use pcs_testbed::{run_sweep_exec, CycleConfig, ExecConfig, PipelineConfig, RunCache, Sut};
-use std::sync::Arc;
 
 fn sweep_inputs() -> (Vec<Sut>, CycleConfig, Vec<Option<f64>>) {
     let suts = vec![
@@ -109,82 +101,6 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// A [`PacketSource`] replaying pre-generated chunks (`Arc` clones, no
-/// packet copies) — isolates injection cost from generation cost.
-struct ReplayChunks {
-    chunks: Vec<Chunk>,
-    next: usize,
-}
-
-impl PacketSource for ReplayChunks {
-    fn next_chunk(&mut self) -> Option<Chunk> {
-        let chunk = self.chunks.get(self.next)?;
-        self.next += 1;
-        Some(Arc::clone(chunk))
-    }
-}
-
-fn bench_injection(c: &mut Criterion) {
-    let (chunks, packets): (Vec<Chunk>, Vec<TimedPacket>) = hotpath_stream();
-    let sim = || MachineSim::new(MachineSpec::swan(), SimConfig::default());
-    let mut g = c.benchmark_group("injection");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(HOTPATH_COUNT));
-    g.bench_function("cloned", |b| {
-        b.iter(|| sim().run(packets.iter().map(|tp| (tp.time, tp.packet.clone()))))
-    });
-    g.bench_function("shared-ref", |b| {
-        b.iter(|| {
-            sim().run_source(ReplayChunks {
-                chunks: chunks.clone(),
-                next: 0,
-            })
-        })
-    });
-    g.finish();
-}
-
-fn bench_sched_overhead(c: &mut Criterion) {
-    // The event-scheduled stage pipeline's dispatch cost on the
-    // injection micro-bench, against the bare pcs-des event queue
-    // running the same self-scheduling arrival chain with no stage
-    // work. The gap between the two is everything the simulator does
-    // per packet (stages + scheduler + stacks); the floor is what the
-    // refactor's dispatch machinery alone costs. Numbers are pinned in
-    // BENCH_SCHED.json — `full-pipeline` must stay in family with the
-    // pre-refactor `injection/cloned` figure.
-    const COUNT: u64 = HOTPATH_COUNT;
-    let (_, packets) = hotpath_stream();
-    let mut g = c.benchmark_group("sched_overhead");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(COUNT));
-    g.bench_function("full-pipeline", |b| {
-        b.iter(|| {
-            MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
-        })
-    });
-    g.bench_function("event-queue-floor", |b| {
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            let mut it = packets.iter();
-            if let Some(tp) = it.next() {
-                queue.schedule(tp.time, 0u64);
-            }
-            let mut popped = 0u64;
-            while let Some((_, seq)) = queue.pop() {
-                popped += 1;
-                if let Some(tp) = it.next() {
-                    queue.schedule(tp.time, seq + 1);
-                }
-            }
-            assert_eq!(popped, COUNT);
-            popped
-        })
-    });
-    g.finish();
-}
-
 fn bench_stream_cache(c: &mut Criterion) {
     let (suts, cfg, rates) = sweep_inputs();
     let cells = (rates.len() * cfg.repeats as usize) as u64;
@@ -224,12 +140,5 @@ fn bench_stream_cache(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    sweep,
-    bench_sweep,
-    bench_pipeline,
-    bench_injection,
-    bench_sched_overhead,
-    bench_stream_cache
-);
+criterion_group!(sweep, bench_sweep, bench_pipeline, bench_stream_cache);
 criterion_main!(sweep);

@@ -1,6 +1,6 @@
 //! Quick component-time attribution for the hot path (dev tool).
 
-use pcs_bench::hotpath_stream;
+use pcs_bench::{hotpath_stream, ReplayChunks};
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, SimConfig};
 use std::time::Instant;
@@ -19,7 +19,7 @@ fn time<R>(label: &str, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let (_, packets) = hotpath_stream();
+    let (chunks, packets) = hotpath_stream();
 
     // PROFILE_LOOPS=N: just run the swan sim N times (for a profiler).
     if let Ok(n) = std::env::var("PROFILE_LOOPS") {
@@ -27,28 +27,22 @@ fn main() {
         let mut sum = 0u64;
         for _ in 0..n {
             sum += MachineSim::new(MachineSpec::swan(), SimConfig::default())
-                .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
+                .run_source(ReplayChunks::new(&chunks))
                 .offered;
         }
         println!("{sum}");
         return;
     }
 
-    time("full sim (swan, owned)", || {
+    time("full sim (swan)", || {
         MachineSim::new(MachineSpec::swan(), SimConfig::default())
-            .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
+            .run_source(ReplayChunks::new(&chunks))
             .offered
     });
-    time("full sim (moorhen/freebsd, owned)", || {
+    time("full sim (moorhen/freebsd)", || {
         MachineSim::new(MachineSpec::moorhen(), SimConfig::default())
-            .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())))
+            .run_source(ReplayChunks::new(&chunks))
             .offered
-    });
-    time("packet clone+drop only", || {
-        packets
-            .iter()
-            .map(|tp| std::hint::black_box(tp.packet.clone()).frame_len as u64)
-            .sum::<u64>()
     });
     time("exp() per packet (ema model)", || {
         let mut ema = 0.0f64;
@@ -65,7 +59,7 @@ fn main() {
         .with_trace(pcs_trace::TraceSink::bounded(
             pcs_trace::TraceSpec::default(),
         ))
-        .run(packets.iter().map(|tp| (tp.time, tp.packet.clone())));
+        .run_source(ReplayChunks::new(&chunks));
     let t = r.trace.as_ref().unwrap();
     println!("received: {}", r.apps[0].received);
     println!("irq_fires: {}", t.metrics.counter("irq_fires"));

@@ -11,17 +11,19 @@
 //!
 //! Run with `cargo bench --workspace`.
 
+use pcs_pktgen::{Chunk, PacketSource};
+
 /// Packet count of the shared hot-path workload ([`hotpath_stream`]).
 pub const HOTPATH_COUNT: u64 = 40_000;
 
 /// The benches' shared hot-path workload: a deterministic 40k-packet
 /// SysKonnect stream (seed 4242), pre-generated into 4096-packet
-/// chunks. Returns the chunks (for shared-reference injection) and the
-/// flattened packet list (for owned injection and the event-queue
+/// chunks. Returns the chunks (replayed into the simulator by
+/// [`ReplayChunks`]) and the flattened packet list (for the event-queue
 /// floor); both views contain the same packets in the same order.
-pub fn hotpath_stream() -> (Vec<pcs_pktgen::Chunk>, Vec<pcs_pktgen::TimedPacket>) {
-    use pcs_pktgen::{ChunkedGenerator, Generator, PacketSource, PktgenConfig, TxModel};
-    let mut source = ChunkedGenerator::new(
+pub fn hotpath_stream() -> (Vec<Chunk>, Vec<pcs_pktgen::TimedPacket>) {
+    use pcs_pktgen::{ChunkedGenerator, Generator, PktgenConfig, TxModel};
+    let chunks = collect_chunks(ChunkedGenerator::new(
         Generator::new(
             PktgenConfig {
                 count: HOTPATH_COUNT,
@@ -31,13 +33,36 @@ pub fn hotpath_stream() -> (Vec<pcs_pktgen::Chunk>, Vec<pcs_pktgen::TimedPacket>
             4242,
         ),
         4096,
-    );
-    let mut chunks: Vec<pcs_pktgen::Chunk> = Vec::new();
-    while let Some(chunk) = source.next_chunk() {
-        chunks.push(chunk);
-    }
+    ));
     let packets = chunks.iter().flat_map(|c| c.iter().cloned()).collect();
     (chunks, packets)
+}
+
+/// Drain `source` into its chunks, so a bench can replay them without
+/// timing the generator.
+pub fn collect_chunks(mut source: impl PacketSource) -> Vec<Chunk> {
+    std::iter::from_fn(|| source.next_chunk()).collect()
+}
+
+/// A [`PacketSource`] replaying pre-generated chunks (`Arc` clones, no
+/// packet copies): isolates the simulator's cost from generation cost.
+pub struct ReplayChunks<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
+}
+
+impl<'a> ReplayChunks<'a> {
+    /// Replay `chunks` from the first.
+    pub fn new(chunks: &'a [Chunk]) -> ReplayChunks<'a> {
+        ReplayChunks {
+            chunks: chunks.iter(),
+        }
+    }
+}
+
+impl PacketSource for ReplayChunks<'_> {
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        self.chunks.next().cloned()
+    }
 }
 
 /// A tiny helper shared by the benches: a deterministic packet for filter

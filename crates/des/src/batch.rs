@@ -19,7 +19,8 @@
 //! (EMA smoothing factors, size-keyed per-packet cost sums) keyed by the
 //! exact input bits. Because `f(bits) == f(bits)` on every IEEE-754
 //! platform, a memo hit returns bit-for-bit what recomputation would —
-//! runs with memoization disabled (`PCS_NO_BATCH=1`) are byte-identical.
+//! runs with memoization disabled (the simulator's per-packet test
+//! oracle) are byte-identical.
 //!
 //! [`BatchStats`]/[`BatchProbe`] mirror the buffer-pool telemetry
 //! ([`crate::PoolStats`]/[`crate::PoolProbe`]): counters describing how
@@ -101,7 +102,7 @@ pub struct ExpMemo {
 
 impl ExpMemo {
     /// An empty memo; when `enabled` is false every lookup recomputes
-    /// (the `PCS_NO_BATCH=1` differential-testing path).
+    /// (the per-packet test oracle).
     pub fn new(enabled: bool) -> ExpMemo {
         ExpMemo {
             enabled,
@@ -263,12 +264,9 @@ impl BatchStats {
 /// [`crate::PoolProbe`]: simulations publish their final counters here;
 /// the sweep engine sums probes across cells and the CLI surfaces them
 /// under `--profile`. Deliberately *not* part of any simulation report —
-/// batching describes execution, and reports must stay byte-identical
-/// whether it is on or off.
+/// batching describes execution, not simulated behavior.
 #[derive(Debug, Default)]
 pub struct BatchProbe {
-    sims_batched: AtomicU64,
-    sims_unbatched: AtomicU64,
     runs: AtomicU64,
     coalesced: AtomicU64,
     max_run: AtomicU64,
@@ -284,15 +282,8 @@ impl BatchProbe {
         BatchProbe::default()
     }
 
-    /// Fold one simulation's counters into the probe. `batched` records
-    /// whether the sim ran with macro-batching enabled — the config bit
-    /// the ledger's profile block reports.
-    pub fn publish(&self, batched: bool, stats: BatchStats) {
-        if batched {
-            self.sims_batched.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.sims_unbatched.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Fold one simulation's counters into the probe.
+    pub fn publish(&self, stats: BatchStats) {
         self.runs.fetch_add(stats.runs, Ordering::Relaxed);
         self.coalesced.fetch_add(stats.coalesced, Ordering::Relaxed);
         self.max_run.fetch_max(stats.max_run, Ordering::Relaxed);
@@ -303,16 +294,6 @@ impl BatchProbe {
         self.size_hits.fetch_add(stats.size_hits, Ordering::Relaxed);
         self.size_misses
             .fetch_add(stats.size_misses, Ordering::Relaxed);
-    }
-
-    /// Simulations that ran with macro-batching enabled.
-    pub fn sims_batched(&self) -> u64 {
-        self.sims_batched.load(Ordering::Relaxed)
-    }
-
-    /// Simulations that ran with macro-batching disabled.
-    pub fn sims_unbatched(&self) -> u64 {
-        self.sims_unbatched.load(Ordering::Relaxed)
     }
 
     /// Total coalesced admission runs.
@@ -484,23 +465,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_sums_and_tracks_config() {
+    fn probe_sums_and_tracks_max_run() {
         let p = BatchProbe::new();
-        p.publish(
-            true,
-            BatchStats {
-                runs: 10,
-                coalesced: 90,
-                max_run: 32,
-                alpha_hits: 80,
-                alpha_misses: 20,
-                size_hits: 99,
-                size_misses: 1,
-            },
-        );
-        p.publish(false, BatchStats::default());
-        assert_eq!(p.sims_batched(), 1);
-        assert_eq!(p.sims_unbatched(), 1);
+        p.publish(BatchStats {
+            runs: 10,
+            coalesced: 90,
+            max_run: 32,
+            alpha_hits: 80,
+            alpha_misses: 20,
+            size_hits: 99,
+            size_misses: 1,
+        });
+        p.publish(BatchStats {
+            max_run: 8,
+            ..BatchStats::default()
+        });
         assert_eq!(p.runs(), 10);
         assert_eq!(p.coalesced(), 90);
         assert_eq!(p.max_run(), 32);

@@ -7,11 +7,9 @@
 //! (a simulation owns its pools); cross-thread aggregation of pool
 //! statistics goes through the atomic [`PoolProbe`].
 //!
-//! Pools can be disabled ([`BufPool::set_enabled`]) without changing
-//! any observable behavior — a disabled pool allocates fresh buffers
-//! and drops returned ones, which is exactly what the pre-pool code
-//! did. Counters keep running either way, so an A/B comparison sees
-//! identical `gets` on both sides.
+//! Recycling is always on: a recycled buffer is cleared before reuse,
+//! so it is indistinguishable from a fresh one and pooling changes no
+//! observable behavior — only allocator traffic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,8 +19,8 @@ pub struct PoolStats {
     /// Buffers handed out.
     pub gets: u64,
     /// Hand-outs that had to allocate because the free list was empty.
-    /// With pooling enabled this is also the pool's high-water mark:
-    /// buffers are only created on a miss and never destroyed.
+    /// This is also the pool's high-water mark: buffers are only created
+    /// on a miss and never destroyed.
     pub misses: u64,
     /// Buffers returned to the free list.
     pub recycled: u64,
@@ -41,30 +39,25 @@ impl PoolStats {
 #[derive(Debug)]
 pub struct BufPool<T> {
     free: Vec<Vec<T>>,
-    enabled: bool,
     gets: u64,
     misses: u64,
     recycled: u64,
 }
 
+impl<T> Default for BufPool<T> {
+    fn default() -> Self {
+        BufPool::new()
+    }
+}
+
 impl<T> BufPool<T> {
     /// An empty pool.
-    pub fn new(enabled: bool) -> BufPool<T> {
+    pub fn new() -> BufPool<T> {
         BufPool {
             free: Vec::new(),
-            enabled,
             gets: 0,
             misses: 0,
             recycled: 0,
-        }
-    }
-
-    /// Turn recycling on or off. Disabling drops the free list; the pool
-    /// then behaves exactly like plain `Vec::new()` allocation.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.free = Vec::new();
         }
     }
 
@@ -85,7 +78,7 @@ impl<T> BufPool<T> {
     /// zero-capacity buffers (never-used `Vec::new()` placeholders) are
     /// ignored so they don't dilute the free list.
     pub fn put(&mut self, mut v: Vec<T>) {
-        if !self.enabled || v.capacity() == 0 {
+        if v.capacity() == 0 {
             return;
         }
         v.clear();
@@ -109,8 +102,7 @@ impl<T> BufPool<T> {
 /// when it finishes; the sweep engine sums probes across cells and the
 /// CLI prints them under `--profile`. The probe is deliberately *not*
 /// part of any simulation report: pool traffic describes execution, not
-/// simulated behavior, and reports must stay byte-identical whether
-/// pooling is on or off.
+/// simulated behavior.
 #[derive(Debug, Default)]
 pub struct PoolProbe {
     gets: AtomicU64,
@@ -162,7 +154,7 @@ mod tests {
 
     #[test]
     fn get_put_recycles_capacity() {
-        let mut pool: BufPool<u64> = BufPool::new(true);
+        let mut pool: BufPool<u64> = BufPool::new();
         let mut a = pool.get();
         a.extend(0..100);
         let cap = a.capacity();
@@ -182,7 +174,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_buffers_are_not_pooled() {
-        let mut pool: BufPool<u8> = BufPool::new(true);
+        let mut pool: BufPool<u8> = BufPool::new();
         pool.put(Vec::new());
         assert_eq!(pool.stats().recycled, 0);
         // The next get still misses: nothing useful was stored.
@@ -191,23 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_always_misses_but_counts_gets() {
-        let mut pool: BufPool<u8> = BufPool::new(false);
-        let mut v = pool.get();
-        v.push(1);
-        pool.put(v);
-        let _ = pool.get();
-        let s = pool.stats();
-        assert_eq!(s.gets, 2);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.recycled, 0);
-    }
-
-    #[test]
     fn steady_state_misses_stabilize() {
         // One buffer in flight at a time: exactly one miss regardless of
         // how many transactions run.
-        let mut pool: BufPool<u32> = BufPool::new(true);
+        let mut pool: BufPool<u32> = BufPool::new();
         for i in 0..1_000u32 {
             let mut v = pool.get();
             v.push(i);

@@ -498,14 +498,8 @@ fn main() {
                         p.recycled()
                     );
                     let b = s.sim_batches();
-                    let mode = match (b.sims_batched(), b.sims_unbatched()) {
-                        (0, 0) => "unused".to_owned(),
-                        (_, 0) => format!("on(cap={})", pcs_oskernel::BATCH_COALESCE_CAP),
-                        (0, _) => "off".to_owned(),
-                        _ => format!("mixed(cap={})", pcs_oskernel::BATCH_COALESCE_CAP),
-                    };
                     eprintln!(
-                        "==   {id:<12} sim batching {mode}: {} runs, {} coalesced (max run {}), alpha memo {}/{} hits, size memo {}/{} hits",
+                        "==   {id:<12} sim batching: {} runs, {} coalesced (max run {}), alpha memo {}/{} hits, size memo {}/{} hits",
                         b.runs(),
                         b.coalesced(),
                         b.max_run(),
@@ -583,13 +577,6 @@ fn main() {
                             pool_misses: p.misses(),
                             pool_recycled: p.recycled(),
                             pool_high_water: p.high_water(),
-                            batch_sims_on: b.sims_batched(),
-                            batch_sims_off: b.sims_unbatched(),
-                            batch_coalesce_cap: if b.sims_batched() > 0 {
-                                pcs_oskernel::BATCH_COALESCE_CAP
-                            } else {
-                                0
-                            },
                             batch_runs: b.runs(),
                             batch_coalesced: b.coalesced(),
                             batch_max_run: b.max_run(),

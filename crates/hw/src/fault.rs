@@ -14,8 +14,8 @@
 //! `now_ns`, in the same order — for each packet in the run, so a
 //! fault-window edge splits a batch at precisely the arrival that
 //! crosses it. Hook implementations need no batch awareness, and
-//! stateful hooks observe the identical call sequence under
-//! `PCS_NO_BATCH=1` (proved by the `batching_is_invisible` suite).
+//! stateful hooks observe the identical call sequence in the per-packet
+//! test oracle (proved by the `batching_is_invisible` suite).
 
 /// Deterministic NIC/bus fault hooks, consulted on the simulation clock.
 ///

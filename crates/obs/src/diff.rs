@@ -73,21 +73,13 @@ pub struct DiffReport {
     pub cells_b: usize,
     /// Cells compared value-by-value (matched by label).
     pub cells_compared: usize,
-    /// The two sides recorded different batching configurations
-    /// (`Ledger::batch_config`): `(a, b)` with `"unrecorded"` standing
-    /// in for an absent side. A *config delta*, not drift — it never
-    /// trips [`DiffReport::has_drift`]; it explains why cell values may
-    /// legitimately be expected to match (batching is observably
-    /// invisible) while the host-side cost profile differs.
-    pub batch_config: Option<(String, String)>,
     /// Every cell with at least one difference, ranked by severity
     /// descending (label ascending on ties). Clean cells are omitted.
     pub cells: Vec<CellDiff>,
 }
 
 impl DiffReport {
-    /// `true` when any cell differs in any way. Configuration deltas
-    /// ([`DiffReport::batch_config`]) do not count.
+    /// `true` when any cell differs in any way.
     pub fn has_drift(&self) -> bool {
         !self.cells.is_empty()
     }
@@ -111,12 +103,6 @@ impl DiffReport {
             self.cells.len(),
             self.drift_count()
         );
-        if let Some((x, y)) = &self.batch_config {
-            let _ = writeln!(
-                out,
-                "! batching config changed: {x} -> {y} (host config delta, not simulation drift)"
-            );
-        }
         if self.cells.is_empty() {
             out.push_str("no drift: every compared observable is identical\n");
             return out;
@@ -268,15 +254,10 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> DiffReport {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| p.label.cmp(&q.label))
     });
-    let batch_config = (a.batch_config != b.batch_config).then(|| {
-        let side = |c: &Option<String>| c.clone().unwrap_or_else(|| "unrecorded".to_owned());
-        (side(&a.batch_config), side(&b.batch_config))
-    });
     DiffReport {
         cells_a: a.cells.len(),
         cells_b: b.cells.len(),
         cells_compared: compared,
-        batch_config,
         cells,
     }
 }
@@ -309,7 +290,6 @@ mod tests {
             scale: "quick".into(),
             experiments: vec!["fig6.4a".into()],
             faults: None,
-            batch_config: None,
             cells,
         }
     }
@@ -389,37 +369,6 @@ mod tests {
         let text = report.render(8);
         assert!(text.contains("only in ledger A"), "{text}");
         assert!(text.contains("absent"), "{text}");
-    }
-
-    #[test]
-    fn batch_config_delta_is_reported_but_is_not_drift() {
-        let a = ledger(vec![cell("r=100", "aa", &[("counters/x", 5.0)])]);
-        let mut b = a.clone();
-        b.batch_config = Some("off".to_owned());
-        let mut a = a;
-        a.batch_config = Some("on(cap=64)".to_owned());
-        let report = diff_ledgers(&a, &b);
-        assert!(!report.has_drift(), "config delta must not count as drift");
-        assert_eq!(
-            report.batch_config,
-            Some(("on(cap=64)".to_owned(), "off".to_owned()))
-        );
-        let text = report.render(8);
-        assert!(
-            text.contains("batching config changed: on(cap=64) -> off"),
-            "{text}"
-        );
-        assert!(text.contains("no drift"), "{text}");
-        // An unrecorded side renders as such.
-        b.batch_config = None;
-        let report = diff_ledgers(&a, &b);
-        assert_eq!(
-            report.batch_config,
-            Some(("on(cap=64)".to_owned(), "unrecorded".to_owned()))
-        );
-        // Matching configs stay silent.
-        b.batch_config = a.batch_config.clone();
-        assert_eq!(diff_ledgers(&a, &b).batch_config, None);
     }
 
     #[test]

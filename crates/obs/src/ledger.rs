@@ -76,13 +76,6 @@ pub struct ExperimentProfile {
     pub pool_recycled: u64,
     /// Pool high-water mark (peak free-list population).
     pub pool_high_water: u64,
-    /// Sims that ran with macro-batched event admission enabled.
-    pub batch_sims_on: u64,
-    /// Sims that ran with macro-batching disabled (`PCS_NO_BATCH`).
-    pub batch_sims_off: u64,
-    /// The engine's coalesced-run length cap (a build constant; recorded
-    /// so a ledger pins the batching configuration it ran under).
-    pub batch_coalesce_cap: u64,
     /// Coalesced admission runs entered across the experiment's sims.
     pub batch_runs: u64,
     /// Arrivals admitted beyond the first of their run (main-loop
@@ -140,9 +133,6 @@ fn render_profile_into(profile: &HostProfile, out: &mut String) {
             ("pool_misses", e.pool_misses),
             ("pool_recycled", e.pool_recycled),
             ("pool_high_water", e.pool_high_water),
-            ("batch_sims_on", e.batch_sims_on),
-            ("batch_sims_off", e.batch_sims_off),
-            ("batch_coalesce_cap", e.batch_coalesce_cap),
             ("batch_runs", e.batch_runs),
             ("batch_coalesced", e.batch_coalesced),
             ("batch_max_run", e.batch_max_run),
@@ -371,12 +361,6 @@ pub struct Ledger {
     pub experiments: Vec<String>,
     /// Fault-plan rendering from the header, if one was armed.
     pub faults: Option<String>,
-    /// Macro-batching configuration summarized from the host profile
-    /// block (`"on(cap=N)"`, `"off"`, or `"mixed(cap=N)"`), when the
-    /// ledger was written with `--profile` and its sims recorded the
-    /// config bit. Pure execution configuration: the diff engine reports
-    /// a change here as a config delta, never as simulation drift.
-    pub batch_config: Option<String>,
     /// Every recorded cell, in ledger order.
     pub cells: Vec<LedgerCell>,
 }
@@ -410,7 +394,6 @@ impl Ledger {
             })
             .unwrap_or_default();
         let faults = doc.get("faults").and_then(Json::as_str).map(str::to_owned);
-        let batch_config = parse_batch_config(&doc);
         let mut cells = Vec::new();
         for cell in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
             let label = cell
@@ -451,29 +434,8 @@ impl Ledger {
             scale,
             experiments,
             faults,
-            batch_config,
             cells,
         })
-    }
-}
-
-/// Summarize the profile block's batching counters into the ledger's
-/// [`Ledger::batch_config`] string. `None` when the ledger carries no
-/// profile or its sims predate the batching counters.
-fn parse_batch_config(doc: &Json) -> Option<String> {
-    let experiments = doc.get("profile")?.get("experiments")?.as_arr()?;
-    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let (mut on, mut off, mut cap) = (0u64, 0u64, 0u64);
-    for e in experiments {
-        on += field(e, "batch_sims_on");
-        off += field(e, "batch_sims_off");
-        cap = cap.max(field(e, "batch_coalesce_cap"));
-    }
-    match (on, off) {
-        (0, 0) => None,
-        (_, 0) => Some(format!("on(cap={cap})")),
-        (0, _) => Some("off".to_owned()),
-        _ => Some(format!("mixed(cap={cap})")),
     }
 }
 
@@ -621,8 +583,6 @@ mod tests {
                 wall_s: 1.5,
                 cells_run: 10,
                 pool_gets: 123,
-                batch_sims_on: 4,
-                batch_coalesce_cap: 64,
                 batch_runs: 40,
                 batch_coalesced: 360,
                 ..ExperimentProfile::default()
@@ -633,35 +593,10 @@ mod tests {
         assert!(standalone.contains("\"host_side\":true"));
         assert!(standalone.contains("\"wall_s\":1.500"));
         assert!(standalone.contains("\"pool_gets\":123"));
-        assert!(standalone.contains("\"batch_sims_on\":4"));
         assert!(standalone.contains("\"batch_coalesced\":360"));
         let embedded = render_ledger(&meta(), &sample_cells(), Some(&profile));
         validate_json(&embedded).expect("ledger with profile must be well-formed");
         assert!(embedded.contains("\"profile\":{\"host_side\":true"));
-    }
-
-    #[test]
-    fn batch_config_summarizes_the_profile() {
-        // No profile: configuration unrecorded.
-        let plain = render_ledger(&meta(), &sample_cells(), None);
-        assert_eq!(Ledger::parse(&plain).unwrap().batch_config, None);
-        let with = |on: u64, off: u64| {
-            let profile = HostProfile {
-                experiments: vec![ExperimentProfile {
-                    id: "fig6.4a".into(),
-                    batch_sims_on: on,
-                    batch_sims_off: off,
-                    batch_coalesce_cap: if on > 0 { 64 } else { 0 },
-                    ..ExperimentProfile::default()
-                }],
-            };
-            let text = render_ledger(&meta(), &sample_cells(), Some(&profile));
-            Ledger::parse(&text).unwrap().batch_config
-        };
-        assert_eq!(with(3, 0), Some("on(cap=64)".to_owned()));
-        assert_eq!(with(0, 3), Some("off".to_owned()));
-        assert_eq!(with(2, 1), Some("mixed(cap=64)".to_owned()));
-        assert_eq!(with(0, 0), None, "pre-batching profile: unrecorded");
     }
 
     #[test]

@@ -16,63 +16,33 @@
 //! per-`Work` heap allocation), the work's total duration is cached at
 //! construction instead of re-summed at every dispatch, and the
 //! `recorded`/`traced` buffers in [`Completion::AppChunk`] are pooled
-//! vectors recycled when the completion is consumed.
+//! vectors recycled when the completion is consumed. Packets themselves
+//! travel as [`PacketRef`]s — the simulator's only packet type — so an
+//! arrival is one chunk refcount bump, never a copy or a box.
 
 use crate::cpustate::CpuState;
 use crate::stack::CapturedPacket;
-use pcs_des::{SegVec, SimTime};
+use pcs_des::SegVec;
 use pcs_pktgen::PacketRef;
 use pcs_trace::{WorkKind, APP_NONE};
-use pcs_wire::SimPacket;
 
 /// A work item's `(state, ns)` segment list: at most two at
 /// construction (kernel batch, app chunk) plus one fault split, so
 /// four inline slots never spill in practice.
 pub(crate) type Segments = SegVec<(CpuState, u64), 4>;
 
-/// A packet injected into the NIC: either owned outright (ad-hoc
-/// streams, tests; the box comes from the scheduler's recycling pool)
-/// or a shared reference into a generator chunk (the zero-copy pipeline
-/// path — one refcount bump instead of a packet copy per sniffer per
-/// packet).
-#[derive(Debug)]
-pub(crate) enum PacketView {
-    Owned(Box<SimPacket>),
-    Shared(PacketRef),
-}
-
-impl PacketView {
-    pub(crate) fn packet(&self) -> &SimPacket {
-        match self {
-            PacketView::Owned(p) => p,
-            PacketView::Shared(r) => r.packet(),
-        }
-    }
-}
-
-/// One pending arrival as pulled from the injection source, before the
-/// NIC stage turns it into a [`PacketView`]. Owned packets travel by
-/// value so the box they end up in can come from the sim's recycling
-/// pool instead of a fresh allocation per packet.
-pub(crate) enum ArrivalFeed {
-    /// An owned packet and its arrival time ([`crate::sim::MachineSim::run`]).
-    Owned(SimTime, SimPacket),
-    /// A shared reference into a generator chunk
-    /// ([`crate::sim::MachineSim::run_refs`]).
-    Shared(PacketRef),
-}
-
 /// Simulation events: everything the pending-event queue can deliver.
 ///
 /// Entries sit in the event queue by the hundreds, so the enum must
-/// stay small: every variant's payload is at most a [`PacketView`]
-/// (pointer-sized box or chunk reference — already indirect, nothing
-/// worth boxing further); a compile-time check in this module's tests
-/// keeps it that way.
+/// stay small: every variant's payload is at most a [`PacketRef`] (a
+/// chunk reference plus an index — already indirect, nothing worth
+/// boxing further); a compile-time check in this module's tests keeps
+/// it that way.
 #[derive(Debug)]
 pub(crate) enum SimEvent {
-    /// A frame has fully arrived at the NIC.
-    Arrival(PacketView),
+    /// A frame has fully arrived at the NIC: a shared reference into the
+    /// generator chunk it was broadcast in, read in place.
+    Arrival(PacketRef),
     /// A CPU finished its current work item.
     CpuFree(usize),
     /// An interrupt may fire now (moderation gap elapsed).
@@ -177,7 +147,7 @@ mod tests {
     #[test]
     fn sim_event_stays_small() {
         // EventQueue entries are (time, seq, event); the event payload
-        // must not outgrow the Arrival variant's pointer-sized views.
+        // must not outgrow the Arrival variant's chunk reference.
         assert!(
             std::mem::size_of::<SimEvent>() <= 40,
             "SimEvent grew to {} bytes — box the large variant",

@@ -16,13 +16,11 @@
 //!   piping to a gzip process);
 //! * the disk write-back path and 64 kB FIFOs.
 //!
-//! Packet injection is zero-copy on the pipeline path: arrivals enter
-//! the event loop as shared references into generator chunks
-//! ([`MachineSim::run_refs`], fed by [`pcs_pktgen::SourceRefs`]), so the
-//! N machine simulations reading one broadcast stream share its bytes
-//! instead of cloning every packet. Owned injection
-//! ([`MachineSim::run`]) remains the reference path and produces
-//! bit-identical reports.
+//! Packet injection is zero-copy: [`MachineSim::run_source`], the one
+//! way to run a simulation, pulls a chunked [`pcs_pktgen::PacketSource`]
+//! and admits each arrival as a [`pcs_pktgen::PacketRef`] into its
+//! chunk, so the N machine simulations reading one broadcast stream
+//! share its bytes instead of cloning every packet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -209,9 +209,7 @@ impl MachineSim {
             })
             .collect();
         // Publish pool statistics to the probe, if one is armed. This is
-        // pure observability: the numbers never enter the RunReport, so
-        // runs stay byte-identical across injection paths and pooling
-        // modes.
+        // pure observability: the numbers never enter the RunReport.
         if let Some(probe) = &self.pool_probe {
             probe.publish(self.sched.pool.stats());
         }
@@ -224,10 +222,10 @@ impl MachineSim {
             stats.alpha_misses = alpha_misses;
             stats.size_hits = self.memo.consumer.hits();
             stats.size_misses = self.memo.consumer.misses();
-            probe.publish(self.batching, stats);
+            probe.publish(stats);
         }
         // Hand the event heap's allocation to the next run on this
-        // thread (no-op when pooling is off).
+        // thread.
         self.sched.release_queue();
         let trace = std::mem::take(&mut self.trace).into_report().map(Box::new);
         RunReport {

@@ -23,12 +23,13 @@
 //! gracefully (FreeBSD) or abruptly (Linux with its shared refcounted
 //! pool).
 //!
-//! This module holds only the façade: construction, the run entry
-//! points ([`MachineSim::run`], [`MachineSim::run_refs`],
-//! [`MachineSim::run_source`]), and state shared across stages.
+//! This module holds only the façade: construction, the one run entry
+//! point ([`MachineSim::run_source`]), and state shared across stages.
+//! Packets enter as [`PacketRef`]s into the source's chunks — the
+//! simulator's only packet type — and are read in place, never copied.
 
 use crate::config::{AppConfig, SimConfig};
-use crate::event::{ArrivalFeed, PacketView, SimEvent};
+use crate::event::SimEvent;
 use crate::fault::MachineFaults;
 use crate::report::{CpuSample, RunReport};
 use crate::sched::Scheduler;
@@ -38,7 +39,6 @@ use pcs_des::{AdmissionCursor, BatchProbe, BatchStats, ExpMemo, PoolProbe, SimTi
 use pcs_hw::{MachineSpec, OsCosts};
 use pcs_pktgen::{PacketRef, PacketSource, SourceRefs};
 use pcs_trace::TraceSink;
-use pcs_wire::SimPacket;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -123,13 +123,13 @@ pub(crate) enum Stack {
     Lsf(LsfState),
 }
 
-/// The machine simulator. Feed it a timed packet stream via
-/// [`MachineSim::run`].
+/// The machine simulator. Feed it a chunked packet source via
+/// [`MachineSim::run_source`].
 ///
 /// ```
 /// use pcs_oskernel::{MachineSim, SimConfig};
 /// use pcs_hw::MachineSpec;
-/// use pcs_pktgen::{Generator, PktgenConfig, TxModel};
+/// use pcs_pktgen::{ChunkedGenerator, Generator, PktgenConfig, TxModel, DEFAULT_CHUNK_PACKETS};
 ///
 /// let gen = Generator::new(
 ///     PktgenConfig { count: 1_000, ..PktgenConfig::default() },
@@ -137,7 +137,7 @@ pub(crate) enum Stack {
 ///     42,
 /// );
 /// let report = MachineSim::new(MachineSpec::moorhen(), SimConfig::default())
-///     .run(gen.map(|tp| (tp.time, tp.packet)));
+///     .run_source(ChunkedGenerator::new(gen, DEFAULT_CHUNK_PACKETS));
 /// assert_eq!(report.offered, 1_000);
 /// assert_eq!(report.apps[0].received, 1_000);
 /// ```
@@ -150,7 +150,7 @@ pub struct MachineSim {
     pub(crate) stack: Stack,
 
     // NIC
-    pub(crate) ring: VecDeque<PacketView>,
+    pub(crate) ring: VecDeque<PacketRef>,
     pub(crate) ring_slots: usize,
     pub(crate) nic_ring_drops: u64,
     pub(crate) irq_pending: bool,
@@ -203,15 +203,15 @@ pub struct MachineSim {
     /// queues one wakeup instead of one per arrival.
     pub(crate) fault_irq_gate: SimTime,
 
-    /// Macro-batching master switch (coalesced admission + cost memos).
-    /// On by default; `PCS_NO_BATCH=1` or
-    /// [`MachineSim::with_batching`]`(false)` falls back to scheduling
-    /// every arrival through the heap, byte-identically.
+    /// Macro-batching (coalesced admission + cost memos). Always on,
+    /// except in the per-packet test oracle
+    /// ([`MachineSim::with_batching`]`(false)`), which schedules every
+    /// arrival through the heap, byte-identically.
     pub(crate) batching: bool,
     /// Lazy-admission cursor: the next wire arrival, held outside the
     /// event heap under its reserved (time, seq) key. Always empty when
     /// batching is off.
-    pub(crate) pending_arrival: AdmissionCursor<PacketView>,
+    pub(crate) pending_arrival: AdmissionCursor<PacketRef>,
     /// Coalesced-run counters, published to the probe at run end.
     pub(crate) batch_stats: BatchStats,
     /// Bit-exact memo tables for pure cost arithmetic.
@@ -219,8 +219,8 @@ pub struct MachineSim {
 
     /// Observability tap for the hot-path buffer pools. Stats are
     /// published here when the run finishes; they never enter the
-    /// [`RunReport`] (pool usage depends on the injection path, and the
-    /// report must stay byte-identical across all of them).
+    /// [`RunReport`] (pool usage describes execution, not the simulated
+    /// machine).
     pub(crate) pool_probe: Option<Arc<PoolProbe>>,
     /// Observability tap for the batching counters, alongside the pool
     /// probe and under the same rule: published at run end, never part
@@ -280,21 +280,6 @@ impl MachineSim {
             Stack::Lsf(LsfState::new(sockets, cfg.buffers.rmem_bytes))
         };
 
-        // Escape hatch: PCS_NO_POOL=1 disables buffer recycling so a
-        // pooled run can be differentially tested against plain
-        // allocation (they must be byte-identical).
-        let pooling = !matches!(
-            std::env::var("PCS_NO_POOL").ok().as_deref(),
-            Some(v) if !v.is_empty() && v != "0"
-        );
-        // Escape hatch: PCS_NO_BATCH=1 disables macro-batched admission
-        // (lazy arrivals, coalesced runs, cost memos) so a batched run
-        // can be differentially tested against the heap-per-arrival
-        // engine (they must be byte-identical).
-        let batching = !matches!(
-            std::env::var("PCS_NO_BATCH").ok().as_deref(),
-            Some(v) if !v.is_empty() && v != "0"
-        );
         // In-flight event bound: one CpuFree per CPU, one resume per
         // app, the sample clock, at most one arrival/IRQ gate/write-back
         // each, and slack for fault-injected gates. Pre-sizing to it
@@ -307,7 +292,6 @@ impl MachineSim {
                 ncpu,
                 spec.cpu.hyperthreading,
                 spec.cpu.smt_factor(),
-                pooling,
                 queue_hint,
             ),
             spec,
@@ -342,10 +326,10 @@ impl MachineSim {
             trace: TraceSink::Off,
             faults: None,
             fault_irq_gate: SimTime::ZERO,
-            batching,
+            batching: true,
             pending_arrival: AdmissionCursor::new(),
             batch_stats: BatchStats::default(),
-            memo: CostMemo::new(batching),
+            memo: CostMemo::new(true),
             pool_probe: None,
             batch_probe: None,
         }
@@ -376,15 +360,6 @@ impl MachineSim {
         self
     }
 
-    /// Enable or disable hot-path buffer pooling (on by default, or off
-    /// when `PCS_NO_POOL` is set in the environment). A pooled run is
-    /// byte-identical to an unpooled one: only the allocator traffic
-    /// differs. Exists for differential testing and benchmarking.
-    pub fn with_pooling(mut self, enabled: bool) -> MachineSim {
-        self.sched.pool.set_enabled(enabled);
-        self
-    }
-
     /// Attach a probe that receives the pooled-buffer statistics
     /// (gets / misses / recycles / high-water) when the run finishes.
     /// The probe is observability only — nothing it records feeds back
@@ -394,13 +369,15 @@ impl MachineSim {
         self
     }
 
-    /// Enable or disable macro-batched event admission (on by default,
-    /// or off when `PCS_NO_BATCH` is set in the environment): lazy
-    /// arrival scheduling through the admission cursor, coalesced
-    /// NIC-admission runs, and the bit-exact cost memos. A batched run
-    /// is byte-identical to an unbatched one — only the engine's heap
-    /// traffic and arithmetic reuse differ. Exists for differential
-    /// testing and benchmarking.
+    /// Enable or disable macro-batched event admission (on by default):
+    /// lazy arrival scheduling through the admission cursor, coalesced
+    /// NIC-admission runs, and the bit-exact cost memos.
+    ///
+    /// `with_batching(false)` is the per-packet **test oracle**: every
+    /// arrival goes through the heap and every cost is recomputed, which
+    /// is what the batched engine must reproduce byte for byte (the
+    /// `batching_is_invisible` proptest and `tests/batching.rs` compare
+    /// against it). No run outside the tests switches it off.
     pub fn with_batching(mut self, enabled: bool) -> MachineSim {
         self.batching = enabled;
         self.memo.set_enabled(enabled);
@@ -408,47 +385,33 @@ impl MachineSim {
     }
 
     /// Attach a probe that receives the macro-batching statistics
-    /// (coalesced runs, memo hits/misses, the on/off config bit) when
-    /// the run finishes. Observability only, like the pool probe.
+    /// (coalesced runs, memo hits/misses) when the run finishes.
+    /// Observability only, like the pool probe.
     pub fn with_batch_probe(mut self, probe: Arc<BatchProbe>) -> MachineSim {
         self.batch_probe = Some(probe);
         self
     }
 
-    /// Run the simulation over a timed packet source, to completion
-    /// (including the post-generation drain), and report.
+    /// Run the simulation over a chunked [`PacketSource`], to completion
+    /// (including the post-generation drain), and report. The one way to
+    /// run a `MachineSim`.
     ///
-    /// Packets arrive owned and are boxed into recycled pool boxes as
-    /// they enter the event queue. The pipeline's hot path avoids even
-    /// the copy: see [`MachineSim::run_refs`].
-    pub fn run<I>(self, source: I) -> RunReport
+    /// Packets are pulled out of the source chunk by chunk and injected
+    /// as shared [`PacketRef`]s: each arrival holds its chunk alive by
+    /// refcount, and the sim reads the packet in place inside its
+    /// broadcast chunk without ever copying it. A source backed by a
+    /// bounded queue blocks the pull, which is exactly how pipeline
+    /// backpressure propagates from a slow sniffer to the generator.
+    /// Because the event loop only requests the next arrival after the
+    /// current one has been injected, the event sequence — and therefore
+    /// the whole [`RunReport`] — is the same at any chunk size.
+    pub fn run_source<S>(mut self, source: S) -> RunReport
     where
-        I: IntoIterator<Item = (SimTime, SimPacket)>,
+        S: PacketSource,
     {
-        self.run_injected(source.into_iter().map(|(t, p)| ArrivalFeed::Owned(t, p)))
-    }
-
-    /// Run the simulation over shared packet references — the clone-free
-    /// injection path. Each arrival holds its chunk alive by refcount;
-    /// packet bytes are read in place and never copied into the sim.
-    ///
-    /// Event-for-event identical to [`MachineSim::run`] over the cloned
-    /// stream: only the ownership representation differs.
-    pub fn run_refs<I>(self, source: I) -> RunReport
-    where
-        I: IntoIterator<Item = PacketRef>,
-    {
-        self.run_injected(source.into_iter().map(ArrivalFeed::Shared))
-    }
-
-    /// The event loop proper, over any packet representation: pop each
-    /// event off the scheduler's queue and route it to its stage.
-    fn run_injected<I>(mut self, mut src: I) -> RunReport
-    where
-        I: Iterator<Item = ArrivalFeed>,
-    {
+        let mut src = SourceRefs::new(source);
         match src.next() {
-            Some(feed) => self.schedule_arrival(feed),
+            Some(pkt) => self.schedule_arrival(pkt),
             None => self.source_done = true,
         }
         self.sched
@@ -462,12 +425,12 @@ impl MachineSim {
             // allocated in scheduling order. With batching off the
             // cursor is always empty and this is a plain heap pop.
             let (now, ev) = if self.pending_arrival.precedes(self.sched.queue.peek_key()) {
-                let (t, view) = self
+                let (t, pkt) = self
                     .pending_arrival
                     .take()
                     .expect("cursor checked non-empty");
                 self.sched.queue.advance_to(t);
-                (t, SimEvent::Arrival(view))
+                (t, SimEvent::Arrival(pkt))
             } else {
                 match self.sched.queue.pop() {
                     Some(x) => x,
@@ -486,26 +449,6 @@ impl MachineSim {
         }
 
         self.finish_report()
-    }
-
-    /// Run the simulation over a chunked [`PacketSource`] — the
-    /// streaming-splitter path of the testbed.
-    ///
-    /// Packets are pulled out of the source chunk by chunk and injected
-    /// as shared references ([`MachineSim::run_refs`]) — the sim reads
-    /// each packet in place inside its broadcast chunk and never copies
-    /// it. A source backed by a bounded queue blocks the pull, which is
-    /// exactly how pipeline backpressure propagates from a slow sniffer
-    /// to the generator. Because the event loop only requests the next
-    /// arrival after the current one has been injected, the resulting
-    /// event sequence — and therefore the whole [`RunReport`] — is
-    /// byte-identical to [`MachineSim::run`] over the flattened packet
-    /// stream, regardless of chunk size.
-    pub fn run_source<S>(self, source: S) -> RunReport
-    where
-        S: PacketSource,
-    {
-        self.run_refs(SourceRefs::new(source))
     }
 
     // ----- shared rate estimators and memory-cost helpers -----
@@ -540,17 +483,18 @@ impl MachineSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcs_pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
     use pcs_trace::Stage;
-    use pcs_wire::MacAddr;
+    use pcs_wire::{MacAddr, SimPacket};
     use std::net::Ipv4Addr;
 
-    fn packets(n: u64, gap_us: u64) -> Vec<(SimTime, SimPacket)> {
-        (0..n)
+    fn timed(n: u64, gap_us: u64) -> Arc<Vec<TimedPacket>> {
+        let packets = (0..n)
             .map(|i| {
-                let t = SimTime::from_micros((i + 1) * gap_us);
-                let p = SimPacket::build_udp(
+                let time = SimTime::from_micros((i + 1) * gap_us);
+                let packet = SimPacket::build_udp(
                     i,
-                    t.as_nanos(),
+                    time.as_nanos(),
                     659,
                     MacAddr::ZERO,
                     MacAddr::BROADCAST,
@@ -559,9 +503,14 @@ mod tests {
                     9,
                     9,
                 );
-                (t, p)
+                TimedPacket { time, packet }
             })
-            .collect()
+            .collect();
+        Arc::new(packets)
+    }
+
+    fn packets(n: u64, gap_us: u64) -> MaterializedSource {
+        MaterializedSource::new(timed(n, gap_us), DEFAULT_CHUNK_PACKETS)
     }
 
     #[test]
@@ -570,7 +519,7 @@ mod tests {
         // time ≈ n × (irq + per-packet work).
         let spec = pcs_hw::MachineSpec::moorhen();
         let costs = spec.costs();
-        let r = MachineSim::new(spec, SimConfig::default()).run(packets(100, 1_000));
+        let r = MachineSim::new(spec, SimConfig::default()).run_source(packets(100, 1_000));
         assert_eq!(r.apps[0].received, 100);
         let irq_ns = r.final_acct[0].irq;
         let floor = 100 * (costs.irq_ns + costs.rx_pkt_ns);
@@ -586,11 +535,11 @@ mod tests {
         // total interrupt time per packet must fall well below the
         // one-interrupt-per-packet case.
         let spec = pcs_hw::MachineSpec::moorhen();
-        let sparse = MachineSim::new(spec, SimConfig::default()).run(packets(500, 1_000));
+        let sparse = MachineSim::new(spec, SimConfig::default()).run_source(packets(500, 1_000));
         // 3 µs gaps outrun the kernel, so the ring accumulates and each
         // interrupt picks up a batch. Normalize by packets the kernel
         // actually processed.
-        let dense = MachineSim::new(spec, SimConfig::default()).run(packets(500, 3));
+        let dense = MachineSim::new(spec, SimConfig::default()).run_source(packets(500, 3));
         let per_pkt_sparse = sparse.final_acct[0].irq / sparse.apps[0].stats.accepted.max(1);
         let per_pkt_dense = dense.final_acct[0].irq / dense.apps[0].stats.accepted.max(1);
         assert!(
@@ -602,7 +551,7 @@ mod tests {
     #[test]
     fn samples_arrive_on_the_half_second() {
         let r = MachineSim::new(pcs_hw::MachineSpec::swan(), SimConfig::default())
-            .run(packets(2_000, 1_000)); // 2 s of traffic
+            .run_source(packets(2_000, 1_000)); // 2 s of traffic
         assert!(r.samples.len() >= 4, "{} samples", r.samples.len());
         for (i, s) in r.samples.iter().enumerate() {
             assert_eq!(s.t.as_nanos(), (i as u64 + 1) * 500_000_000);
@@ -612,7 +561,7 @@ mod tests {
     #[test]
     fn load_accounting_snapshot_taken_at_last_arrival() {
         let r = MachineSim::new(pcs_hw::MachineSpec::swan(), SimConfig::default())
-            .run(packets(100, 1_000));
+            .run_source(packets(100, 1_000));
         let load = r.load_acct.expect("load snapshot");
         assert_eq!(load.t.as_nanos(), 100 * 1_000_000);
         // The final accounting contains at least as much busy time.
@@ -623,55 +572,25 @@ mod tests {
 
     #[test]
     fn empty_source_terminates_immediately() {
-        let r =
-            MachineSim::new(pcs_hw::MachineSpec::moorhen(), SimConfig::default()).run(Vec::new());
+        let r = MachineSim::new(pcs_hw::MachineSpec::moorhen(), SimConfig::default())
+            .run_source(packets(0, 1));
         assert_eq!(r.offered, 0);
         assert!(r.apps[0].received == 0);
     }
 
     #[test]
-    fn run_source_matches_run_for_any_chunk_size() {
-        use pcs_pktgen::{MaterializedSource, TimedPacket};
-        use std::sync::Arc;
-
-        let timed: Arc<Vec<TimedPacket>> = Arc::new(
-            packets(400, 5)
-                .into_iter()
-                .map(|(time, packet)| TimedPacket { time, packet })
-                .collect(),
-        );
+    fn run_source_is_identical_at_any_chunk_size() {
+        let timed = timed(400, 5);
         let spec = pcs_hw::MachineSpec::moorhen();
-        let reference = MachineSim::new(spec, SimConfig::default())
-            .run(timed.iter().map(|tp| (tp.time, tp.packet.clone())));
-        for chunk_packets in [1usize, 7, 4096] {
-            let streamed = MachineSim::new(spec, SimConfig::default())
+        let run = |chunk_packets: usize| {
+            let report = MachineSim::new(spec, SimConfig::default())
                 .run_source(MaterializedSource::new(Arc::clone(&timed), chunk_packets));
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{streamed:?}"),
-                "chunk={chunk_packets}"
-            );
+            format!("{report:?}")
+        };
+        let reference = run(4096);
+        for chunk_packets in [1usize, 7] {
+            assert_eq!(reference, run(chunk_packets), "chunk={chunk_packets}");
         }
-    }
-
-    #[test]
-    fn run_refs_matches_owned_run_exactly() {
-        use pcs_pktgen::{MaterializedSource, SourceRefs, TimedPacket};
-        use std::sync::Arc;
-
-        let timed: Arc<Vec<TimedPacket>> = Arc::new(
-            packets(300, 7)
-                .into_iter()
-                .map(|(time, packet)| TimedPacket { time, packet })
-                .collect(),
-        );
-        let spec = pcs_hw::MachineSpec::swan();
-        let owned = MachineSim::new(spec, SimConfig::default())
-            .run(timed.iter().map(|tp| (tp.time, tp.packet.clone())));
-        let shared = MachineSim::new(spec, SimConfig::default()).run_refs(SourceRefs::new(
-            MaterializedSource::new(Arc::clone(&timed), 64),
-        ));
-        assert_eq!(format!("{owned:?}"), format!("{shared:?}"));
     }
 
     #[test]
@@ -680,7 +599,7 @@ mod tests {
         let spec = pcs_hw::MachineSpec::moorhen();
         let r = MachineSim::new(spec, SimConfig::default())
             .with_trace(TraceSink::bounded(TraceSpec::default()))
-            .run(packets(200, 10));
+            .run_source(packets(200, 10));
         let trace = r.trace.as_ref().expect("trace report present");
         assert_eq!(trace.truncated, 0);
         let count_stage = |s: Stage| trace.events.iter().filter(|e| e.stage == s).count() as u64;
@@ -705,10 +624,10 @@ mod tests {
     fn traced_run_is_identical_to_untraced_apart_from_trace() {
         use pcs_trace::TraceSpec;
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(300, 3));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(300, 3));
         let mut traced = MachineSim::new(spec, SimConfig::default())
             .with_trace(TraceSink::bounded(TraceSpec::default()))
-            .run(packets(300, 3));
+            .run_source(packets(300, 3));
         assert!(plain.trace.is_none());
         assert!(traced.trace.is_some());
         traced.trace = None;
@@ -719,13 +638,13 @@ mod tests {
     fn sched_traced_run_records_dispatches_and_stays_identical() {
         use pcs_trace::{StageFilter, TraceSpec, WorkKind, DEFAULT_EVENT_CAP};
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(250, 4));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(250, 4));
         let mut traced = MachineSim::new(spec, SimConfig::default())
             .with_trace(TraceSink::bounded(TraceSpec {
                 filter: StageFilter::parse("sched").unwrap(),
                 cap: DEFAULT_EVENT_CAP,
             }))
-            .run(packets(250, 4));
+            .run_source(packets(250, 4));
         let trace = traced.trace.take().expect("trace report present");
         // The sched filter selects no lifecycle stages.
         assert!(trace.events.is_empty());
@@ -757,10 +676,10 @@ mod tests {
     #[test]
     fn stage_timed_run_is_identical_apart_from_the_account() {
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(300, 3));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(300, 3));
         let mut timed = MachineSim::new(spec, SimConfig::default())
             .with_stage_times(true)
-            .run(packets(300, 3));
+            .run_source(packets(300, 3));
         assert!(plain.stage_times.is_none());
         assert!(timed.stage_times.is_some());
         timed.stage_times = None;
@@ -780,7 +699,7 @@ mod tests {
         };
         let r = MachineSim::new(spec, cfg)
             .with_stage_times(true)
-            .run(packets(20_000, 1));
+            .run_source(packets(20_000, 1));
         let st = r.stage_times.as_ref().expect("stage times present");
         assert_eq!(st.cpus.len(), r.final_acct.len());
         for (cpu, acct) in st.cpus.iter().zip(&r.final_acct) {
@@ -804,42 +723,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_runs_agree_on_stage_times_and_digests() {
-        // Pooling only changes allocator traffic; the observability
-        // surface — stage-time accounts, metrics, latency digests —
-        // must be byte-identical either way.
-        use pcs_trace::{StageFilter, TraceSpec};
-        let run = |pooling: bool| {
-            MachineSim::new(pcs_hw::MachineSpec::swan(), SimConfig::default())
-                .with_pooling(pooling)
-                .with_stage_times(true)
-                .with_trace(TraceSink::bounded(TraceSpec {
-                    filter: StageFilter::none(),
-                    ..TraceSpec::default()
-                }))
-                .run(packets(5_000, 2))
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(
-            format!("{:?}", a.stage_times),
-            format!("{:?}", b.stage_times)
-        );
-        let ma = &a.trace.as_ref().expect("traced").metrics;
-        let mb = &b.trace.as_ref().expect("traced").metrics;
-        assert_eq!(format!("{ma:?}"), format!("{mb:?}"));
-        let digest = ma
-            .digest("wire_to_app_latency_ns")
-            .expect("latency digest recorded");
-        assert!(digest.count() > 0);
-    }
-
-    #[test]
     fn overloaded_run_attribution_stays_exact() {
         // Back-to-back frames overload the stack: drops and end-of-run
         // residue must still account for every generated packet.
         let spec = pcs_hw::MachineSpec::swan();
-        let r = MachineSim::new(spec, SimConfig::default()).run(packets(20_000, 1));
+        let r = MachineSim::new(spec, SimConfig::default()).run_source(packets(20_000, 1));
         for a in r.attributions() {
             assert!(a.balanced(), "unbalanced: {a:?}");
             assert_eq!(a.generated, 20_000);
@@ -850,7 +738,7 @@ mod tests {
     #[test]
     fn report_helpers() {
         let r = MachineSim::new(pcs_hw::MachineSpec::moorhen(), SimConfig::default())
-            .run(packets(50, 100));
+            .run_source(packets(50, 100));
         assert!((r.capture_rate(0) - 1.0).abs() < 1e-12);
         assert!((r.mean_capture_rate() - 1.0).abs() < 1e-12);
         let (w, b) = r.worst_best();
@@ -868,13 +756,13 @@ mod tests {
         impl MachineFaults for Inert {}
 
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(300, 3));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(300, 3));
         let disarmed = MachineSim::new(spec, SimConfig::default())
             .with_faults(None)
-            .run(packets(300, 3));
+            .run_source(packets(300, 3));
         let inert = MachineSim::new(spec, SimConfig::default())
             .with_faults(Some(Box::new(Inert)))
-            .run(packets(300, 3));
+            .run_source(packets(300, 3));
         assert_eq!(format!("{plain:?}"), format!("{disarmed:?}"));
         assert_eq!(format!("{plain:?}"), format!("{inert:?}"));
     }
@@ -894,10 +782,10 @@ mod tests {
         impl MachineFaults for Stall {}
 
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(2_000, 3));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(2_000, 3));
         let stalled = MachineSim::new(spec, SimConfig::default())
             .with_faults(Some(Box::new(Stall)))
-            .run(packets(2_000, 3));
+            .run_source(packets(2_000, 3));
         assert!(
             stalled.nic_ring_drops > plain.nic_ring_drops,
             "stall must overflow the ring: {} vs {}",
@@ -924,10 +812,10 @@ mod tests {
         impl MachineFaults for Preempt {}
 
         let spec = pcs_hw::MachineSpec::swan();
-        let plain = MachineSim::new(spec, SimConfig::default()).run(packets(20_000, 1));
+        let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(20_000, 1));
         let preempted = MachineSim::new(spec, SimConfig::default())
             .with_faults(Some(Box::new(Preempt)))
-            .run(packets(20_000, 1));
+            .run_source(packets(20_000, 1));
         assert!(
             preempted.apps[0].received < plain.apps[0].received,
             "constant preemption must cost capture under overload: {} vs {}",

@@ -3,11 +3,12 @@
 
 use super::{ArrivalSource, MAX_IRQ_BATCH};
 use crate::cpustate::CpuState;
-use crate::event::{Completion, PacketView, Segments, SimEvent, Work};
+use crate::event::{Completion, Segments, SimEvent, Work};
 use crate::sim::{MachineSim, Stack};
 use crate::stack::DropKind;
 use pcs_des::{SimDuration, SimTime};
 use pcs_hw::InterruptScheme;
+use pcs_pktgen::PacketRef;
 use pcs_trace::{Stage, WorkKind, APP_NONE, SEQ_NONE};
 
 /// Map one consumer's [`crate::stack::DeliverOutcome`] to its trace
@@ -78,16 +79,16 @@ impl MachineSim {
         }
         self.irq_pending = true;
         let n = self.ring.len().min(MAX_IRQ_BATCH);
-        // Pooled batch scratch: the same buffer (and the boxes of owned
-        // packets in it) circulate between interrupts, so draining the
-        // ring allocates nothing in steady state.
+        // Pooled batch scratch: the same buffer circulates between
+        // interrupts, so draining the ring allocates nothing in steady
+        // state.
         let mut batch = self.sched.pool.views.get();
         batch.reserve(n);
         for _ in 0..n {
             batch.push(self.ring.pop_front().expect("len checked"));
         }
         if self.trace.is_on() {
-            let bytes: u64 = batch.iter().map(|v| v.packet().frame_len as u64).sum();
+            let bytes: u64 = batch.iter().map(|p| p.packet().frame_len as u64).sum();
             self.trace.emit(
                 now.as_nanos(),
                 Stage::BusTransfer,
@@ -111,14 +112,11 @@ impl MachineSim {
             }
         }
         let work = self.kernel_batch_work(now, &batch);
-        for view in batch.drain(..) {
-            self.sched.pool.recycle_view(view);
-        }
         self.sched.pool.views.put(batch);
         self.submit(now, 0, work, true);
     }
 
-    pub(crate) fn kernel_batch_work(&mut self, now: SimTime, batch: &[PacketView]) -> Work {
+    pub(crate) fn kernel_batch_work(&mut self, now: SimTime, batch: &[PacketRef]) -> Work {
         let c = &self.costs;
         // Per-consumer delivery cost is a pure function of the filter's
         // executed instruction count (the only per-packet input —
@@ -137,8 +135,8 @@ impl MachineSim {
         let recv_ns = now.as_nanos();
         let mut copy_total = 0u64;
         let tracing = self.trace.is_on();
-        for view in batch {
-            let pkt = view.packet();
+        for r in batch {
+            let pkt = r.packet();
             let per_pkt = c.rx_pkt_ns;
             let mut consumer_ns = 0u64;
             match &mut self.stack {

@@ -17,6 +17,9 @@
 //! submit work through the scheduler ([`crate::sched::Scheduler`]).
 //! The split changes no behavior: handler bodies are the seed loop's
 //! match arms, executed in the same order by the same event queue.
+//! Packets reach the stages only as [`PacketRef`]s pulled by the NIC
+//! stage from the run's [`ArrivalSource`]; no stage owns or copies
+//! packet bytes.
 
 pub(crate) mod app;
 pub(crate) mod cpu;
@@ -25,9 +28,10 @@ pub(crate) mod irq;
 pub(crate) mod nic;
 pub(crate) mod sample;
 
-use crate::event::{ArrivalFeed, SimEvent};
+use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::SimTime;
+use pcs_pktgen::PacketRef;
 
 /// Maximum packets picked up by one interrupt batch.
 pub(crate) const MAX_IRQ_BATCH: usize = 64;
@@ -41,10 +45,9 @@ pub(crate) const DIRTY_LIMIT: u64 = 32 << 20;
 /// Disk write-back granule.
 pub(crate) const WRITEBACK_CHUNK: u64 = 1 << 20;
 
-/// The timed packet source a stage may pull the next arrival from.
-/// Items are [`ArrivalFeed`]s: owned packets travel unboxed so the NIC
-/// stage can box them from the recycling pool.
-pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = ArrivalFeed>;
+/// The timed packet source a stage may pull the next arrival from: the
+/// run's [`pcs_pktgen::PacketSource`] flattened into shared references.
+pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = PacketRef>;
 
 /// One lifecycle stage: the handler for one event kind.
 ///

@@ -2,9 +2,10 @@
 //! arrival-rate estimator.
 
 use super::ArrivalSource;
-use crate::event::{ArrivalFeed, PacketView, SimEvent};
+use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::{SimDuration, SimTime};
+use pcs_pktgen::PacketRef;
 use pcs_trace::{Stage, APP_NONE};
 
 /// The NIC stage: handles [`SimEvent::Arrival`].
@@ -22,7 +23,7 @@ impl super::Stage for Nic {
 }
 
 impl MachineSim {
-    fn on_arrival(&mut self, now: SimTime, pkt: PacketView, src: ArrivalSource) {
+    fn on_arrival(&mut self, now: SimTime, pkt: PacketRef, src: ArrivalSource) {
         self.admit_arrival(now, pkt, src);
         if !self.batching {
             return;
@@ -43,12 +44,12 @@ impl MachineSim {
         while run_len < crate::sim::BATCH_COALESCE_CAP
             && self.pending_arrival.precedes(self.sched.queue.peek_key())
         {
-            let (t, view) = self
+            let (t, pkt) = self
                 .pending_arrival
                 .take()
                 .expect("cursor checked non-empty");
             self.sched.queue.advance_to(t);
-            self.admit_arrival(t, view, src);
+            self.admit_arrival(t, pkt, src);
             run_len += 1;
         }
         self.batch_stats.note_run(run_len);
@@ -57,7 +58,7 @@ impl MachineSim {
     /// The per-arrival admission body: PCI credit, ring entry, the next
     /// source pull, and the IRQ gate. One call per packet, identical
     /// whether entered from the main loop or a coalesced run.
-    fn admit_arrival(&mut self, now: SimTime, pkt: PacketView, src: ArrivalSource) {
+    fn admit_arrival(&mut self, now: SimTime, pkt: PacketRef, src: ArrivalSource) {
         self.offered += 1;
         let (seq, frame_len) = {
             let p = pkt.packet();
@@ -80,7 +81,6 @@ impl MachineSim {
         self.pci_credit += self.spec.pci.service_fraction(demand);
         if self.pci_credit < 1.0 {
             self.nic_ring_drops += 1;
-            self.sched.pool.recycle_view(pkt);
             self.trace.emit(
                 now.as_nanos(),
                 Stage::NicDropBus,
@@ -106,7 +106,6 @@ impl MachineSim {
                 }
             } else {
                 self.nic_ring_drops += 1;
-                self.sched.pool.recycle_view(pkt);
                 self.trace.emit(
                     now.as_nanos(),
                     Stage::NicDropRing,
@@ -118,7 +117,7 @@ impl MachineSim {
             }
         }
         match src.next() {
-            Some(feed) => self.schedule_arrival(feed),
+            Some(next) => self.schedule_arrival(next),
             None => {
                 self.source_done = true;
                 self.load_end = Some(self.sample(now));
@@ -128,24 +127,18 @@ impl MachineSim {
         self.try_fire_irq(now);
     }
 
-    /// Turn one pulled [`ArrivalFeed`] into the next arrival. Owned
-    /// packets land in a recycled box from the scheduler's pool either
-    /// way — boxing happens here, at the same program point in both
-    /// branches, so pool traffic is identical batched and unbatched.
-    /// Batched, the arrival waits in the admission cursor under a
-    /// reserved heap sequence number (tie-breaking identical to the
-    /// heap); unbatched, it is scheduled through the heap as always.
-    pub(crate) fn schedule_arrival(&mut self, feed: ArrivalFeed) {
-        let (t, view) = match feed {
-            ArrivalFeed::Owned(t, p) => (t, PacketView::Owned(self.sched.pool.box_packet(p))),
-            ArrivalFeed::Shared(r) => (r.time(), PacketView::Shared(r)),
-        };
+    /// Schedule one pulled packet as the next arrival. Batched, it waits
+    /// in the admission cursor under a reserved heap sequence number
+    /// (tie-breaking identical to the heap); unbatched, it is scheduled
+    /// through the heap as always.
+    pub(crate) fn schedule_arrival(&mut self, pkt: PacketRef) {
+        let t = pkt.time();
         if self.batching {
             let seq = self.sched.queue.reserve_seq();
             let key = pcs_des::EventQueue::<SimEvent>::admission_key(t, seq);
-            self.pending_arrival.stash(key, view);
+            self.pending_arrival.stash(key, pkt);
         } else {
-            self.sched.queue.schedule(t, SimEvent::Arrival(view));
+            self.sched.queue.schedule(t, SimEvent::Arrival(pkt));
         }
     }
 

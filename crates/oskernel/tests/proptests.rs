@@ -3,16 +3,13 @@
 
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{AppConfig, BufferConfig, MachineFaults, MachineSim, RunReport, SimConfig};
-use pcs_pktgen::{Generator, PktgenConfig, SizeSource, TxModel};
+use pcs_pktgen::{
+    ChunkedGenerator, Generator, PktgenConfig, SizeSource, TxModel, DEFAULT_CHUNK_PACKETS,
+};
 use pcs_trace::{CellTrace, SutTrace, TraceSink, TraceSpec};
 use proptest::prelude::*;
 
-fn source(
-    count: u64,
-    rate: f64,
-    burst: u32,
-    seed: u64,
-) -> impl Iterator<Item = (pcs_des::SimTime, pcs_wire::SimPacket)> {
+fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
     let cfg = PktgenConfig {
         count,
         size: SizeSource::Fixed(659),
@@ -21,7 +18,7 @@ fn source(
     let mut g = Generator::new(cfg, TxModel::syskonnect(), seed);
     g.set_target_rate(rate, 659.0);
     g.set_burstiness(burst);
-    g.map(|tp| (tp.time, tp.packet))
+    ChunkedGenerator::new(g, DEFAULT_CHUNK_PACKETS)
 }
 
 fn arb_machine() -> impl Strategy<Value = MachineSpec> {
@@ -63,7 +60,7 @@ proptest! {
             apps: vec![AppConfig::plain(); napps],
             ..SimConfig::default()
         };
-        let r = MachineSim::new(spec, cfg).run(source(count, rate, burst, seed));
+        let r = MachineSim::new(spec, cfg).run_source(source(count, rate, burst, seed));
         prop_assert_eq!(r.offered, count);
         for a in &r.apps {
             let s = a.stats;
@@ -90,7 +87,7 @@ proptest! {
     ) {
         let run = || {
             MachineSim::new(MachineSpec::flamingo(), SimConfig::default())
-                .run(source(count, rate, 16, seed))
+                .run_source(source(count, rate, 16, seed))
         };
         let a = run();
         let b = run();
@@ -109,7 +106,7 @@ proptest! {
     ) {
         let run = |rate: f64| {
             MachineSim::new(MachineSpec::flamingo().single_cpu(), SimConfig::default())
-                .run(source(count, rate, 16, seed))
+                .run_source(source(count, rate, 16, seed))
                 .capture_rate(0)
         };
         let slow = run(200.0);
@@ -118,9 +115,9 @@ proptest! {
     }
 }
 
-/// A ring-stall hook (RX ring pinned to one slot) for the pooling
-/// differential test: faults exercise the preempt-split and
-/// ring-overflow paths that touch pooled buffers.
+/// A ring-stall hook (RX ring pinned to one slot) for the batching
+/// differential test: every arrival beyond the first finds the ring
+/// full, so IRQ traffic splits coalesced runs continuously.
 struct Stall;
 impl pcs_hw::NicBusFault for Stall {
     fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
@@ -161,8 +158,8 @@ impl MachineFaults for Kshrink {
 }
 
 /// Render a traced report's exports exactly as the sweep exporter
-/// would: pooled and unpooled runs must agree on every exported byte,
-/// not just on the report struct.
+/// would: the batched engine and its per-packet oracle must agree on
+/// every exported byte, not just on the report struct.
 fn rendered_exports(r: &RunReport) -> (String, String) {
     let cell = CellTrace {
         label: format!("prop {}", r.machine),
@@ -186,53 +183,10 @@ proptest! {
     // Two full runs per case; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pooling is invisible: a pooled run and a pool-disabled run (the
-    /// `PCS_NO_POOL=1` escape hatch) produce byte-identical reports —
-    /// and, when traced, byte-identical trace exports — across
-    /// machines, rates, app counts and fault plans. Only allocator
-    /// traffic may differ.
-    #[test]
-    fn pooling_is_invisible(
-        spec in arb_machine(),
-        count in 500u64..2_500,
-        rate in 100f64..900.0,
-        burst in 1u32..64,
-        napps in 1usize..3,
-        traced in any::<bool>(),
-        fault in 0u8..3,
-        seed in any::<u64>(),
-    ) {
-        let cfg = SimConfig {
-            apps: vec![AppConfig::plain(); napps],
-            ..SimConfig::default()
-        };
-        let run = |pooled: bool| {
-            let mut sim = MachineSim::new(spec, cfg.clone()).with_pooling(pooled);
-            if traced {
-                sim = sim.with_trace(TraceSink::bounded(TraceSpec::default()));
-            }
-            let hooks: Option<Box<dyn MachineFaults>> = match fault {
-                1 => Some(Box::new(Stall)),
-                2 => Some(Box::new(Preempt)),
-                _ => None,
-            };
-            sim.with_faults(hooks).run(source(count, rate, burst, seed))
-        };
-        let pooled = run(true);
-        let unpooled = run(false);
-        prop_assert_eq!(format!("{pooled:?}"), format!("{unpooled:?}"));
-        if traced {
-            let (json_a, csv_a) = rendered_exports(&pooled);
-            let (json_b, csv_b) = rendered_exports(&unpooled);
-            prop_assert_eq!(json_a, json_b);
-            prop_assert_eq!(csv_a, csv_b);
-        }
-    }
-
     /// Batching is invisible: the macro-batched engine (lazy arrival
-    /// admission + NIC-run coalescing + cost-model memos) and the
-    /// legacy per-packet engine (the `PCS_NO_BATCH=1` escape hatch)
-    /// produce byte-identical reports — and, when traced, byte-identical
+    /// admission + NIC-run coalescing + cost-model memos) and its
+    /// per-packet test oracle (`with_batching(false)`) produce
+    /// byte-identical reports — and, when traced, byte-identical
     /// trace exports and run-ledger documents — across machines, rates,
     /// app counts, trace filters (including `sched`, whose dispatch
     /// order pins the exact event interleaving) and fault plans
@@ -278,7 +232,7 @@ proptest! {
                 3 => Some(Box::new(Kshrink)),
                 _ => None,
             };
-            sim.with_faults(hooks).run(source(count, rate, burst, seed))
+            sim.with_faults(hooks).run_source(source(count, rate, burst, seed))
         };
         let batched = run(true);
         let legacy = run(false);

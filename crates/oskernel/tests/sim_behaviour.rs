@@ -4,14 +4,13 @@
 
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{AppConfig, BufferConfig, MachineSim, RunReport, SimConfig};
-use pcs_pktgen::{DistConfig, Generator, PktgenConfig, SizeSource, TwoStageDist, TxModel};
+use pcs_pktgen::{
+    ChunkedGenerator, DistConfig, Generator, PktgenConfig, SizeSource, TwoStageDist, TxModel,
+    DEFAULT_CHUNK_PACKETS,
+};
 
 /// A generator over the synthetic MWN distribution at a given rate.
-fn source(
-    count: u64,
-    rate_mbps: f64,
-    seed: u64,
-) -> impl Iterator<Item = (pcs_des::SimTime, pcs_wire::SimPacket)> {
+fn source(count: u64, rate_mbps: f64, seed: u64) -> ChunkedGenerator {
     let counts = pcs_pktgen::mwn_counts(1_000_000);
     let dist =
         TwoStageDist::from_counts(counts.iter().map(|(&s, &c)| (s, c)), &DistConfig::default())
@@ -25,11 +24,11 @@ fn source(
     let mut g = Generator::new(cfg, TxModel::syskonnect(), seed);
     g.set_target_rate(rate_mbps, mean);
     g.set_burstiness(16);
-    g.map(|tp| (tp.time, tp.packet))
+    ChunkedGenerator::new(g, DEFAULT_CHUNK_PACKETS)
 }
 
 fn run(spec: MachineSpec, cfg: SimConfig, count: u64, rate: f64, seed: u64) -> RunReport {
-    MachineSim::new(spec, cfg).run(source(count, rate, seed))
+    MachineSim::new(spec, cfg).run_source(source(count, rate, seed))
 }
 
 #[test]
@@ -403,7 +402,7 @@ fn pool_high_water_stabilizes_after_warmup() {
         let probe = std::sync::Arc::new(pcs_des::PoolProbe::new());
         MachineSim::new(MachineSpec::swan(), SimConfig::default())
             .with_pool_probe(std::sync::Arc::clone(&probe))
-            .run(g.map(|tp| (tp.time, tp.packet)));
+            .run_source(ChunkedGenerator::new(g, DEFAULT_CHUNK_PACKETS));
         probe
     };
     let short = run(2_500);

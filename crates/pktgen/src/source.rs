@@ -49,14 +49,10 @@ pub struct PacketRef {
 }
 
 impl PacketRef {
-    /// A reference to packet `idx` of `chunk`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds — a `PacketRef` always points at
-    /// a real packet.
-    pub fn new(chunk: Chunk, idx: usize) -> PacketRef {
-        assert!(idx < chunk.len(), "PacketRef index out of bounds");
-        PacketRef { chunk, idx }
+    /// A reference to packet `idx` of `chunk`, or `None` when `idx` is
+    /// out of bounds — a `PacketRef` always points at a real packet.
+    pub fn new(chunk: Chunk, idx: usize) -> Option<PacketRef> {
+        (idx < chunk.len()).then_some(PacketRef { chunk, idx })
     }
 
     /// The referenced timed packet.
@@ -344,7 +340,7 @@ mod tests {
     fn packet_refs_share_their_chunk() {
         let mut source = ChunkedGenerator::new(gen(100), 64);
         let chunk = source.next_chunk().unwrap();
-        let a = PacketRef::new(Arc::clone(&chunk), 0);
+        let a = PacketRef::new(Arc::clone(&chunk), 0).expect("index in bounds");
         let b = a.clone();
         assert_eq!(a, b);
         assert!(Arc::ptr_eq(&a.chunk, &b.chunk), "clone must share storage");
@@ -353,11 +349,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
     fn packet_ref_rejects_out_of_bounds_index() {
         let mut source = ChunkedGenerator::new(gen(4), 4);
         let chunk = source.next_chunk().unwrap();
-        PacketRef::new(chunk, 4);
+        assert!(PacketRef::new(Arc::clone(&chunk), 3).is_some());
+        assert!(PacketRef::new(chunk, 4).is_none());
     }
 
     #[test]

@@ -40,8 +40,8 @@ use pcs_faultsim::{FaultPlan, Oracle};
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
-    ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
-    StreamCache, StreamRole, TimedPacket, TxModel,
+    ChunkedGenerator, Generator, MaterializedSource, PacketSource, PktgenConfig, PublishingSource,
+    SizeSource, StreamCache, StreamRole, TimedPacket, TxModel, DEFAULT_CHUNK_PACKETS,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
 use std::sync::Arc;
@@ -554,18 +554,27 @@ pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointRes
     aggregate_point(rate, cfg.count, &labels, &cells)
 }
 
-/// Run all sniffers over one shared stream, concurrently. Scoped worker
-/// threads borrow the slice directly, so callers need no `Arc` plumbing.
+/// Run all sniffers over one shared stream, concurrently. The stream is
+/// copied once into shared storage that every sniffer replays in chunks.
 pub fn run_sniffers(suts: &[Sut], stream: &[TimedPacket]) -> Vec<RunReport> {
-    run_sniffers_with(suts, stream, None, None, None, None, false)
+    run_sniffers_with(
+        suts,
+        &Arc::new(stream.to_vec()),
+        None,
+        None,
+        None,
+        None,
+        false,
+    )
 }
 
-/// [`run_sniffers`], optionally with an enabled trace sink, an armed
-/// fault plan, pool/batch probes and/or stage-time attribution per SUT.
+/// [`run_sniffers`] over an already shared stream, optionally with an
+/// enabled trace sink, an armed fault plan, pool/batch probes and/or
+/// stage-time attribution per SUT.
 #[allow(clippy::too_many_arguments)]
 fn run_sniffers_with(
     suts: &[Sut],
-    stream: &[TimedPacket],
+    stream: &Arc<Vec<TimedPacket>>,
     trace: Option<TraceSpec>,
     faults: Option<&FaultPlan>,
     pools: Option<&Arc<PoolProbe>>,
@@ -593,8 +602,10 @@ fn run_sniffers_with(
                     if let Some(probe) = batches {
                         machine = machine.with_batch_probe(probe);
                     }
-                    let source = stream.iter().map(|tp| (tp.time, tp.packet.clone()));
-                    machine.run(source)
+                    machine.run_source(MaterializedSource::new(
+                        Arc::clone(stream),
+                        DEFAULT_CHUNK_PACKETS,
+                    ))
                 })
             })
             .collect();

@@ -40,8 +40,8 @@ pub struct ExecStats {
     /// (observability only — never part of any simulation result).
     sim_pools: Arc<PoolProbe>,
     /// Macro-batching counters (coalesced admission runs, cost-memo
-    /// hits, the on/off config bit) published by every simulated cell —
-    /// observability only, like the pool probe.
+    /// hits) published by every simulated cell — observability only,
+    /// like the pool probe.
     sim_batches: Arc<BatchProbe>,
 }
 

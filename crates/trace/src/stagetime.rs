@@ -14,7 +14,7 @@
 //! engine (DESIGN.md §17) leaves this account untouched by
 //! construction: coalesced NIC runs batch event *admission*, not work
 //! execution, so every dispatch/finish charge happens at the same
-//! instant with the same amounts as under `PCS_NO_BATCH=1`.
+//! instant with the same amounts as in the per-packet test oracle.
 
 use crate::event::WorkKind;
 

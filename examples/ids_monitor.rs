@@ -38,7 +38,7 @@ fn run_on(spec: MachineSpec, cycle: &CycleConfig, rate: f64) -> RunReport {
     );
     generator.set_target_rate(rate, cycle.mean_frame);
     generator.set_burstiness(cycle.burst);
-    MachineSim::new(spec, sim).run(generator.map(|tp| (tp.time, tp.packet)))
+    MachineSim::new(spec, sim).run_source(ChunkedGenerator::new(generator, DEFAULT_CHUNK_PACKETS))
 }
 
 fn main() {

@@ -39,8 +39,8 @@ fn main() {
         apps: vec![session.app_config()],
         ..SimConfig::default()
     };
-    let report =
-        MachineSim::new(MachineSpec::moorhen(), sim).run(generator.map(|tp| (tp.time, tp.packet)));
+    let report = MachineSim::new(MachineSpec::moorhen(), sim)
+        .run_source(ChunkedGenerator::new(generator, DEFAULT_CHUNK_PACKETS));
 
     // 4. Results.
     let stats = Pcap::stats(&report.apps[0], report.nic_ring_drops);

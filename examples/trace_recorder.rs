@@ -45,8 +45,8 @@ fn main() {
         g.set_burstiness(cycle.burst);
         g
     };
-    let report =
-        MachineSim::new(MachineSpec::moorhen(), sim).run(make_gen().map(|tp| (tp.time, tp.packet)));
+    let report = MachineSim::new(MachineSpec::moorhen(), sim)
+        .run_source(ChunkedGenerator::new(make_gen(), DEFAULT_CHUNK_PACKETS));
     println!(
         "captured {} of {} packets",
         report.apps[0].received, report.offered

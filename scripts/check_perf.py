@@ -28,18 +28,16 @@ a clear message rather than failing the build.
 
 Regenerate the baseline with ``cargo bench -p pcs-bench --bench hotpath``
 and record the new numbers in BENCH_HOTPATH.json after an intentional
-hot-path change. Record every ``hotpath/*`` variant together (pool-on,
-pool-off, pool-on-shared-ref, stage-times-on, batch-on, batch-off): the
-variants are context for each other, ``stage-times-on`` documents what a
-``--ledger`` run pays over ``pool-on``, and ``batch-on``/``batch-off``
-document what macro-batched event admission buys over the per-packet
-engine (``PCS_NO_BATCH=1``).
+hot-path change, all benches from one session: ``hotpath/stage-times-on``
+documents what a ``--ledger`` run pays over ``full-pipeline``.
 
-To localize a failure, pass ``--ledgers BASELINE.json CURRENT.json``
-(two run ledgers from ``pcs-experiments run --ledger``, e.g. the quick
-fig6.4a sweep on the last-good and the failing build): on FAIL the
-script also prints which per-stage busy/stretch/idle time moved, summed
-per work kind across every cell, so "slower" comes with "where".
+To localize a failure, run the repository benchmark span-traced on the
+last-good and the failing build (``cargo run --release --offline -q
+--manifest-path benchmark/Cargo.toml -- --workload rate-sweep --seed 7
+--seconds 0 --trace 1``; see benchmark/README.md): its per-layer
+host-time table names the layer that got slower. Ledger ``StageTimes``
+cannot do this — they are simulated time, which an engine change
+leaves byte-identical by construction.
 """
 
 import argparse
@@ -61,59 +59,6 @@ def fail(msg: str) -> None:
 def skip(msg: str) -> None:
     print(f"check_perf: SKIP: {msg} (not a verdict on this change)")
     sys.exit(0)
-
-
-def stage_totals(ledger_path: str) -> dict:
-    """Sum per-work-kind busy/stretch and idle ns across a ledger's cells.
-
-    Returns {"busy/<kind>": ns, "stretch/<kind>": ns, "idle": ns}.
-    """
-    with open(ledger_path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("pcs_ledger") != 1:
-        fail(f"{ledger_path} is not a pcs_ledger v1 document")
-    totals = {}
-    for cell in doc.get("cells", []):
-        for sut in cell.get("suts", []):
-            st = sut.get("stage_times")
-            if not st:
-                continue
-            for cpu in st.get("cpus", []):
-                for key in ("busy", "stretch"):
-                    for kind, ns in cpu.get(key, {}).items():
-                        totals[f"{key}/{kind}"] = totals.get(f"{key}/{kind}", 0) + ns
-                totals["idle"] = totals.get("idle", 0) + cpu.get("idle", 0)
-    return totals
-
-
-def print_stage_deltas(ledger_a: str, ledger_b: str) -> None:
-    """Per-stage time deltas between two ledgers, largest movers first."""
-    a, b = stage_totals(ledger_a), stage_totals(ledger_b)
-    if not a and not b:
-        print(
-            "check_perf: ledgers carry no stage times — rerun with a "
-            "--ledger-armed sweep (stage attribution is on whenever "
-            "--ledger is)",
-            file=sys.stderr,
-        )
-        return
-    rows = []
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key, 0), b.get(key, 0)
-        if va == vb:
-            continue
-        rel = abs(va - vb) / max(abs(va), abs(vb), 1)
-        rows.append((rel, key, va, vb))
-    rows.sort(reverse=True)
-    print("check_perf: per-stage time deltas (ledger A -> B, summed over all cells):", file=sys.stderr)
-    if not rows:
-        print("check_perf:   none — stage times are identical", file=sys.stderr)
-    for rel, key, va, vb in rows:
-        print(
-            f"check_perf:   {rel * 100:8.2f}%  {key:<24} "
-            f"{va / 1e6:12.3f} ms -> {vb / 1e6:12.3f} ms",
-            file=sys.stderr,
-        )
 
 
 def parse_bench_output(text: str) -> dict:
@@ -149,13 +94,6 @@ def main() -> None:
         type=float,
         default=4.0,
         help="skip when the floor ratio leaves [1/R, R] (default: 4.0)",
-    )
-    ap.add_argument(
-        "--ledgers",
-        nargs=2,
-        metavar=("BASELINE.json", "CURRENT.json"),
-        help="run ledgers to localize a failure: on FAIL, print per-stage "
-        "busy/stretch/idle deltas between the two",
     )
     args = ap.parse_args()
 
@@ -213,20 +151,15 @@ def main() -> None:
         if verdict == "FAIL":
             failures.append(bench)
     if failures:
-        if args.ledgers:
-            print_stage_deltas(args.ledgers[0], args.ledgers[1])
         fail(
             f"{len(failures)} bench(es) regressed past the calibrated limit: "
             f"{', '.join(failures)}. "
             f"If the slowdown is intentional, regenerate {args.baseline} "
-            f"(see its `command` field) and commit the new numbers."
-            + (
-                ""
-                if args.ledgers
-                else " For per-stage localization, rerun with --ledgers "
-                "BASELINE.json CURRENT.json (ledgers from "
-                "`experiments run --ledger` on the last-good and failing builds)."
-            )
+            f"(see its `command` field) and commit the new numbers. "
+            f"To find the slower layer, run `cargo run --release --offline -q "
+            f"--manifest-path benchmark/Cargo.toml -- --workload rate-sweep "
+            f"--seed 7 --seconds 0 --trace 1` on the last-good and failing "
+            f"builds and compare their per-layer host-time tables."
         )
 
 

@@ -70,7 +70,10 @@ pub mod prelude {
     pub use pcs_core::{Experiment, Scale};
     pub use pcs_hw::MachineSpec;
     pub use pcs_oskernel::{AppConfig, BufferConfig, MachineSim, RunReport, SimConfig};
-    pub use pcs_pktgen::{Generator, PktgenConfig, PktgenControl, SizeSource, TxModel};
+    pub use pcs_pktgen::{
+        ChunkedGenerator, Generator, PktgenConfig, PktgenControl, SizeSource, TxModel,
+        DEFAULT_CHUNK_PACKETS,
+    };
     pub use pcs_testbed::{
         run_point, run_sweep, run_sweep_exec, standard_suts, CycleConfig, ExecConfig, Sut,
     };

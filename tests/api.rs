@@ -30,8 +30,8 @@ fn end_to_end_capture_session() {
         apps: vec![session.app_config()],
         ..SimConfig::default()
     };
-    let report =
-        MachineSim::new(MachineSpec::moorhen(), sim).run(generator.map(|tp| (tp.time, tp.packet)));
+    let report = MachineSim::new(MachineSpec::moorhen(), sim)
+        .run_source(ChunkedGenerator::new(generator, DEFAULT_CHUNK_PACKETS));
 
     let stats = Pcap::stats(&report.apps[0], report.nic_ring_drops);
     assert_eq!(stats.ps_recv, 25_000);

@@ -12,6 +12,7 @@ use pcapbench::des::SimTime;
 use pcapbench::faultsim::FaultPlan;
 use pcapbench::hw::MachineSpec;
 use pcapbench::oskernel::{MachineSim, SimConfig};
+use pcapbench::pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
 use pcapbench::testbed::RunCache;
 use pcapbench::wire::{MacAddr, SimPacket};
 use std::net::Ipv4Addr;
@@ -21,13 +22,13 @@ use std::sync::{Arc, Mutex};
 static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
 
 /// `n` dense UDP arrivals, `gap_ns` apart.
-fn packets(n: u64, gap_ns: u64) -> Vec<(SimTime, SimPacket)> {
-    (0..n)
+fn packets(n: u64, gap_ns: u64) -> Arc<Vec<TimedPacket>> {
+    let packets = (0..n)
         .map(|i| {
-            let t = SimTime::from_nanos((i + 1) * gap_ns);
-            let p = SimPacket::build_udp(
+            let time = SimTime::from_nanos((i + 1) * gap_ns);
+            let packet = SimPacket::build_udp(
                 i,
-                t.as_nanos(),
+                time.as_nanos(),
                 659,
                 MacAddr::ZERO,
                 MacAddr::BROADCAST,
@@ -36,9 +37,15 @@ fn packets(n: u64, gap_ns: u64) -> Vec<(SimTime, SimPacket)> {
                 9,
                 9,
             );
-            (t, p)
+            TimedPacket { time, packet }
         })
-        .collect()
+        .collect();
+    Arc::new(packets)
+}
+
+/// Replay `stream` as a chunked source.
+fn replay(stream: &Arc<Vec<TimedPacket>>) -> MaterializedSource {
+    MaterializedSource::new(Arc::clone(stream), DEFAULT_CHUNK_PACKETS)
 }
 
 fn plan(spec: &str) -> FaultPlan {
@@ -144,10 +151,10 @@ fn ringstall_moves_losses_into_the_nic_bucket() {
     // the shrunken ring must overflow where the full ring did not.
     let spec = MachineSpec::swan();
     let stream = packets(40_000, 3_000);
-    let plain = MachineSim::new(spec, SimConfig::default()).run(stream.clone());
+    let plain = MachineSim::new(spec, SimConfig::default()).run_source(replay(&stream));
     let stalled = MachineSim::new(spec, SimConfig::default())
         .with_faults(Some(plan("ringstall:5").arm_machine()))
-        .run(stream);
+        .run_source(replay(&stream));
     assert!(
         stalled.nic_ring_drops > plain.nic_ring_drops,
         "ring stall must add NIC drops: {} vs {}",
@@ -181,10 +188,10 @@ fn kshrink_moves_losses_into_the_kernel_buffer_bucket() {
     };
 
     let spec = MachineSpec::moorhen();
-    let plain = MachineSim::new(spec, cfg.clone()).run(stream.clone());
+    let plain = MachineSim::new(spec, cfg.clone()).run_source(replay(&stream));
     let shrunk = MachineSim::new(spec, cfg.clone())
         .with_faults(Some(plan("kshrink:5").arm_machine()))
-        .run(stream.clone());
+        .run_source(replay(&stream));
     assert!(
         buffer_drops(&shrunk) > buffer_drops(&plain),
         "FreeBSD kernel shrink must add buffer drops: {} vs {}",
@@ -196,10 +203,10 @@ fn kshrink_moves_losses_into_the_kernel_buffer_bucket() {
     }
 
     let spec = MachineSpec::swan();
-    let plain = MachineSim::new(spec, cfg.clone()).run(stream.clone());
+    let plain = MachineSim::new(spec, cfg.clone()).run_source(replay(&stream));
     let shrunk = MachineSim::new(spec, cfg)
         .with_faults(Some(plan("kshrink:5").arm_machine()))
-        .run(stream);
+        .run_source(replay(&stream));
     assert!(
         pool_drops(&shrunk) > pool_drops(&plain),
         "Linux kernel shrink must add pool drops: {} vs {}",
@@ -225,10 +232,10 @@ fn preempt_shifts_drop_attribution_deterministically() {
         r.attributions().iter().map(|a| a.dropped()).sum()
     };
 
-    let plain = MachineSim::new(spec, SimConfig::default()).run(stream.clone());
+    let plain = MachineSim::new(spec, SimConfig::default()).run_source(replay(&stream));
     let preempted = MachineSim::new(spec, SimConfig::default())
         .with_faults(Some(plan("preempt:5").arm_machine()))
-        .run(stream.clone());
+        .run_source(replay(&stream));
     assert!(
         received(&preempted) < received(&plain),
         "a preempted machine must capture less: {} vs {}",
@@ -247,7 +254,7 @@ fn preempt_shifts_drop_attribution_deterministically() {
 
     let again = MachineSim::new(spec, SimConfig::default())
         .with_faults(Some(plan("preempt:5").arm_machine()))
-        .run(stream.clone());
+        .run_source(replay(&stream));
     assert_eq!(
         format!("{preempted:?}"),
         format!("{again:?}"),
@@ -255,7 +262,7 @@ fn preempt_shifts_drop_attribution_deterministically() {
     );
     let reseeded = MachineSim::new(spec, SimConfig::default())
         .with_faults(Some(plan("preempt:6").arm_machine()))
-        .run(stream);
+        .run_source(replay(&stream));
     assert_ne!(
         format!("{preempted:?}"),
         format!("{reseeded:?}"),
@@ -278,10 +285,10 @@ fn apppause_moves_losses_into_the_app_bucket() {
         ..SimConfig::default()
     };
     let stream = packets(40_000, 3_000);
-    let plain = MachineSim::new(spec, cfg.clone()).run(stream.clone());
+    let plain = MachineSim::new(spec, cfg.clone()).run_source(replay(&stream));
     let paused = MachineSim::new(spec, cfg)
         .with_faults(Some(plan("apppause:5").arm_machine()))
-        .run(stream);
+        .run_source(replay(&stream));
     let app_residue = |r: &pcapbench::oskernel::RunReport| -> u64 {
         r.apps.iter().map(|a| a.stats.app_residue).sum()
     };
