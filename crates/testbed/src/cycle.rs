@@ -897,6 +897,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_sut_set_still_reports_the_achieved_rate() {
+        // Unique packet count: run and stream caches are process-global.
+        let mut cfg = CycleConfig::mwn(8_513, 31);
+        cfg.repeats = 2;
+        let p = run_point(&[], &cfg, Some(100.0));
+        assert!(p.suts.is_empty());
+        assert_eq!(p.generated, 8_513);
+        assert!((p.achieved_mbps - 100.0).abs() < 20.0, "{}", p.achieved_mbps);
+        let one = vec![Sut {
+            spec: MachineSpec::moorhen(),
+            sim: SimConfig::default(),
+        }];
+        let measured = run_point(&one, &cfg, Some(100.0));
+        assert_eq!(p.achieved_mbps, measured.achieved_mbps);
+    }
+
+    #[test]
     fn traced_cells_record_balanced_attributions_without_changing_results() {
         use pcs_trace::TraceCollector;
         // Unique packet count: run and stream caches are process-global.

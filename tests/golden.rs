@@ -6,13 +6,19 @@
 //! RFC-4180 quoting path, ragged-series rendering, and the header/notes
 //! layout. The quick fig6.4a `--ledger` document is pinned the same way:
 //! it is host-independent, so it freezes every simulated observable of
-//! that sweep. Regenerate after an intentional format change with:
+//! that sweep. `tests/golden/quick/` holds every CSV that
+//! `experiments all --scale quick --csv-dir DIR` writes except the
+//! `fig4.1` scatter; CI diffs the whole directory against a release run,
+//! and a subset cheap enough for the test profile is asserted here.
+//! Regenerate after an intentional format change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
-use pcapbench::core::{figures, ExecConfig, Experiment, Scale, Series, SeriesPoint};
+use pcapbench::core::{
+    all_experiments, figures, ExecConfig, Experiment, Scale, Series, SeriesPoint,
+};
 use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
 use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerMeta};
 use std::path::PathBuf;
@@ -149,6 +155,33 @@ fn fig64a_quick_ledger() -> &'static str {
 #[test]
 fn quick_fig64a_ledger_matches_golden() {
     assert_matches_golden("fig6.4a_quick.ledger.json", fig64a_quick_ledger());
+}
+
+/// The quick-suite experiments asserted in the test profile: the
+/// cell-free tables plus a dual-CPU rate sweep, a buffer sweep whose 12
+/// cells share one generated stream, and the eight-application mix.
+const QUICK_GOLDEN_SUBSET: [&str; 7] = [
+    "tbl2.4",
+    "fig4.2",
+    "val-pktgen",
+    "fig6.13",
+    "fig6.2b",
+    "fig6.4b",
+    "fig6.9",
+];
+
+#[test]
+fn quick_suite_csvs_match_golden() {
+    let registry = all_experiments();
+    let exec = ExecConfig::with_jobs(2);
+    for id in QUICK_GOLDEN_SUBSET {
+        let (_, _, run) = registry
+            .iter()
+            .find(|(rid, _, _)| *rid == id)
+            .expect("registered experiment");
+        let csv = run(&Scale::quick(), &exec).to_csv();
+        assert_matches_golden(&format!("quick/{id}.csv"), &csv);
+    }
 }
 
 #[test]
