@@ -25,5 +25,5 @@ pub mod scale;
 
 pub use experiment::{Experiment, Series, SeriesPoint};
 pub use figures::{all_experiments, ExperimentFn};
-pub use pcs_testbed::{ExecConfig, ExecStats, PipelineConfig};
+pub use pcs_testbed::{ExecConfig, ExecStats};
 pub use scale::Scale;

@@ -684,7 +684,7 @@ mod tests {
             // Any multiset, split at any points into up to four shards
             // merged in any of two orders, is bit-identical to recording
             // it straight — the property the cross-run ledger relies on
-            // to stay byte-stable at any --jobs/--chunk split.
+            // to stay byte-stable however cells are split across workers.
             #[test]
             fn digest_merge_is_partition_and_order_independent(
                 values in proptest::collection::vec(any::<u64>(), 0..300),

@@ -4,12 +4,9 @@
 //! ```text
 //! experiments list
 //! experiments run <id>... [--scale quick|standard|full] [--jobs N]
-//!                         [--chunk N] [--depth N]
-//!                         [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR]
-//!                         [--trace PATH[:FILTER]] [--profile]
-//!                         [--faults SPEC[:SEED]] [--oracle]
-//! experiments all [--scale ...] [--jobs N] [--chunk N] [--depth N]
-//!                 [--stream-cache ...] [--csv-dir DIR]
+//!                         [--csv-dir DIR] [--trace PATH[:FILTER]]
+//!                         [--profile] [--faults SPEC[:SEED]] [--oracle]
+//! experiments all [--scale ...] [--jobs N] [--csv-dir DIR]
 //!                 [--trace PATH[:FILTER]] [--profile]
 //!                 [--faults SPEC[:SEED]] [--oracle]
 //! ```
@@ -21,15 +18,12 @@
 //! `--jobs N` bounds the worker pool (default: all host cores). Whole
 //! experiments run concurrently, and each experiment's sweep cells are
 //! further spread over the remaining workers. Inside each cell the
-//! generator streams `--chunk N`-packet chunks (default 4096; `0`
-//! selects the materialized reference path) through bounded per-sniffer
-//! queues of `--depth N` chunks (default 4). Identical packet streams —
-//! the same (workload, rate, repeat) measured over different SUT sets —
-//! are generated once and shared through a content-addressed,
-//! byte-budgeted cache (`--stream-cache on|off|BYTES[K|M|G]`, default
-//! on at 1 GiB). The simulation is deterministic, so any job count,
-//! chunk size, queue depth or stream-cache setting produces
-//! byte-identical tables and CSV files; the summary reports
+//! generator streams 4096-packet chunks through bounded per-sniffer
+//! queues four chunks deep. Identical packet streams — the same
+//! (workload, rate, repeat) measured over different SUT sets — are
+//! generated once and shared through a content-addressed cache with a
+//! 1 GiB budget. The simulation is deterministic, so any job count
+//! produces byte-identical tables and CSV files; the summary reports
 //! per-experiment wall-clock plus how many sweep cells were simulated vs
 //! served from the in-process run cache (with hit rates as
 //! percentages), how many packet streams were generated vs shared, and
@@ -53,30 +47,29 @@
 //! manifest recording every cell's 128-bit config fingerprint, achieved
 //! rate, exact drop attribution, metrics dump, exact latency
 //! percentiles, and the per-CPU per-work-kind stage-time account. The
-//! ledger is byte-identical at any `--jobs`/`--chunk`/`--depth`/
-//! `--stream-cache` setting (the `--profile` block is the documented
-//! host-side exception), so `cmp` on two ledgers is a determinism
-//! check and `experiments obs diff A.json B.json [--fail-on-drift]`
-//! ranks exactly what moved between two runs. `--profile-json PATH`
-//! writes the host-side `--profile` numbers as standalone JSON.
+//! ledger is byte-identical at any `--jobs` setting (the `--profile`
+//! block is the documented host-side exception), so `cmp` on two
+//! ledgers is a determinism check and `experiments obs diff A.json
+//! B.json [--fail-on-drift]` ranks exactly what moved between two runs.
+//! `--profile-json PATH` writes the host-side `--profile` numbers as
+//! standalone JSON.
 //!
 //! `--faults SPEC[:SEED]` arms a deterministic fault plan — seeded
 //! windows of NIC-ring stalls, bus-contention bursts, IRQ jitter,
 //! kernel-buffer shrinks, application pauses, splitter hiccups and
 //! stream-cache squeezes (`SPEC` is fault names joined with `+`, or
 //! `chaos` for all of them; see EXPERIMENTS.md). The same `SPEC:SEED`
-//! produces byte-identical tables and CSVs at any `--jobs`, `--chunk`,
-//! `--depth` or `--stream-cache` setting. `--oracle` validates every
-//! cell against the sim-wide invariant oracle (packet conservation,
-//! buffer bounds, monotonic clocks, rate sanity) and reports how many
-//! cells passed; a violation aborts the run.
+//! produces byte-identical tables and CSVs at any `--jobs` setting.
+//! `--oracle` validates every cell against the sim-wide invariant oracle
+//! (packet conservation, buffer bounds, monotonic clocks, rate sanity)
+//! and reports how many cells passed; a violation aborts the run.
 
-use pcs_core::{all_experiments, ExecConfig, PipelineConfig, Scale};
+use pcs_core::{all_experiments, ExecConfig, Scale};
 use pcs_faultsim::FaultPlan;
 use pcs_obs::{
     diff_ledgers, render_ledger, render_profile, ExperimentProfile, HostProfile, Ledger, LedgerMeta,
 };
-use pcs_testbed::{available_parallelism, parallel_ordered, parse_stream_cache_bytes};
+use pcs_testbed::{available_parallelism, parallel_ordered};
 use pcs_trace::{export, DropAttribution, StageFilter, TraceCollector, TraceSpec};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -103,16 +96,13 @@ fn parse_trace_arg(arg: &str) -> Option<(String, StageFilter)> {
     Some((arg.to_string(), StageFilter::all()))
 }
 
-/// Parse one of the integer execution knobs (`--jobs`, `--chunk`,
-/// `--depth`). All three share one error-message shape; they differ only
-/// in the smallest value they accept (`--chunk 0` selects the
-/// materialized path, the other two need at least 1).
-fn parse_knob(flag: &str, min: usize, arg: &str) -> Result<usize, String> {
-    let kind = if min == 0 { "non-negative" } else { "positive" };
+/// Parse one of the positive integer flags (`--jobs`, `--top`), with one
+/// error-message shape for both.
+fn parse_knob(flag: &str, arg: &str) -> Result<usize, String> {
     arg.parse::<usize>()
         .ok()
-        .filter(|&n| n >= min)
-        .ok_or_else(|| format!("{flag} wants a {kind} integer, got '{arg}'"))
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} wants a positive integer, got '{arg}'"))
 }
 
 /// Report a bad argument and exit with the CLI-error status.
@@ -132,7 +122,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); results are identical at any N.\n--chunk N: packets per streamed chunk (default 4096; 0 = materialize the whole run first).\n--depth N: bounded splitter-queue depth in chunks per sniffer (default 4).\n--stream-cache: share identical packet streams across cells through a byte-budgeted\n                content-addressed cache (default on = 1 GiB; off regenerates per cell).\nAll four are execution knobs: tables and CSVs are byte-identical for any setting.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs/--chunk/--depth/--stream-cache; feed two ledgers to\n                `experiments obs diff` to rank what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs/--chunk/--depth/--stream-cache.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
+        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); tables and CSVs are\n                byte-identical at any N.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs; feed two ledgers to `experiments obs diff` to rank\n                what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
     );
     std::process::exit(2);
 }
@@ -152,7 +142,7 @@ fn obs_main(args: &[String]) {
             "--top" => {
                 i += 1;
                 let n = args.get(i).unwrap_or_else(|| usage());
-                top = parse_knob("--top", 1, n).unwrap_or_else(|msg| bail(msg));
+                top = parse_knob("--top", n).unwrap_or_else(|msg| bail(msg));
             }
             _ => usage(),
         }
@@ -233,7 +223,6 @@ fn main() {
             let mut scale_name = "standard".to_string();
             let mut csv_dir: Option<String> = None;
             let mut jobs = available_parallelism();
-            let mut pipeline = PipelineConfig::default();
             let mut trace: Option<(String, StageFilter)> = None;
             let mut ledger: Option<String> = None;
             let mut profile = false;
@@ -243,24 +232,6 @@ fn main() {
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--chunk" => {
-                        i += 1;
-                        let n = args.get(i).unwrap_or_else(|| usage());
-                        pipeline.chunk_packets =
-                            parse_knob("--chunk", 0, n).unwrap_or_else(|msg| bail(msg));
-                    }
-                    "--depth" => {
-                        i += 1;
-                        let n = args.get(i).unwrap_or_else(|| usage());
-                        pipeline.depth_chunks =
-                            parse_knob("--depth", 1, n).unwrap_or_else(|msg| bail(msg));
-                    }
-                    "--stream-cache" => {
-                        i += 1;
-                        let n = args.get(i).unwrap_or_else(|| usage());
-                        pipeline.stream_cache_bytes =
-                            parse_stream_cache_bytes(n).unwrap_or_else(|msg| bail(msg));
-                    }
                     "--scale" => {
                         i += 1;
                         let name = args.get(i).unwrap_or_else(|| usage());
@@ -273,7 +244,7 @@ fn main() {
                     "--jobs" => {
                         i += 1;
                         let n = args.get(i).unwrap_or_else(|| usage());
-                        jobs = parse_knob("--jobs", 1, n).unwrap_or_else(|msg| bail(msg));
+                        jobs = parse_knob("--jobs", n).unwrap_or_else(|msg| bail(msg));
                     }
                     "--faults" => {
                         i += 1;
@@ -405,7 +376,6 @@ fn main() {
             let t_all = Instant::now();
             let results = parallel_ordered(selected, outer, |_, (id, desc, run)| {
                 let mut exec = ExecConfig::with_jobs(inner)
-                    .with_pipeline(pipeline)
                     .with_oracle(oracle)
                     .with_stage_times(stage_times);
                 if let Some(plan) = &faults {
@@ -693,19 +663,18 @@ mod tests {
     #[test]
     fn knob_errors_share_one_shape() {
         assert_eq!(
-            parse_knob("--chunk", 0, "x").unwrap_err(),
-            "--chunk wants a non-negative integer, got 'x'"
+            parse_knob("--top", "x").unwrap_err(),
+            "--top wants a positive integer, got 'x'"
         );
         assert_eq!(
-            parse_knob("--depth", 1, "0").unwrap_err(),
-            "--depth wants a positive integer, got '0'"
+            parse_knob("--jobs", "0").unwrap_err(),
+            "--jobs wants a positive integer, got '0'"
         );
         assert_eq!(
-            parse_knob("--jobs", 1, "-3").unwrap_err(),
+            parse_knob("--jobs", "-3").unwrap_err(),
             "--jobs wants a positive integer, got '-3'"
         );
-        assert_eq!(parse_knob("--chunk", 0, "0"), Ok(0));
-        assert_eq!(parse_knob("--depth", 1, "4"), Ok(4));
+        assert_eq!(parse_knob("--top", "4"), Ok(4));
     }
 
     mod properties {
@@ -723,15 +692,9 @@ mod tests {
             }
 
             #[test]
-            fn stream_cache_arg_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            fn knob_arg_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
                 let arg = String::from_utf8_lossy(&bytes).into_owned();
-                let _ = parse_stream_cache_bytes(&arg);
-            }
-
-            #[test]
-            fn knob_arg_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64), min in 0usize..2) {
-                let arg = String::from_utf8_lossy(&bytes).into_owned();
-                let _ = parse_knob("--jobs", min, &arg);
+                let _ = parse_knob("--jobs", &arg);
             }
 
             #[test]
@@ -742,19 +705,8 @@ mod tests {
 
             // Valid inputs round-trip exactly.
             #[test]
-            fn knob_round_trips(n in 0usize..1_000_000) {
-                prop_assert_eq!(parse_knob("--chunk", 0, &n.to_string()), Ok(n));
-                if n >= 1 {
-                    prop_assert_eq!(parse_knob("--depth", 1, &n.to_string()), Ok(n));
-                }
-            }
-
-            #[test]
-            fn stream_cache_round_trips(n in 0u64..4_096) {
-                prop_assert_eq!(parse_stream_cache_bytes(&n.to_string()), Ok(n));
-                prop_assert_eq!(parse_stream_cache_bytes(&format!("{n}K")), Ok(n << 10));
-                prop_assert_eq!(parse_stream_cache_bytes(&format!("{n}M")), Ok(n << 20));
-                prop_assert_eq!(parse_stream_cache_bytes(&format!("{n}G")), Ok(n << 30));
+            fn knob_round_trips(n in 1usize..1_000_000) {
+                prop_assert_eq!(parse_knob("--jobs", &n.to_string()), Ok(n));
             }
 
             #[test]

@@ -14,15 +14,15 @@
 //!   are injected through the hook traits [`pcs_hw::NicBusFault`] /
 //!   [`pcs_hw::SchedFault`] / [`pcs_oskernel::MachineFaults`] and
 //!   deterministically change results; host-side faults (splitter
-//!   hiccups, stream-cache squeeze) stress the pipeline machinery and
-//!   must **not** change results.
+//!   hiccups, stream-cache squeeze) perturb the one cell pipeline's
+//!   timing and residency and must **not** change results.
 //! * [`Oracle`] — the sim-wide invariants every run must satisfy:
 //!   packet conservation per stage, attribution balance, bound respect,
 //!   rate sanity. Always on in tests, `--oracle` on the CLI.
 //!
 //! Every fault window is a **closed-form function of the sim clock and
 //! the plan seed** — no mutable schedule state — so an armed run is
-//! byte-identical at any `--jobs`/`--chunk`/`--depth`/`--stream-cache`.
+//! byte-identical at any `--jobs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

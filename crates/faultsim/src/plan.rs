@@ -184,14 +184,15 @@ impl FaultPlan {
         }
     }
 
-    /// Host-side hook: the stream-cache byte budget to run under. `0`
-    /// (sharing disabled) is preserved; otherwise the budget is clamped
-    /// to a starvation-sized allowance to force eviction churn.
+    /// Host-side hook: the stream-cache byte budget to run under. An
+    /// armed squeeze clamps it to a starvation-sized allowance to force
+    /// eviction churn.
     pub fn clamp_stream_budget(&self, budget: u64) -> u64 {
-        if !self.has(FaultKind::CacheSqueeze) || budget == 0 {
-            return budget;
+        if self.has(FaultKind::CacheSqueeze) {
+            budget.min(SQUEEZE_BUDGET)
+        } else {
+            budget
         }
-        budget.min(SQUEEZE_BUDGET)
     }
 }
 
@@ -282,9 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn squeeze_clamps_but_preserves_disabled() {
+    fn squeeze_clamps_the_stream_budget() {
         let p = FaultPlan::parse("squeeze:3").unwrap().unwrap();
-        assert_eq!(p.clamp_stream_budget(0), 0);
         assert_eq!(p.clamp_stream_budget(64 << 20), SQUEEZE_BUDGET);
         assert_eq!(p.clamp_stream_budget(512), 512);
         let q = FaultPlan::parse("ringstall:3").unwrap().unwrap();

@@ -12,11 +12,10 @@
 //! Everything simulation-derived renders integer-based or at fixed
 //! precision, in the collector's deterministic (label, key) cell order,
 //! so two invocations of the same configuration produce byte-identical
-//! ledgers at any `--jobs`, `--chunk`, `--depth` or `--stream-cache`
-//! setting — `cmp A.json B.json` is a valid determinism check. The one
-//! exception is the optional host-side `profile` block (`--profile`),
-//! which reads the host clock and varies run to run; the diff engine
-//! never looks at it.
+//! ledgers at any `--jobs` setting — `cmp A.json B.json` is a valid
+//! determinism check. The one exception is the optional host-side
+//! `profile` block (`--profile`), which reads the host clock and varies
+//! run to run; the diff engine never looks at it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -10,8 +10,8 @@
 //!   [`pcs_des::stats::QuantileDigest`], and (when armed) the per-CPU
 //!   per-work-kind stage-time account. Rendering is integer-based or
 //!   fixed-precision over the collector's deterministic cell order, so
-//!   a ledger is byte-identical at any `--jobs`, `--chunk`, `--depth`
-//!   or `--stream-cache` setting. The host-side `profile` block is the
+//!   a ledger is byte-identical at any `--jobs` and whether its streams
+//!   were generated or shared. The host-side `profile` block is the
 //!   one documented exception (it reads the host clock) and is ignored
 //!   by the diff engine.
 //! * **JSON reader** ([`json`]) — a minimal recursive-descent RFC 8259

@@ -42,8 +42,8 @@ pub use mwn::{mwn_counts, mwn_mean};
 pub use procfs::{CmdError, PktgenConfig, PktgenControl, SizeSource};
 pub use replay::{replay_pcap, replay_rate_mbps, TraceReplay};
 pub use source::{
-    Chunk, ChunkedGenerator, MaterializedSource, PacketRef, PacketSource, SourcePackets,
-    SourceRefs, DEFAULT_CHUNK_PACKETS,
+    Chunk, ChunkedGenerator, MaterializedSource, PacketRef, PacketSource, SourceRefs,
+    DEFAULT_CHUNK_PACKETS,
 };
 pub use streamcache::{
     chunk_bytes, PublishingSource, StreamCache, StreamKey, StreamPublisher, StreamRole,

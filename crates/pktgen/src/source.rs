@@ -153,8 +153,8 @@ impl PacketSource for ChunkedGenerator {
     }
 }
 
-/// A materialized packet list replayed as a chunk stream (the reference
-/// path, and the adapter for pcap replays or test vectors).
+/// A materialized packet list replayed as a chunk stream (the adapter
+/// for pcap replays and test vectors).
 pub struct MaterializedSource {
     packets: Arc<Vec<TimedPacket>>,
     pos: usize,
@@ -186,54 +186,14 @@ impl PacketSource for MaterializedSource {
     }
 }
 
-/// Flatten any [`PacketSource`] back into per-packet iteration, cloning
-/// each packet out of its shared chunk. This is the *owned* (reference)
-/// flattening; the hot path uses [`SourceRefs`], which yields
-/// [`PacketRef`]s without copying packet bytes.
-pub struct SourcePackets<S: PacketSource> {
+/// Flatten any [`PacketSource`] into per-packet [`PacketRef`]s. Each
+/// item costs one refcount bump on the current chunk; packet bytes are
+/// never copied.
+pub struct SourceRefs<S: PacketSource> {
     source: S,
     /// Invariant between calls: `idx <= chunk.len()`, and `idx ==
     /// chunk.len()` exactly when the current chunk is exhausted. Starts
     /// on an empty sentinel chunk so the first `next` refills.
-    chunk: Chunk,
-    idx: usize,
-}
-
-impl<S: PacketSource> SourcePackets<S> {
-    /// Iterate `source` packet by packet.
-    pub fn new(source: S) -> SourcePackets<S> {
-        SourcePackets {
-            source,
-            chunk: Arc::from(Vec::new()),
-            idx: 0,
-        }
-    }
-}
-
-impl<S: PacketSource> Iterator for SourcePackets<S> {
-    type Item = TimedPacket;
-
-    fn next(&mut self) -> Option<TimedPacket> {
-        // Chunk exhaustion is handled once per chunk: the refill loop
-        // only runs when the previous chunk is fully consumed (sources
-        // yield non-empty chunks, so it iterates once in practice).
-        while self.idx == self.chunk.len() {
-            self.chunk = self.source.next_chunk()?;
-            self.idx = 0;
-        }
-        let tp = self.chunk[self.idx].clone();
-        self.idx += 1;
-        Some(tp)
-    }
-}
-
-/// Flatten any [`PacketSource`] into per-packet [`PacketRef`]s — the
-/// clone-free twin of [`SourcePackets`]. Each item costs one refcount
-/// bump on the current chunk; packet bytes are never copied.
-pub struct SourceRefs<S: PacketSource> {
-    source: S,
-    /// Same invariant as [`SourcePackets`]: `idx == chunk.len()` marks
-    /// exhaustion, starting from an empty sentinel.
     chunk: Chunk,
     idx: usize,
 }
@@ -253,6 +213,9 @@ impl<S: PacketSource> Iterator for SourceRefs<S> {
     type Item = PacketRef;
 
     fn next(&mut self) -> Option<PacketRef> {
+        // The refill loop only runs once the previous chunk is fully
+        // consumed (sources yield non-empty chunks, so it iterates once
+        // in practice).
         while self.idx == self.chunk.len() {
             self.chunk = self.source.next_chunk()?;
             self.idx = 0;
@@ -284,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_generator_preserves_the_exact_stream() {
-        let direct: Vec<TimedPacket> = gen(10_000).collect();
-        for chunk_packets in [1usize, 1009, 4096, 100_000] {
-            let streamed: Vec<TimedPacket> =
-                SourcePackets::new(ChunkedGenerator::new(gen(10_000), chunk_packets)).collect();
-            assert_eq!(direct, streamed, "chunk={chunk_packets}");
-        }
-    }
-
-    #[test]
     fn chunk_sizes_are_bounded_and_cover_the_count() {
         let mut source = ChunkedGenerator::new(gen(10_000), 4096);
         let mut sizes = Vec::new();
@@ -322,9 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn source_refs_match_cloned_iteration_without_copying() {
+    fn chunked_generator_preserves_the_exact_stream() {
         let direct: Vec<TimedPacket> = gen(5_000).collect();
-        for chunk_packets in [1usize, 1009, 4096] {
+        for chunk_packets in [1usize, 1009, 4096, 100_000] {
             let refs: Vec<PacketRef> =
                 SourceRefs::new(ChunkedGenerator::new(gen(5_000), chunk_packets)).collect();
             assert_eq!(refs.len(), direct.len(), "chunk={chunk_packets}");
@@ -360,10 +313,12 @@ mod tests {
     fn materialized_source_replays_identically() {
         let all: Arc<Vec<TimedPacket>> = Arc::new(gen(5_000).collect());
         for chunk_packets in [1usize, 1009, 4096] {
-            let replayed: Vec<TimedPacket> =
-                SourcePackets::new(MaterializedSource::new(Arc::clone(&all), chunk_packets))
-                    .collect();
-            assert_eq!(*all, replayed, "chunk={chunk_packets}");
+            let replayed: Vec<PacketRef> =
+                SourceRefs::new(MaterializedSource::new(Arc::clone(&all), chunk_packets)).collect();
+            assert_eq!(replayed.len(), all.len(), "chunk={chunk_packets}");
+            for (r, tp) in replayed.iter().zip(all.iter()) {
+                assert_eq!(r.get(), tp, "chunk={chunk_packets}");
+            }
         }
     }
 }

@@ -395,7 +395,7 @@ mod tests {
     use super::*;
     use crate::generator::{Generator, TxModel};
     use crate::procfs::PktgenConfig;
-    use crate::source::{ChunkedGenerator, SourcePackets};
+    use crate::source::{ChunkedGenerator, SourceRefs};
 
     fn gen(count: u64, seed: u64) -> ChunkedGenerator {
         ChunkedGenerator::new(
@@ -457,13 +457,16 @@ mod tests {
             StreamRole::Produce(_) => unreachable!(),
             StreamRole::Subscribe(s) => s,
         };
-        let reference: Vec<_> = SourcePackets::new(gen(2_000, 9)).collect();
+        let reference: Vec<_> = SourceRefs::new(gen(2_000, 9)).collect();
         std::thread::scope(|scope| {
-            let consumer = scope.spawn(move || SourcePackets::new(subscriber).collect::<Vec<_>>());
+            let consumer = scope.spawn(move || SourceRefs::new(subscriber).collect::<Vec<_>>());
             let produced = drain(PublishingSource::new(gen(2_000, 9), publisher));
             assert!(!produced.is_empty());
             let consumed = consumer.join().expect("subscriber thread");
-            assert_eq!(consumed, reference);
+            assert_eq!(consumed.len(), reference.len());
+            for (r, expected) in consumed.iter().zip(&reference) {
+                assert_eq!(r.get(), expected.get());
+            }
         });
     }
 

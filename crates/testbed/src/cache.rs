@@ -14,10 +14,9 @@
 //! written field by field through [`pcs_des::Fingerprintable`] — every
 //! identity-relevant field reaches the digest with an unambiguous
 //! encoding, and incidental changes (a `Debug` format tweak, a new
-//! execution-only knob) cannot silently change or collide keys.
-//! Execution knobs — worker count, pipeline chunk size and depth — are
-//! deliberately *not* part of the key: they never change a cell's
-//! results, only how they are computed.
+//! execution-only setting) cannot silently change or collide keys.
+//! The worker count is deliberately *not* part of the key: it never
+//! changes a cell's results, only how they are computed.
 
 use crate::cycle::{CycleConfig, Sut};
 use pcs_des::{Fingerprint, Fingerprintable};
@@ -71,9 +70,8 @@ impl Fingerprintable for Sut {
 /// `repeat` participates because the generator derives a distinct seed
 /// per repeat; `cfg.repeats` deliberately does not — the number of
 /// repeats changes which cells exist, not what any one cell computes.
-/// Pipeline shape (chunk size, queue depth) and worker count never
-/// participate: the streamed and materialized paths compute identical
-/// results, so a cell cached by one answers for all.
+/// The worker count and whether the cell's stream was generated or
+/// shared never participate: neither changes what the cell computes.
 pub fn cell_key(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> CellKey {
     cell_key_faulted(suts, cfg, rate, repeat, None)
 }
@@ -114,9 +112,9 @@ pub fn cell_key_faulted(
 /// differ only in their sniffers consume the *same* stream, which is
 /// exactly the sharing the cache exists for. The seed enters in its
 /// *derived* per-repeat form, so two (seed, repeat) pairs that drive the
-/// generator identically address the same stream. Chunk size is an
-/// execution knob and is excluded: subscribers take the producer's chunk
-/// boundaries, and results are chunk-size invariant.
+/// generator identically address the same stream. Chunk size is
+/// excluded: subscribers take the producer's chunk boundaries, and
+/// results are chunk-size invariant.
 pub fn stream_key(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> StreamKey {
     let mut fp = Fingerprint::new();
     fp.u64(cfg.count);

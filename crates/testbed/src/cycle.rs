@@ -8,40 +8,29 @@
 //! outliers or unwanted influences" (the thesis uses seven repetitions;
 //! results aggregate by median).
 //!
-//! All sniffers observe the *same* packet stream: the simulation shares
-//! one generated stream (the splitter's job) and runs the four machine
-//! simulations concurrently on host threads.
-//!
-//! By default a cell *streams*: the generator thread produces bounded
-//! chunks, forwards them through the monitoring switch, and broadcasts
-//! each chunk over the splitter's bounded queues while the per-SUT
-//! machine simulations consume concurrently ([`PipelineConfig`]). The
-//! pre-pipeline materialized path (generate the whole run into a `Vec`,
-//! then fan out) remains available as the reference
-//! (`PipelineConfig::materialized()`, CLI `--chunk 0`); both paths
-//! produce byte-identical results — the streaming pipeline only bounds
-//! memory and overlaps generation with consumption.
-//!
-//! Streaming cells additionally share generation through the
+//! All sniffers observe the *same* packet stream, as behind the thesis'
+//! passive optical splitter. A cell has one path through the testbed:
+//! it acquires its (workload, rate, repeat) stream from the
 //! process-global, content-addressed
-//! [`StreamCache`](pcs_pktgen::StreamCache): cells that differ only in
-//! their SUT set address the same (workload, rate, repeat) stream, so
-//! the first generates and publishes it while the rest subscribe to the
-//! published chunks (CLI `--stream-cache`, byte-budgeted; `off`
-//! regenerates per cell, byte-identically).
+//! [`StreamCache`](pcs_pktgen::StreamCache), forwards each chunk through
+//! the monitoring switch, and broadcasts it over the splitter's bounded
+//! queues while one machine simulation per SUT consumes concurrently.
+//! The first cell to need a stream generates and publishes it; cells
+//! that differ only in their SUT set subscribe to the published chunks.
+//! The pipeline shape is fixed at [`PipelineConfig::default`].
 
 use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut, RunCache};
-use crate::sched::{parallel_ordered, ExecConfig};
+use crate::sched::{parallel_ordered, ExecConfig, PipelineConfig};
 use crate::splitter::OpticalSplitter;
 use crate::switch::MonitorSwitch;
 use pcs_des::stats::median;
-use pcs_des::{BatchProbe, PoolProbe, SimTime};
+use pcs_des::SimTime;
 use pcs_faultsim::{FaultPlan, Oracle};
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
-    ChunkedGenerator, Generator, MaterializedSource, PacketSource, PktgenConfig, PublishingSource,
-    SizeSource, StreamCache, StreamRole, TimedPacket, TxModel, DEFAULT_CHUNK_PACKETS,
+    ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
+    StreamCache, StreamRole, TimedPacket, TxModel,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
 use std::sync::Arc;
@@ -141,12 +130,11 @@ pub struct PointResult {
     pub suts: Vec<SutPoint>,
 }
 
-/// Running totals on the generator side of a cell, accumulated as
-/// packets flow (no peeking at a materialized stream).
+/// Running totals on the generator side of a cell, accumulated chunk by
+/// chunk as packets flow.
 ///
 /// The achieved rate is the frame bytes over the time of the last
-/// transmitted packet — exactly the number the materialized path used to
-/// read off `packets.last()`, but computable chunk by chunk.
+/// transmitted packet.
 struct RateAccount {
     bytes: u64,
     last: Option<SimTime>,
@@ -190,29 +178,6 @@ fn build_generator(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> Generat
     }
     g.set_burstiness(cfg.burst);
     g
-}
-
-/// Generate one run's packet stream and verify it against the switch
-/// counters. Returns the stream and the achieved rate. (The materialized
-/// reference path; the streaming path never builds this `Vec`.)
-fn generate_run(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> (Arc<Vec<TimedPacket>>, f64) {
-    let g = build_generator(cfg, rate, repeat);
-    let mut switch = MonitorSwitch::thesis_setup();
-    let before = switch.snmp_read(8);
-    let mut packets = Vec::with_capacity(cfg.count as usize);
-    let mut account = RateAccount::new();
-    for tp in g {
-        switch.forward(&tp.packet);
-        account.note(&tp);
-        packets.push(tp);
-    }
-    let after = switch.snmp_read(8);
-    let delta = MonitorSwitch::delta(&before, &after);
-    assert_eq!(
-        delta.out_pkts, cfg.count,
-        "switch must confirm every generated packet went out"
-    );
-    (Arc::new(packets), account.achieved_mbps())
 }
 
 /// Distill the per-SUT reports plus the achieved rate into a cell result.
@@ -266,23 +231,7 @@ fn run_cell(
     exec: &ExecConfig,
 ) -> CellResult {
     let spec = exec.trace.as_ref().map(|collector| collector.spec());
-    let (achieved, mut reports) = if exec.pipeline.is_streaming() && !suts.is_empty() {
-        run_cell_streaming(suts, cfg, rate, repeat, exec, spec)
-    } else {
-        let (stream, achieved) = generate_run(cfg, rate, repeat);
-        (
-            achieved,
-            run_sniffers_with(
-                suts,
-                &stream,
-                spec,
-                exec.faults.as_deref(),
-                Some(exec.stats.sim_pools()),
-                Some(exec.stats.sim_batches()),
-                exec.stage_times,
-            ),
-        )
-    };
+    let (achieved, mut reports) = run_cell_streaming(suts, cfg, rate, repeat, exec, spec);
     // The invariant oracle: always armed in debug/test builds, opt-in
     // (`--oracle`) in release. A violation is a simulation bug, never a
     // measurement outcome, so it panics with the cell coordinate.
@@ -323,23 +272,23 @@ fn run_cell(
     result
 }
 
-/// The cell's chunk source: the generator, optionally teed through or
-/// replaced by the content-addressed [`StreamCache`].
+/// The cell's chunk source, acquired from the content-addressed
+/// [`StreamCache`].
 ///
-/// With a non-zero budget the first cell to need a (workload, rate,
-/// repeat) stream generates and publishes it; every concurrent or later
-/// cell — typically the same measurement point over a *different* SUT
-/// set — subscribes to the published chunks instead of running the
-/// generator again. Subscribed chunks flow through the very same switch
-/// accounting and splitter broadcast as generated ones, so results are
-/// byte-identical either way.
+/// The first cell to need a (workload, rate, repeat) stream generates
+/// and publishes it; every concurrent or later cell — typically the same
+/// measurement point over a *different* SUT set — subscribes to the
+/// published chunks instead of running the generator again. Subscribed
+/// chunks flow through the very same switch accounting and splitter
+/// broadcast as generated ones, so results are byte-identical either
+/// way.
 fn cell_source(
     cfg: &CycleConfig,
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
+    pipeline: PipelineConfig,
 ) -> Box<dyn PacketSource> {
-    let pipeline = exec.pipeline;
     let stats = &exec.stats;
     // An armed cache-squeeze fault starves the stream cache's byte
     // budget — an execution perturbation (eviction churn, re-generation)
@@ -347,19 +296,16 @@ fn cell_source(
     let budget = exec
         .faults
         .as_deref()
-        .map(|plan| plan.clamp_stream_budget(pipeline.stream_cache_bytes))
-        .unwrap_or(pipeline.stream_cache_bytes);
-    let generate =
-        || ChunkedGenerator::new(build_generator(cfg, rate, repeat), pipeline.chunk_packets);
-    if budget == 0 {
-        return Box::new(generate());
-    }
-    let cache = StreamCache::global();
+        .map_or(pipeline.stream_cache_bytes, |plan| {
+            plan.clamp_stream_budget(pipeline.stream_cache_bytes)
+        });
     let probe = stats.profiling().then(Instant::now);
-    match cache.acquire(stream_key(cfg, rate, repeat), budget) {
+    match StreamCache::global().acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
-            Box::new(PublishingSource::new(generate(), publisher))
+            let generate =
+                ChunkedGenerator::new(build_generator(cfg, rate, repeat), pipeline.chunk_packets);
+            Box::new(PublishingSource::new(generate, publisher))
         }
         StreamRole::Subscribe(subscriber) => {
             if let Some(t0) = probe {
@@ -371,10 +317,10 @@ fn cell_source(
     }
 }
 
-/// The streaming pipeline: the calling thread generates chunks, accounts
-/// them through the monitoring switch, and broadcasts each over the
-/// splitter's bounded queues while one scoped thread per SUT consumes.
-/// The bounded queues cap pipeline memory at roughly
+/// The cell's pipeline: the calling thread pulls chunks from the cell's
+/// source, accounts them through the monitoring switch, and broadcasts
+/// each over the splitter's bounded queues while one scoped thread per
+/// SUT consumes. The bounded queues cap pipeline memory at roughly
 /// `chunk_packets × (depth_chunks + 1)` packets per SUT and let the
 /// slowest sniffer pace the generator.
 fn run_cell_streaming(
@@ -385,10 +331,18 @@ fn run_cell_streaming(
     exec: &ExecConfig,
     trace: Option<TraceSpec>,
 ) -> (f64, Vec<RunReport>) {
-    let pipeline = exec.pipeline;
-    let mut source = cell_source(cfg, rate, repeat, exec);
-    let splitter = OpticalSplitter::new(suts.len() as u32);
-    let (sender, outputs) = splitter.channel(pipeline.depth_chunks);
+    let pipeline = PipelineConfig::default();
+    let mut source = cell_source(cfg, rate, repeat, exec, pipeline);
+    // With no SUTs there is nothing to split to; the stream still passes
+    // the switch, which is all the achieved rate needs.
+    let (sender, outputs) = match suts.len() {
+        0 => (None, Vec::new()),
+        ways => {
+            let (sender, outputs) =
+                OpticalSplitter::new(ways as u32).channel(pipeline.depth_chunks);
+            (Some(sender), outputs)
+        }
+    };
 
     let mut switch = MonitorSwitch::thesis_setup();
     let before = switch.snmp_read(8);
@@ -430,7 +384,9 @@ fn run_cell_streaming(
                 switch.forward(&tp.packet);
                 account.note(tp);
             }
-            sender.broadcast(&chunk);
+            if let Some(sender) = &sender {
+                sender.broadcast(&chunk);
+            }
         }
         drop(sender); // end of stream: consumers drain and finish
         handles
@@ -444,10 +400,8 @@ fn run_cell_streaming(
         delta.out_pkts, cfg.count,
         "switch must confirm every generated packet went out"
     );
-    if pipeline.stream_cache_bytes > 0 {
-        exec.stats
-            .note_stream_resident(StreamCache::global().resident_bytes());
-    }
+    exec.stats
+        .note_stream_resident(StreamCache::global().resident_bytes());
     (account.achieved_mbps(), reports)
 }
 
@@ -554,68 +508,6 @@ pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointRes
     aggregate_point(rate, cfg.count, &labels, &cells)
 }
 
-/// Run all sniffers over one shared stream, concurrently. The stream is
-/// copied once into shared storage that every sniffer replays in chunks.
-pub fn run_sniffers(suts: &[Sut], stream: &[TimedPacket]) -> Vec<RunReport> {
-    run_sniffers_with(
-        suts,
-        &Arc::new(stream.to_vec()),
-        None,
-        None,
-        None,
-        None,
-        false,
-    )
-}
-
-/// [`run_sniffers`] over an already shared stream, optionally with an
-/// enabled trace sink, an armed fault plan, pool/batch probes and/or
-/// stage-time attribution per SUT.
-#[allow(clippy::too_many_arguments)]
-fn run_sniffers_with(
-    suts: &[Sut],
-    stream: &Arc<Vec<TimedPacket>>,
-    trace: Option<TraceSpec>,
-    faults: Option<&FaultPlan>,
-    pools: Option<&Arc<PoolProbe>>,
-    batches: Option<&Arc<BatchProbe>>,
-    stage_times: bool,
-) -> Vec<RunReport> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = suts
-            .iter()
-            .map(|sut| {
-                let spec = sut.spec;
-                let sim = sut.sim.clone();
-                let sink = trace.map(TraceSink::bounded).unwrap_or_default();
-                let armed = faults.map(FaultPlan::arm_machine);
-                let pools = pools.map(Arc::clone);
-                let batches = batches.map(Arc::clone);
-                scope.spawn(move || {
-                    let mut machine = MachineSim::new(spec, sim)
-                        .with_trace(sink)
-                        .with_faults(armed)
-                        .with_stage_times(stage_times);
-                    if let Some(probe) = pools {
-                        machine = machine.with_pool_probe(probe);
-                    }
-                    if let Some(probe) = batches {
-                        machine = machine.with_batch_probe(probe);
-                    }
-                    machine.run_source(MaterializedSource::new(
-                        Arc::clone(stream),
-                        DEFAULT_CHUNK_PACKETS,
-                    ))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sniffer thread panicked"))
-            .collect()
-    })
-}
-
 /// Sweep a list of rates (the thesis' 50–950 Mbit/s x-axis); `None`
 /// entries mean "no inter-packet gap" (full speed). Serial; see
 /// [`run_sweep_exec`] for the parallel engine.
@@ -677,7 +569,6 @@ pub fn standard_suts(sim: SimConfig) -> Vec<Sut> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::PipelineConfig;
     use pcs_oskernel::BufferConfig;
 
     fn quick_cfg() -> CycleConfig {
@@ -760,49 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_cell_matches_materialized_cell_exactly() {
-        // run_cell bypasses the global run cache, and stream sharing is
-        // off, so every configuration below genuinely regenerates — the
-        // comparison cannot be satisfied by any cache hit.
-        let suts = vec![
-            Sut {
-                spec: MachineSpec::swan(),
-                sim: SimConfig::default(),
-            },
-            Sut {
-                spec: MachineSpec::flamingo(),
-                sim: SimConfig::default(),
-            },
-        ];
-        let cfg = quick_cfg();
-        let exec = ExecConfig::serial();
-        for rate in [Some(250.0), None] {
-            let materialized = exec.clone().with_pipeline(PipelineConfig::materialized());
-            let reference = run_cell(&suts, &cfg, rate, 0, &materialized);
-            for chunk_packets in [1usize, 1009, 4096] {
-                for depth_chunks in [1usize, 4] {
-                    let pipeline = PipelineConfig {
-                        chunk_packets,
-                        depth_chunks,
-                        stream_cache_bytes: 0,
-                    };
-                    let streamed =
-                        run_cell(&suts, &cfg, rate, 0, &exec.clone().with_pipeline(pipeline));
-                    assert_eq!(
-                        reference, streamed,
-                        "chunk={chunk_packets} depth={depth_chunks} rate={rate:?}"
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            exec.stats.streams_generated() + exec.stats.streams_shared(),
-            0
-        );
-    }
-
-    #[test]
-    fn stream_cache_on_and_off_compute_identical_cells() {
+    fn cold_and_warm_stream_cache_compute_identical_cells() {
         // Unique packet count: the stream cache is process-global and
         // tests share one process, so this test owns its stream keys.
         let mut cfg = CycleConfig::mwn(8_209, 77);
@@ -817,26 +666,17 @@ mod tests {
                 sim: SimConfig::default(),
             },
         ];
+        // run_cell bypasses the run cache, so both calls simulate.
         let exec = ExecConfig::serial();
-        for rate in [Some(250.0), None] {
-            let off = PipelineConfig::streaming().with_stream_cache(0);
-            let reference = run_cell(&suts, &cfg, rate, 0, &exec.clone().with_pipeline(off));
-            // First cached run generates and publishes …
+        for (i, rate) in [Some(250.0), None].into_iter().enumerate() {
+            // The first run generates and publishes …
             let cold = run_cell(&suts, &cfg, rate, 0, &exec);
-            // … the second subscribes, through a *different* chunk size
-            // (subscribers take the producer's chunk boundaries).
-            let warm = run_cell(
-                &suts,
-                &cfg,
-                rate,
-                0,
-                &exec.clone().with_pipeline(PipelineConfig::with_chunk(1009)),
-            );
-            assert_eq!(reference, cold, "rate={rate:?}");
-            assert_eq!(reference, warm, "rate={rate:?}");
+            assert_eq!(exec.stats.streams_generated(), i as u64 + 1);
+            // … the second subscribes to the published chunks.
+            let warm = run_cell(&suts, &cfg, rate, 0, &exec);
+            assert_eq!(exec.stats.streams_shared(), i as u64 + 1);
+            assert_eq!(cold, warm, "rate={rate:?}");
         }
-        assert_eq!(exec.stats.streams_generated(), 2);
-        assert_eq!(exec.stats.streams_shared(), 2);
         assert!(exec.stats.peak_stream_bytes() > 0);
     }
 
@@ -879,21 +719,15 @@ mod tests {
     #[test]
     fn empty_run_reports_zero_rate() {
         let cfg = CycleConfig::fixed(0, 512, 1);
-        let (stream, achieved) = generate_run(&cfg, Some(100.0), 0);
-        assert!(stream.is_empty());
-        assert_eq!(achieved, 0.0);
-        let streamed = run_cell(
-            &[Sut {
-                spec: MachineSpec::moorhen(),
-                sim: SimConfig::default(),
-            }],
-            &cfg,
-            Some(100.0),
-            0,
-            &ExecConfig::serial(),
-        );
-        assert_eq!(streamed.achieved_mbps, 0.0);
-        assert_eq!(streamed.suts.len(), 1);
+        let moorhen = Sut {
+            spec: MachineSpec::moorhen(),
+            sim: SimConfig::default(),
+        };
+        for suts in [vec![], vec![moorhen]] {
+            let cell = run_cell(&suts, &cfg, Some(100.0), 0, &ExecConfig::serial());
+            assert_eq!(cell.achieved_mbps, 0.0);
+            assert_eq!(cell.suts.len(), suts.len());
+        }
     }
 
     #[test]
@@ -904,7 +738,11 @@ mod tests {
         let p = run_point(&[], &cfg, Some(100.0));
         assert!(p.suts.is_empty());
         assert_eq!(p.generated, 8_513);
-        assert!((p.achieved_mbps - 100.0).abs() < 20.0, "{}", p.achieved_mbps);
+        assert!(
+            (p.achieved_mbps - 100.0).abs() < 20.0,
+            "{}",
+            p.achieved_mbps
+        );
         let one = vec![Sut {
             spec: MachineSpec::moorhen(),
             sim: SimConfig::default(),

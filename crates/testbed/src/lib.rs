@@ -13,17 +13,16 @@
 //!
 //! Inside a cell, packets *stream*: the generator produces bounded
 //! chunks that the [`splitter`] broadcasts to every sniffer's queue
-//! while the machine simulations consume concurrently. The pipeline
-//! shape ([`PipelineConfig`]) is an execution knob — results are
-//! byte-identical at any chunk size, queue depth or job count, and
-//! identical to the materialized reference path (`--chunk 0`).
+//! while the machine simulations consume concurrently, in the one
+//! pipeline shape [`PipelineConfig::default`]. Results are
+//! byte-identical at any job count.
 //!
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global
 //! [`StreamCache`](pcs_pktgen::StreamCache), so N SUT sets measured at
 //! the same (workload, rate, repeat) grid generate each packet stream
-//! exactly once and subscribe to its chunks thereafter (`--stream-cache`;
-//! byte-budgeted, LRU-bounded, `off` for per-cell regeneration).
+//! exactly once and subscribe to its chunks thereafter (byte-budgeted
+//! and LRU-bounded).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,12 +35,9 @@ pub mod switch;
 
 pub use cache::{cell_key, stream_key, wide_key, CellKey, CellResult, CellSut, RunCache};
 pub use cycle::{
-    aggregate_point, cell_label, run_point, run_sniffers, run_sweep, run_sweep_exec, standard_suts,
-    CycleConfig, PointResult, Sut, SutPoint,
+    aggregate_point, cell_label, run_point, run_sweep, run_sweep_exec, standard_suts, CycleConfig,
+    PointResult, Sut, SutPoint,
 };
-pub use sched::{
-    available_parallelism, parallel_ordered, parse_stream_cache_bytes, ExecConfig, ExecStats,
-    PipelineConfig,
-};
+pub use sched::{available_parallelism, parallel_ordered, ExecConfig, ExecStats, PipelineConfig};
 pub use splitter::{OpticalSplitter, SplitterOutput, SplitterSender};
 pub use switch::{IfCounters, MonitorSwitch};

@@ -6,7 +6,9 @@
 //! host-time dependence), so cells can run on any thread in any order and
 //! the merged results are still bit-identical to a serial run: the pool
 //! assigns cells to workers dynamically but writes every result back into
-//! its input-order slot.
+//! its input-order slot. The worker count is the only execution knob:
+//! inside a cell the pipeline always has the shape of
+//! [`PipelineConfig::default`].
 
 use pcs_des::{BatchProbe, PoolProbe};
 use pcs_faultsim::FaultPlan;
@@ -174,98 +176,38 @@ impl ExecStats {
     }
 }
 
-/// How a cell streams packets from the generator to its sniffers.
+/// The shape of every cell's generator → splitter → sniffer pipeline.
 ///
-/// These are *execution* knobs: the pipeline is byte-identical to the
-/// materialized reference path for any setting, so none of these fields
-/// participate in the run cache's cell key.
+/// There is one shape, [`PipelineConfig::default`]; it is a struct so
+/// the numbers have names. None of the fields participate in the run
+/// cache's cell key: chunk boundaries and queue depth never change a
+/// result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Packets per streamed chunk; `0` selects the materialized
-    /// reference path (generate the whole run, then fan out).
+    /// Packets per generated chunk.
     pub chunk_packets: usize,
-    /// Bounded depth, in chunks, of each sniffer's splitter queue
-    /// (clamped to ≥ 1). Peak pipeline memory is roughly
-    /// `chunk_packets × (depth_chunks + 1) × ways` packets.
+    /// Bounded depth, in chunks, of each sniffer's splitter queue. Peak
+    /// pipeline memory is roughly `chunk_packets × (depth_chunks + 1) ×
+    /// ways` packets.
     pub depth_chunks: usize,
-    /// Byte budget of the process-global content-addressed stream cache
-    /// (`0` = off: every cell regenerates its own stream). Only the
-    /// streaming path consults the cache.
+    /// Byte budget of the process-global content-addressed stream cache.
     pub stream_cache_bytes: u64,
 }
 
-impl PipelineConfig {
-    /// The streaming default: ~4k-packet chunks, four in flight per
-    /// sniffer, stream sharing on with the default byte budget.
-    pub fn streaming() -> PipelineConfig {
+impl Default for PipelineConfig {
+    /// ~4k-packet chunks, four in flight per sniffer, stream sharing
+    /// under the default byte budget.
+    fn default() -> PipelineConfig {
         PipelineConfig {
             chunk_packets: pcs_pktgen::DEFAULT_CHUNK_PACKETS,
             depth_chunks: 4,
             stream_cache_bytes: pcs_pktgen::DEFAULT_STREAM_CACHE_BYTES,
         }
     }
-
-    /// The pre-pipeline reference: materialize the whole run, then fan
-    /// out (no stream sharing).
-    pub fn materialized() -> PipelineConfig {
-        PipelineConfig {
-            chunk_packets: 0,
-            depth_chunks: 1,
-            stream_cache_bytes: 0,
-        }
-    }
-
-    /// Streaming with an explicit chunk size (`0` = materialized).
-    pub fn with_chunk(chunk_packets: usize) -> PipelineConfig {
-        PipelineConfig {
-            chunk_packets,
-            ..PipelineConfig::streaming()
-        }
-    }
-
-    /// The same pipeline with an explicit stream-cache byte budget
-    /// (`0` = off).
-    pub fn with_stream_cache(mut self, stream_cache_bytes: u64) -> PipelineConfig {
-        self.stream_cache_bytes = stream_cache_bytes;
-        self
-    }
-
-    /// Whether this configuration streams chunks (vs materializing).
-    pub fn is_streaming(&self) -> bool {
-        self.chunk_packets > 0
-    }
 }
 
-/// Parse a `--stream-cache` argument: `on` (the default byte budget),
-/// `off` (`0`: no sharing), or an explicit byte budget with an optional
-/// `K`/`M`/`G` suffix (e.g. `256M`).
-pub fn parse_stream_cache_bytes(arg: &str) -> Result<u64, String> {
-    match arg {
-        "on" => return Ok(pcs_pktgen::DEFAULT_STREAM_CACHE_BYTES),
-        "off" => return Ok(0),
-        _ => {}
-    }
-    let (digits, shift) = match arg.as_bytes().last() {
-        Some(b'K') | Some(b'k') => (&arg[..arg.len() - 1], 10),
-        Some(b'M') | Some(b'm') => (&arg[..arg.len() - 1], 20),
-        Some(b'G') | Some(b'g') => (&arg[..arg.len() - 1], 30),
-        _ => (arg, 0),
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(1u64 << shift))
-        .ok_or_else(|| format!("--stream-cache wants on, off or BYTES[K|M|G], got '{arg}'"))
-}
-
-impl Default for PipelineConfig {
-    fn default() -> PipelineConfig {
-        PipelineConfig::streaming()
-    }
-}
-
-/// How a sweep executes: worker count, streaming-pipeline shape, shared
-/// counters.
+/// How a sweep executes: worker count, shared counters and the optional
+/// trace, fault and oracle layers.
 ///
 /// Cloning shares the counters (an `Arc`), so one `ExecConfig` handed to
 /// several figures accumulates their cells together.
@@ -273,8 +215,6 @@ impl Default for PipelineConfig {
 pub struct ExecConfig {
     /// Upper bound on concurrently running cells.
     pub jobs: usize,
-    /// Generator→sniffer streaming shape for every cell.
-    pub pipeline: PipelineConfig,
     /// Shared run/cache counters.
     pub stats: Arc<ExecStats>,
     /// When set, every cell simulates with an enabled
@@ -315,19 +255,12 @@ impl ExecConfig {
     pub fn with_jobs(jobs: usize) -> ExecConfig {
         ExecConfig {
             jobs: jobs.max(1),
-            pipeline: PipelineConfig::default(),
             stats: Arc::new(ExecStats::default()),
             trace: None,
             faults: None,
             oracle: false,
             stage_times: false,
         }
-    }
-
-    /// The same execution with a different pipeline shape.
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> ExecConfig {
-        self.pipeline = pipeline;
-        self
     }
 
     /// The same execution with every cell traced into `collector`.
@@ -454,42 +387,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(parallel_ordered(empty, 4, |_, x: u8| x).is_empty());
         assert_eq!(parallel_ordered(vec![7u8], 4, |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn pipeline_presets_and_builder() {
-        assert!(PipelineConfig::streaming().is_streaming());
-        assert!(!PipelineConfig::materialized().is_streaming());
-        assert!(!PipelineConfig::with_chunk(0).is_streaming());
-        assert_eq!(PipelineConfig::with_chunk(512).chunk_packets, 512);
-        let exec = ExecConfig::with_jobs(2).with_pipeline(PipelineConfig::with_chunk(512));
-        assert_eq!(exec.pipeline.chunk_packets, 512);
-        assert_eq!(ExecConfig::serial().pipeline, PipelineConfig::streaming());
-        assert_eq!(
-            PipelineConfig::streaming().stream_cache_bytes,
-            pcs_pktgen::DEFAULT_STREAM_CACHE_BYTES
-        );
-        assert_eq!(PipelineConfig::materialized().stream_cache_bytes, 0);
-        let off = PipelineConfig::streaming().with_stream_cache(0);
-        assert_eq!(off.stream_cache_bytes, 0);
-        assert!(off.is_streaming(), "cache knob is independent of chunking");
-    }
-
-    #[test]
-    fn stream_cache_argument_parses() {
-        assert_eq!(
-            parse_stream_cache_bytes("on"),
-            Ok(pcs_pktgen::DEFAULT_STREAM_CACHE_BYTES)
-        );
-        assert_eq!(parse_stream_cache_bytes("off"), Ok(0));
-        assert_eq!(parse_stream_cache_bytes("4096"), Ok(4096));
-        assert_eq!(parse_stream_cache_bytes("8K"), Ok(8 << 10));
-        assert_eq!(parse_stream_cache_bytes("256M"), Ok(256 << 20));
-        assert_eq!(parse_stream_cache_bytes("2g"), Ok(2 << 30));
-        assert!(parse_stream_cache_bytes("").is_err());
-        assert!(parse_stream_cache_bytes("K").is_err());
-        assert!(parse_stream_cache_bytes("fast").is_err());
-        assert!(parse_stream_cache_bytes("99999999999999999999G").is_err());
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! consumes its own queue concurrently. Queues are bounded, so a slow
 //! sniffer exerts backpressure on the generator instead of letting memory
 //! grow with the run length; every output still sees every chunk in
-//! order, which is what keeps the streamed results byte-identical to the
-//! materialized path.
+//! order, so every sniffer simulates exactly the generated stream.
 
 use pcs_pktgen::{Chunk, PacketSource};
 use std::collections::VecDeque;

@@ -1,7 +1,7 @@
 //! Determinism guarantees of the parallel sweep engine: the same seed
-//! must produce byte-identical outputs at any worker count and any
-//! streaming-pipeline shape, and the in-process [`RunCache`] and
-//! content-addressed stream cache must be invisible in the results.
+//! must produce byte-identical outputs at any worker count, and the
+//! in-process [`RunCache`] and content-addressed stream cache must be
+//! invisible in the results.
 //!
 //! Each test uses a packet count no other test in this binary uses, so
 //! the process-global cache cannot leak cells between concurrently
@@ -10,10 +10,9 @@
 //! [`CACHE_CLEAR_LOCK`], so one test's flush cannot break another's
 //! cold/warm counter assertions.
 
-use pcapbench::core::{figures, ExecConfig, PipelineConfig, Scale};
+use pcapbench::core::{figures, ExecConfig, Scale};
 use pcapbench::testbed::RunCache;
-use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Serializes the tests that flush the process-global run cache.
 static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
@@ -82,110 +81,35 @@ fn warm_cache_reproduces_cold_run_exactly() {
     assert_eq!(cold.to_csv(), reran.to_csv());
 }
 
-/// The matrix test's shared scale (packet count unique to this binary).
-fn matrix_scale() -> Scale {
-    Scale {
-        count: 33_000,
-        repeats: 2,
-        rates: vec![Some(250.0), None],
-    }
-}
-
-/// The materialized single-worker reference rendering, computed once.
-/// Callers must hold [`CACHE_CLEAR_LOCK`].
-fn matrix_reference() -> &'static (String, String) {
-    static REFERENCE: OnceLock<(String, String)> = OnceLock::new();
-    REFERENCE.get_or_init(|| {
-        RunCache::global().clear();
-        let exec = ExecConfig::with_jobs(1).with_pipeline(PipelineConfig::materialized());
-        let reference = figures::fig6_2_default_buffers(&matrix_scale(), true, &exec);
-        assert!(
-            exec.stats.cells_run() >= 1,
-            "reference must actually simulate"
-        );
-        (reference.to_csv(), reference.to_table())
-    })
-}
-
-proptest! {
-    // Every sampled (jobs, chunk, depth, stream-cache) execution shape
-    // must render byte-identically to the materialized single-worker
-    // reference. Each case is a whole sweep, so the case count is pinned
-    // low here on purpose — CI's elevated PROPTEST_CASES sweep targets
-    // the cheap parser/attribution properties, not this matrix.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    #[test]
-    fn streaming_pipeline_is_byte_identical_to_materialized(
-        jobs in 1usize..=4,
-        chunk in prop_oneof![Just(1usize), 2usize..=8_192],
-        depth in 1usize..=8,
-        cache_on in any::<bool>(),
-    ) {
-        let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
-        let (ref_csv, ref_table) = matrix_reference();
-        // Flush the run cache so the streamed run really recomputes every
-        // cell — pipeline shape is excluded from the cell key, so a warm
-        // cache would make this comparison vacuous. The stream cache is
-        // part of the sampled shape: off forces every cell to re-chunk
-        // the generator, on shares the producer's chunk boundaries.
-        RunCache::global().clear();
-        let mut pipeline = PipelineConfig::with_chunk(chunk)
-            .with_stream_cache(if cache_on { 1 << 30 } else { 0 });
-        pipeline.depth_chunks = depth;
-        let exec = ExecConfig::with_jobs(jobs).with_pipeline(pipeline);
-        let streamed = figures::fig6_2_default_buffers(&matrix_scale(), true, &exec);
-        prop_assert!(
-            exec.stats.cells_run() >= 1,
-            "--chunk {} --jobs {} must recompute, not hit the cache", chunk, jobs
-        );
-        prop_assert_eq!(
-            ref_csv,
-            &streamed.to_csv(),
-            "--jobs {} --chunk {} --depth {} cache {} must render the reference CSV bytes",
-            jobs, chunk, depth, cache_on
-        );
-        prop_assert_eq!(
-            ref_table,
-            &streamed.to_table(),
-            "--jobs {} --chunk {} --depth {} cache {} must render the reference table bytes",
-            jobs, chunk, depth, cache_on
-        );
-    }
-}
-
 #[test]
-fn stream_cache_on_and_off_render_identical_csv() {
+fn cold_and_warm_stream_cache_render_identical_csv() {
     let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 35_000,
         repeats: 2,
         rates: vec![Some(220.0), None],
     };
-    // Reference: stream sharing off — every cell regenerates its stream.
+    // Cold: no other test uses this packet count, so every cell
+    // generates and publishes its own stream.
     RunCache::global().clear();
-    let off_exec =
-        ExecConfig::with_jobs(4).with_pipeline(PipelineConfig::streaming().with_stream_cache(0));
-    let off = figures::fig6_2_default_buffers(&scale, true, &off_exec);
-    assert!(off_exec.stats.cells_run() >= 1, "off run must simulate");
-    assert_eq!(
-        off_exec.stats.streams_generated() + off_exec.stats.streams_shared(),
-        0,
-        "--stream-cache off must never consult the stream cache"
-    );
-    // Sharing on (the default): byte-identical CSV and table.
+    let cold_exec = ExecConfig::with_jobs(4);
+    let cold = figures::fig6_2_default_buffers(&scale, true, &cold_exec);
+    assert_eq!(cold_exec.stats.streams_generated(), 4, "rates × repeats");
+    assert_eq!(cold_exec.stats.streams_shared(), 0);
+    // Warm: the run cache is flushed so every cell simulates again, but
+    // each one subscribes to the stream the cold run published.
     RunCache::global().clear();
-    let on_exec = ExecConfig::with_jobs(4);
-    let on = figures::fig6_2_default_buffers(&scale, true, &on_exec);
-    assert!(
-        on_exec.stats.streams_generated() >= 1,
-        "on run must publish its streams"
-    );
+    let warm_exec = ExecConfig::with_jobs(4);
+    let warm = figures::fig6_2_default_buffers(&scale, true, &warm_exec);
+    assert_eq!(warm_exec.stats.cells_run(), cold_exec.stats.cells_run());
+    assert_eq!(warm_exec.stats.streams_generated(), 0);
+    assert_eq!(warm_exec.stats.streams_shared(), 4);
     assert_eq!(
-        off.to_csv(),
-        on.to_csv(),
-        "--stream-cache on/off must render the same CSV bytes"
+        cold.to_csv(),
+        warm.to_csv(),
+        "subscribed streams must render the same CSV bytes as generated ones"
     );
-    assert_eq!(off.to_table(), on.to_table());
+    assert_eq!(cold.to_table(), warm.to_table());
 }
 
 #[test]

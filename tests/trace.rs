@@ -1,6 +1,6 @@
 //! Determinism and exactness guarantees of the tracing layer: the same
 //! seed must export byte-identical Chrome trace JSON and event CSV at any
-//! worker count and any pipeline shape, tracing must not perturb the
+//! worker count, tracing must not perturb the
 //! rendered results, and every traced cell's per-stage drop attribution
 //! must partition its generated packets exactly.
 //!
@@ -9,11 +9,10 @@
 //! process-global), and tests that flush the run cache serialize on
 //! [`CACHE_CLEAR_LOCK`].
 
-use pcapbench::core::{figures, ExecConfig, PipelineConfig, Scale};
+use pcapbench::core::{figures, ExecConfig, Scale};
 use pcapbench::testbed::RunCache;
 use pcapbench::trace::{export, StageFilter, TraceCollector, TraceSpec};
-use proptest::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Serializes the tests that flush the process-global run cache.
 static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
@@ -38,14 +37,14 @@ fn sched_exec(jobs: usize, cap: usize) -> (ExecConfig, Arc<TraceCollector>) {
 }
 
 #[test]
-fn trace_exports_are_byte_identical_at_any_jobs_and_pipeline() {
+fn trace_exports_are_byte_identical_at_any_jobs() {
     let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 23_500,
         repeats: 2,
         rates: vec![Some(250.0), None],
     };
-    // Reference: serial, default streaming pipeline.
+    // Reference: serial.
     RunCache::global().clear();
     let (ref_exec, ref_collector) = traced_exec(1);
     let ref_fig = figures::fig6_2_default_buffers(&scale, true, &ref_exec);
@@ -55,93 +54,61 @@ fn trace_exports_are_byte_identical_at_any_jobs_and_pipeline() {
     let ref_csv = export::events_csv(&ref_cells);
     export::validate_json(&ref_json).expect("trace JSON must be RFC 8259 valid");
 
-    let variants: [(usize, PipelineConfig); 3] = [
-        // parallel, default streaming
-        (4, PipelineConfig::streaming()),
-        // materialized reference path
-        (1, PipelineConfig::materialized()),
-        // odd chunking, stream sharing off, parallel
-        (4, PipelineConfig::with_chunk(1009).with_stream_cache(0)),
-    ];
-    for (jobs, pipeline) in variants {
+    for jobs in [2, 4] {
         RunCache::global().clear();
         let (exec, collector) = traced_exec(jobs);
-        let exec = exec.with_pipeline(pipeline);
         let fig = figures::fig6_2_default_buffers(&scale, true, &exec);
         assert_eq!(
             ref_fig.to_csv(),
             fig.to_csv(),
-            "jobs={jobs} {pipeline:?}: tracing or execution shape changed the results"
+            "jobs={jobs}: tracing or worker count changed the results"
         );
         assert_eq!(
             ref_json,
             export::chrome_trace_json(&collector.cells()),
-            "jobs={jobs} {pipeline:?}: trace JSON must be byte-identical"
+            "jobs={jobs}: trace JSON must be byte-identical"
         );
         assert_eq!(
             ref_csv,
             export::events_csv(&collector.cells()),
-            "jobs={jobs} {pipeline:?}: event CSV must be byte-identical"
+            "jobs={jobs}: event CSV must be byte-identical"
         );
     }
 }
 
-/// The sched-determinism tests' shared scale (packet count unique to
-/// this binary).
-fn sched_scale() -> Scale {
-    Scale {
+/// The scheduler's dispatch log — every (work item, CPU, time, span)
+/// decision, exported as the sched-filtered Chrome JSON — must be
+/// byte-identical across worker counts and reruns, like the results
+/// themselves.
+#[test]
+fn sched_trace_is_byte_identical_at_any_jobs() {
+    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
+    // Packet count unique to this binary.
+    let scale = Scale {
         count: 22_500,
         repeats: 1,
         rates: vec![Some(400.0), None],
-    }
-}
-
-/// The serial sched-traced reference, computed once. Callers must hold
-/// [`CACHE_CLEAR_LOCK`].
-fn sched_reference() -> &'static (String, String) {
-    static REFERENCE: OnceLock<(String, String)> = OnceLock::new();
-    REFERENCE.get_or_init(|| {
-        RunCache::global().clear();
-        let (exec, collector) = sched_exec(1, 1 << 16);
-        let fig = figures::fig6_2_default_buffers(&sched_scale(), true, &exec);
-        let json = export::chrome_trace_json(&collector.cells());
-        assert!(
-            json.contains("\"cat\":\"sched\""),
-            "a sched-filtered run must export scheduling spans"
-        );
-        (fig.to_csv(), json)
-    })
-}
-
-proptest! {
-    // The scheduler's dispatch log — every (work item, CPU, time, span)
-    // decision, exported as the sched-filtered Chrome JSON — must be
-    // byte-identical across worker counts and chunk sizes, like the
-    // results themselves. Each case is a whole sweep, so the case count
-    // stays at the shape matrix's size.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    #[test]
-    fn sched_trace_is_byte_identical_at_any_jobs_and_chunk(
-        jobs in prop_oneof![Just(1usize), Just(4usize)],
-        chunk in prop_oneof![Just(1usize), Just(4096usize)],
-    ) {
-        let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
-        let (ref_csv, ref_json) = sched_reference();
+    };
+    let run = |jobs: usize| {
         RunCache::global().clear();
         let (exec, collector) = sched_exec(jobs, 1 << 16);
-        let exec = exec.with_pipeline(PipelineConfig::with_chunk(chunk));
-        let fig = figures::fig6_2_default_buffers(&sched_scale(), true, &exec);
-        prop_assert_eq!(
-            ref_csv,
-            &fig.to_csv(),
-            "--jobs {} --chunk {}: sched tracing or shape changed the results",
-            jobs, chunk
+        let fig = figures::fig6_2_default_buffers(&scale, true, &exec);
+        (fig.to_csv(), export::chrome_trace_json(&collector.cells()))
+    };
+    let (ref_csv, ref_json) = run(1);
+    assert!(
+        ref_json.contains("\"cat\":\"sched\""),
+        "a sched-filtered run must export scheduling spans"
+    );
+    for jobs in [1, 4] {
+        let (csv, json) = run(jobs);
+        assert_eq!(
+            ref_csv, csv,
+            "--jobs {jobs}: sched tracing changed the results"
         );
-        prop_assert_eq!(
-            ref_json,
-            &export::chrome_trace_json(&collector.cells()),
-            "--jobs {} --chunk {}: the scheduler dispatch log must not depend on execution shape",
-            jobs, chunk
+        assert_eq!(
+            ref_json, json,
+            "--jobs {jobs}: the scheduler dispatch log must not depend on the worker count"
         );
     }
 }
