@@ -1,11 +1,17 @@
 //! A minimal JSON value and recursive-descent parser.
 //!
 //! The build has no serde_json; this is the read-side counterpart of
-//! the hand-rolled renderers in [`pcs_trace::export`] (whose
-//! [`pcs_trace::export::validate_json`] accepts the same grammar).
-//! Accepts exactly RFC 8259. Numbers are carried as `f64`, which is
-//! exact for every integer the ledgers emit below 2^53 — simulated
-//! nanosecond and packet counts stay far under that.
+//! the hand-rolled renderers in [`pcs_trace::export`]. Accepts exactly
+//! RFC 8259 with nesting bounded by
+//! [`pcs_trace::export::MAX_JSON_DEPTH`], the same documents
+//! [`pcs_trace::export::validate_json`] accepts with one exception: a
+//! `\u` escape of a lone surrogate (`"\ud800"`) is valid JSON text, but
+//! it names no `char`, so this parser rejects it while the validator
+//! accepts it. Numbers are carried as `f64`, which is exact for every
+//! integer the ledgers emit below 2^53 — simulated nanosecond and packet
+//! counts stay far under that.
+
+use pcs_trace::export::MAX_JSON_DEPTH;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +37,7 @@ impl Json {
         let b = s.as_bytes();
         let mut pos = 0usize;
         skip_ws(b, &mut pos);
-        let v = value(b, &mut pos)?;
+        let v = value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -86,10 +92,15 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects enclosing the value at `pos`.
+fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+            *pos
+        )),
+        Some(b'{') => object(b, pos, depth + 1),
+        Some(b'[') => array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(string(b, pos)?)),
         Some(b't') => lit(b, pos, b"true", Json::Bool(true)),
         Some(b'f') => lit(b, pos, b"false", Json::Bool(false)),
@@ -109,7 +120,7 @@ fn lit(b: &[u8], pos: &mut usize, lit: &[u8], v: Json) -> Result<Json, String> {
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -129,7 +140,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        members.push((key, value(b, pos)?));
+        members.push((key, value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -142,7 +153,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -152,7 +163,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(b, pos);
-        items.push(value(b, pos)?);
+        items.push(value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -229,12 +240,17 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
+/// The code unit of exactly four ASCII hex digits at `at` (no sign).
 fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
     let chunk = b
         .get(at..at + 4)
         .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
-    let s = std::str::from_utf8(chunk).map_err(|_| format!("bad \\u escape at byte {at}"))?;
-    u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape at byte {at}"))
+    chunk.iter().try_fold(0, |unit, &h| {
+        let digit = char::from(h)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        Ok(unit * 16 + digit)
+    })
 }
 
 fn utf8_len(first: u8) -> usize {
@@ -337,9 +353,28 @@ mod tests {
             "\"\\x\"",
             "[]x",
             "{\"a\":1,}",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        Json::parse(&nested(MAX_JSON_DEPTH)).expect("depth 128 is accepted");
+        assert_eq!(
+            Json::parse(&nested(MAX_JSON_DEPTH + 1)),
+            Err("nesting deeper than 128 at byte 128".to_string())
+        );
+        assert_eq!(
+            Json::parse(&"{\"k\":".repeat(1_000_000)),
+            Err("nesting deeper than 128 at byte 640".to_string())
+        );
+        assert_eq!(
+            Json::parse(&"[".repeat(1_000_000)),
+            Err("nesting deeper than 128 at byte 128".to_string())
+        );
     }
 
     #[test]
