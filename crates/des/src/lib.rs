@@ -18,9 +18,8 @@
 //! * [`BufPool`] / [`PoolProbe`] — free-list buffer pools and their
 //!   cross-thread statistics probe, the allocation-free hot path's
 //!   memory supply;
-//! * [`AdmissionCursor`] / [`ExpMemo`] / [`SizeMemo`] / [`BatchProbe`] —
-//!   macro-batched event admission: lazy arrival scheduling, bit-exact
-//!   cost-model memoization, and batching telemetry;
+//! * [`AdmissionCursor`] — lazy arrival admission: the next arrival
+//!   waits outside the event heap under its reserved `(time, seq)` key;
 //! * [`FastHash`] — a deterministic, seed-free hasher for hot maps whose
 //!   iteration order is never observed;
 //! * [`stats`] — small statistics accumulators for result processing;
@@ -44,7 +43,7 @@ pub mod segvec;
 pub mod stats;
 pub mod time;
 
-pub use batch::{AdmissionCursor, BatchProbe, BatchStats, ExpMemo, SizeMemo};
+pub use batch::{AdmissionCursor, BatchProbe};
 pub use fingerprint::{Fingerprint, Fingerprintable};
 pub use hash::{FastHash, FastHasher};
 pub use pool::{BufPool, PoolProbe, PoolStats};

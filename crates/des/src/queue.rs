@@ -87,20 +87,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Restore the pristine `new()` state — empty heap, clock at zero,
-    /// sequence counter rewound — while keeping the heap's allocation,
-    /// so a queue can be reused across simulation runs.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
-    }
-
-    /// Events the heap can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// The current virtual time: the timestamp of the most recently popped
     /// event (zero before the first pop).
     pub fn now(&self) -> SimTime {

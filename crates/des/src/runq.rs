@@ -69,30 +69,6 @@ impl<W> RunQueue<W> {
         self.kernel.is_empty() && self.user.is_empty()
     }
 
-    /// Fast path for the push-then-pick pattern: when both queues are
-    /// empty, an incoming item of `class` would be picked immediately by
-    /// the very next [`RunQueue::pick`], whatever `kernel_slots` is.
-    /// This applies exactly the yield-counter update that push + pick
-    /// would (kernel extends the streak, user resets it) and returns
-    /// `true`, letting the caller dispatch the item without moving it
-    /// through the queue. Returns `false` — with no state change — when
-    /// anything is queued, in which case the caller must take the full
-    /// push + pick path.
-    pub fn admit_direct(&mut self, class: WorkClass) -> bool {
-        if !self.is_empty() {
-            return false;
-        }
-        match class {
-            // pick(): a kernel item from a sole-occupant queue is never
-            // yielded past (no user work waiting), so the streak grows.
-            WorkClass::Kernel => self.consecutive_kernel += 1,
-            // pick(): the kernel queue is empty, so the streak resets
-            // and the user item runs.
-            WorkClass::User => self.consecutive_kernel = 0,
-        }
-        true
-    }
-
     /// Pick the next work item under the strict-priority-with-yield
     /// policy: kernel work first, except that after `kernel_slots`
     /// consecutive kernel picks a queued user item (if any) gets the
@@ -161,32 +137,6 @@ mod tests {
         // Fresh streak: all 8 kernel slots run before the user yield.
         let order: Vec<i32> = std::iter::from_fn(|| q.pick(8)).collect();
         assert_eq!(order, vec![10, 11, 12, 13, 14, 15, 16, 17, 99]);
-    }
-
-    #[test]
-    fn admit_direct_matches_push_then_pick() {
-        // For every (queue-empty, streak, class) combination the fast
-        // path must leave the yield counter exactly where push + pick
-        // would, and must refuse whenever anything is queued.
-        for streak in [0u32, 3, 7, 8, 20] {
-            for class in [WorkClass::Kernel, WorkClass::User] {
-                let mut fast: RunQueue<u32> = RunQueue::new();
-                let mut slow: RunQueue<u32> = RunQueue::new();
-                fast.consecutive_kernel = streak;
-                slow.consecutive_kernel = streak;
-                assert!(fast.admit_direct(class));
-                slow.push(class, 1);
-                assert_eq!(slow.pick(8), Some(1));
-                assert_eq!(fast.consecutive_kernel, slow.consecutive_kernel);
-            }
-        }
-        // Non-empty queue: no state change, caller must use push + pick.
-        let mut q: RunQueue<u32> = RunQueue::new();
-        q.push(WorkClass::User, 1);
-        q.consecutive_kernel = 5;
-        assert!(!q.admit_direct(WorkClass::Kernel));
-        assert_eq!(q.consecutive_kernel, 5);
-        assert_eq!(q.user_len(), 1);
     }
 
     #[test]

@@ -467,17 +467,6 @@ fn main() {
                         p.high_water(),
                         p.recycled()
                     );
-                    let b = s.sim_batches();
-                    eprintln!(
-                        "==   {id:<12} sim batching: {} runs, {} coalesced (max run {}), alpha memo {}/{} hits, size memo {}/{} hits",
-                        b.runs(),
-                        b.coalesced(),
-                        b.max_run(),
-                        b.alpha_hits(),
-                        b.alpha_hits() + b.alpha_misses(),
-                        b.size_hits(),
-                        b.size_hits() + b.size_misses()
-                    );
                 }
             }
             if let Some((path, _)) = &trace {
@@ -530,7 +519,6 @@ fn main() {
                     .map(|(id, _desc, _e, wall, exec)| {
                         let s = &exec.stats;
                         let p = s.sim_pools();
-                        let b = s.sim_batches();
                         ExperimentProfile {
                             id: (*id).to_string(),
                             wall_s: *wall,
@@ -547,13 +535,6 @@ fn main() {
                             pool_misses: p.misses(),
                             pool_recycled: p.recycled(),
                             pool_high_water: p.high_water(),
-                            batch_runs: b.runs(),
-                            batch_coalesced: b.coalesced(),
-                            batch_max_run: b.max_run(),
-                            batch_alpha_hits: b.alpha_hits(),
-                            batch_alpha_misses: b.alpha_misses(),
-                            batch_size_hits: b.size_hits(),
-                            batch_size_misses: b.size_misses(),
                         }
                     })
                     .collect(),

@@ -8,14 +8,13 @@
 //! call order, so a faulted run stays byte-identical at any worker
 //! count or pipeline shape.
 //!
-//! The macro-batched engine (DESIGN.md §17) preserves the per-arrival
-//! hook contract exactly: a coalesced NIC run re-executes the full
-//! arrival handler — including every hook consultation, at the same
-//! `now_ns`, in the same order — for each packet in the run, so a
-//! fault-window edge splits a batch at precisely the arrival that
-//! crosses it. Hook implementations need no batch awareness, and
-//! stateful hooks observe the identical call sequence in the per-packet
-//! test oracle (proved by the `batching_is_invisible` suite).
+//! Cursor admission (DESIGN.md §17) preserves the per-arrival hook
+//! contract exactly: every arrival runs the full arrival handler —
+//! including every hook consultation, at the same `now_ns`, in the same
+//! order — whether it was admitted from the cursor or the heap. Hook
+//! implementations need no admission awareness, and stateful hooks
+//! observe the identical call sequence in the per-packet test oracle
+//! (proved by the `batching_is_invisible` suite).
 
 /// Deterministic NIC/bus fault hooks, consulted on the simulation clock.
 ///

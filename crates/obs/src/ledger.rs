@@ -73,23 +73,10 @@ pub struct ExperimentProfile {
     pub pool_misses: u64,
     /// Buffers recycled back into pools.
     pub pool_recycled: u64,
-    /// Pool high-water mark (peak free-list population).
+    /// Largest pool miss count of any single simulation
+    /// ([`pcs_des::PoolProbe::high_water`]): the biggest buffer
+    /// footprint one sim needed.
     pub pool_high_water: u64,
-    /// Coalesced admission runs entered across the experiment's sims.
-    pub batch_runs: u64,
-    /// Arrivals admitted beyond the first of their run (main-loop
-    /// round trips skipped).
-    pub batch_coalesced: u64,
-    /// Longest single coalesced run, in arrivals.
-    pub batch_max_run: u64,
-    /// EMA smoothing-factor memo hits.
-    pub batch_alpha_hits: u64,
-    /// EMA smoothing-factor memo misses.
-    pub batch_alpha_misses: u64,
-    /// Size-keyed cost memo hits.
-    pub batch_size_hits: u64,
-    /// Size-keyed cost memo misses.
-    pub batch_size_misses: u64,
 }
 
 /// The `--profile` roll-up over every experiment in the invocation.
@@ -132,13 +119,6 @@ fn render_profile_into(profile: &HostProfile, out: &mut String) {
             ("pool_misses", e.pool_misses),
             ("pool_recycled", e.pool_recycled),
             ("pool_high_water", e.pool_high_water),
-            ("batch_runs", e.batch_runs),
-            ("batch_coalesced", e.batch_coalesced),
-            ("batch_max_run", e.batch_max_run),
-            ("batch_alpha_hits", e.batch_alpha_hits),
-            ("batch_alpha_misses", e.batch_alpha_misses),
-            ("batch_size_hits", e.batch_size_hits),
-            ("batch_size_misses", e.batch_size_misses),
         ] {
             let _ = write!(out, ",\"{k}\":{v}");
         }
@@ -582,8 +562,6 @@ mod tests {
                 wall_s: 1.5,
                 cells_run: 10,
                 pool_gets: 123,
-                batch_runs: 40,
-                batch_coalesced: 360,
                 ..ExperimentProfile::default()
             }],
         };
@@ -592,7 +570,6 @@ mod tests {
         assert!(standalone.contains("\"host_side\":true"));
         assert!(standalone.contains("\"wall_s\":1.500"));
         assert!(standalone.contains("\"pool_gets\":123"));
-        assert!(standalone.contains("\"batch_coalesced\":360"));
         let embedded = render_ledger(&meta(), &sample_cells(), Some(&profile));
         validate_json(&embedded).expect("ledger with profile must be well-formed");
         assert!(embedded.contains("\"profile\":{\"host_side\":true"));

@@ -39,7 +39,7 @@ pub use config::{AppConfig, BufferConfig, SimConfig};
 pub use cpustate::{CpuAccounting, CpuState};
 pub use fault::MachineFaults;
 pub use report::{AppReport, CpuSample, RunReport};
-pub use sim::{MachineSim, BATCH_COALESCE_CAP};
+pub use sim::MachineSim;
 pub use stack::{
     BpfDevice, CapturedPacket, DeliverOutcome, DropKind, KernelFilter, LsfSocket, LsfState,
     StackStats,

@@ -213,20 +213,6 @@ impl MachineSim {
         if let Some(probe) = &self.pool_probe {
             probe.publish(self.sched.pool.stats());
         }
-        // Batching counters follow the same rule: fold the memo tallies
-        // into the run's stats and publish, outside the RunReport.
-        if let Some(probe) = &self.batch_probe {
-            let mut stats = self.batch_stats;
-            let (alpha_hits, alpha_misses) = self.memo.alpha_counts();
-            stats.alpha_hits = alpha_hits;
-            stats.alpha_misses = alpha_misses;
-            stats.size_hits = self.memo.consumer.hits();
-            stats.size_misses = self.memo.consumer.misses();
-            probe.publish(stats);
-        }
-        // Hand the event heap's allocation to the next run on this
-        // thread.
-        self.sched.release_queue();
         let trace = std::mem::take(&mut self.trace).into_report().map(Box::new);
         RunReport {
             machine: self.spec.label(),

@@ -157,51 +157,25 @@ pub(crate) struct Scheduler {
     smt_factor: f64,
 }
 
-thread_local! {
-    /// A retired event heap awaiting the next simulation on this thread.
-    /// The sweep engine runs thousands of short sims per worker thread;
-    /// handing the (already grown) heap allocation from one to the next
-    /// takes even queue construction off the allocator. Capacity is the
-    /// only thing carried over — [`EventQueue::reset`] restores the
-    /// pristine clock and sequence state, so reuse is unobservable.
-    static SPARE_QUEUE: std::cell::RefCell<Option<EventQueue<SimEvent>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
 impl Scheduler {
     /// A scheduler for `ncpu` logical CPUs with the spec's SMT shape
     /// (captured at construction; the spec is immutable over a run).
-    /// The event heap is taken from the thread's spare, so repeated runs
-    /// share one heap allocation, or else pre-sized to `queue_hint` (the
-    /// sim's in-flight event bound).
+    /// The event heap is pre-sized to `queue_hint` (the sim's in-flight
+    /// event bound).
     pub(crate) fn new(
         ncpu: usize,
         hyperthreading: bool,
         smt_factor: f64,
         queue_hint: usize,
     ) -> Scheduler {
-        let queue = SPARE_QUEUE
-            .with(|s| s.borrow_mut().take())
-            .map(|mut q| {
-                q.reset();
-                q
-            })
-            .unwrap_or_else(|| EventQueue::with_capacity(queue_hint));
         Scheduler {
-            queue,
+            queue: EventQueue::with_capacity(queue_hint),
             cpus: (0..ncpu).map(|_| CpuSim::new()).collect(),
             pool: HotPool::new(),
             stage: None,
             hyperthreading,
             smt_factor,
         }
-    }
-
-    /// Retire the (drained) event heap into the thread-local spare so
-    /// the next simulation on this thread reuses its allocation.
-    pub(crate) fn release_queue(&mut self) {
-        let q = std::mem::take(&mut self.queue);
-        SPARE_QUEUE.with(|s| *s.borrow_mut() = Some(q));
     }
 
     /// Arm (or disarm) per-stage time attribution; arming allocates the
@@ -224,16 +198,7 @@ impl Scheduler {
         } else {
             WorkClass::User
         };
-        // Hot path: an idle CPU with an empty queue dispatches the item
-        // directly, skipping the push + pick round trip (two moves of
-        // the full `Work` through the queue's ring buffer per item).
-        // `admit_direct` applies exactly the pick() yield-counter
-        // update, so scheduling decisions are unchanged.
         let work = self.pool.box_work(work);
-        if !self.cpus[cpu].busy() && self.cpus[cpu].runq.admit_direct(class) {
-            self.dispatch(now, cpu, work, ctx);
-            return;
-        }
         self.cpus[cpu].runq.push(class, work);
         if !self.cpus[cpu].busy() {
             self.start_next(now, cpu, ctx);

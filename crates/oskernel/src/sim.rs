@@ -35,64 +35,12 @@ use crate::report::{CpuSample, RunReport};
 use crate::sched::Scheduler;
 use crate::stack::{BpfDevice, CapturedPacket, LsfSocket, LsfState};
 use crate::stages;
-use pcs_des::{AdmissionCursor, BatchProbe, BatchStats, ExpMemo, PoolProbe, SimTime, SizeMemo};
+use pcs_des::{AdmissionCursor, BatchProbe, PoolProbe, SimTime};
 use pcs_hw::{MachineSpec, OsCosts};
 use pcs_pktgen::{PacketRef, PacketSource, SourceRefs};
 use pcs_trace::TraceSink;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Most consecutive arrivals one macro-batched admission run may absorb
-/// before control returns to the main event loop. Mirrors
-/// [`crate::stages::MAX_IRQ_BATCH`]: a coalesced run can at most fill
-/// one interrupt's worth of ring slots, so capping at the same figure
-/// bounds cursor dwell time without ever splitting a batch the IRQ path
-/// could have taken whole.
-pub const BATCH_COALESCE_CAP: u64 = 64;
-
-/// Bit-exact memo tables for the per-packet path's pure cost
-/// arithmetic. Every entry caches `f(input-bits)` keyed by the exact
-/// input bits, so a hit returns precisely what recomputation would —
-/// runs with the memos disabled are byte-identical.
-pub(crate) struct CostMemo {
-    /// `exp(-dt/2e6)` — the arrival-rate EMA smoothing factor.
-    pub(crate) alpha_arrival: ExpMemo,
-    /// `exp(-dt/5e6)` — the kernel-utilisation EMA smoothing factor.
-    pub(crate) alpha_kernel: ExpMemo,
-    /// `exp(-dt/50e6)` — the write-back EMA smoothing factor.
-    pub(crate) alpha_writeback: ExpMemo,
-    /// Per-consumer tap + filter nanoseconds, keyed by the filter's
-    /// executed instruction count (constant per packet-size class).
-    pub(crate) consumer: SizeMemo,
-}
-
-impl CostMemo {
-    fn new(enabled: bool) -> CostMemo {
-        CostMemo {
-            alpha_arrival: ExpMemo::new(enabled),
-            alpha_kernel: ExpMemo::new(enabled),
-            alpha_writeback: ExpMemo::new(enabled),
-            consumer: SizeMemo::new(enabled),
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.alpha_arrival.set_enabled(enabled);
-        self.alpha_kernel.set_enabled(enabled);
-        self.alpha_writeback.set_enabled(enabled);
-        self.consumer.set_enabled(enabled);
-    }
-
-    /// (hits, misses) summed over the three EMA memos.
-    pub(crate) fn alpha_counts(&self) -> (u64, u64) {
-        (
-            self.alpha_arrival.hits() + self.alpha_kernel.hits() + self.alpha_writeback.hits(),
-            self.alpha_arrival.misses()
-                + self.alpha_kernel.misses()
-                + self.alpha_writeback.misses(),
-        )
-    }
-}
 
 /// Application run states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,29 +151,20 @@ pub struct MachineSim {
     /// queues one wakeup instead of one per arrival.
     pub(crate) fault_irq_gate: SimTime,
 
-    /// Macro-batching (coalesced admission + cost memos). Always on,
-    /// except in the per-packet test oracle
-    /// ([`MachineSim::with_batching`]`(false)`), which schedules every
-    /// arrival through the heap, byte-identically.
+    /// Cursor admission of arrivals. Always on, except in the
+    /// per-packet test oracle ([`MachineSim::with_batching`]`(false)`),
+    /// which schedules every arrival through the heap, byte-identically.
     pub(crate) batching: bool,
     /// Lazy-admission cursor: the next wire arrival, held outside the
     /// event heap under its reserved (time, seq) key. Always empty when
     /// batching is off.
     pub(crate) pending_arrival: AdmissionCursor<PacketRef>,
-    /// Coalesced-run counters, published to the probe at run end.
-    pub(crate) batch_stats: BatchStats,
-    /// Bit-exact memo tables for pure cost arithmetic.
-    pub(crate) memo: CostMemo,
 
     /// Observability tap for the hot-path buffer pools. Stats are
     /// published here when the run finishes; they never enter the
     /// [`RunReport`] (pool usage describes execution, not the simulated
     /// machine).
     pub(crate) pool_probe: Option<Arc<PoolProbe>>,
-    /// Observability tap for the batching counters, alongside the pool
-    /// probe and under the same rule: published at run end, never part
-    /// of the [`RunReport`].
-    pub(crate) batch_probe: Option<Arc<BatchProbe>>,
 }
 
 impl MachineSim {
@@ -328,10 +267,7 @@ impl MachineSim {
             fault_irq_gate: SimTime::ZERO,
             batching: true,
             pending_arrival: AdmissionCursor::new(),
-            batch_stats: BatchStats::default(),
-            memo: CostMemo::new(true),
             pool_probe: None,
-            batch_probe: None,
         }
     }
 
@@ -369,26 +305,22 @@ impl MachineSim {
         self
     }
 
-    /// Enable or disable macro-batched event admission (on by default):
-    /// lazy arrival scheduling through the admission cursor, coalesced
-    /// NIC-admission runs, and the bit-exact cost memos.
+    /// Enable or disable lazy arrival admission through the admission
+    /// cursor (on by default).
     ///
     /// `with_batching(false)` is the per-packet **test oracle**: every
-    /// arrival goes through the heap and every cost is recomputed, which
-    /// is what the batched engine must reproduce byte for byte (the
-    /// `batching_is_invisible` proptest and `tests/batching.rs` compare
-    /// against it). No run outside the tests switches it off.
+    /// arrival goes through the heap, which is what the cursor engine
+    /// must reproduce byte for byte (the `batching_is_invisible`
+    /// proptest and `tests/batching.rs` compare against it). No run
+    /// outside the tests switches it off.
     pub fn with_batching(mut self, enabled: bool) -> MachineSim {
         self.batching = enabled;
-        self.memo.set_enabled(enabled);
         self
     }
 
-    /// Attach a probe that receives the macro-batching statistics
-    /// (coalesced runs, memo hits/misses) when the run finishes.
-    /// Observability only, like the pool probe.
-    pub fn with_batch_probe(mut self, probe: Arc<BatchProbe>) -> MachineSim {
-        self.batch_probe = Some(probe);
+    /// Does nothing: [`BatchProbe`] is a stub whose counters always read
+    /// 0, kept so callers that still arm it keep compiling.
+    pub fn with_batch_probe(self, _probe: Arc<BatchProbe>) -> MachineSim {
         self
     }
 
@@ -456,8 +388,8 @@ impl MachineSim {
     pub(crate) fn note_kernel_busy(&mut self, now: SimTime, busy_ns: u64) {
         let dt = now.since(self.last_kernel_update).as_nanos().max(1) as f64;
         let inst = (busy_ns as f64 / dt).min(1.0);
-        // ~5 ms smoothing; memoized (constant-gap streams repeat dt).
-        let alpha = self.memo.alpha_kernel.get(dt, |dt| (-dt / 5e6).exp());
+        // ~5 ms smoothing.
+        let alpha = (-dt / 5e6).exp();
         self.kernel_util = self.kernel_util * alpha + inst * (1.0 - alpha);
         self.last_kernel_update = now;
     }

@@ -2,7 +2,7 @@
 //! processing with the configured analysis loads, and the disk/pipe
 //! throttles that put applications to sleep.
 
-use super::{ArrivalSource, APP_CHUNK, DIRTY_LIMIT, PIPE_CAPACITY};
+use super::{APP_CHUNK, DIRTY_LIMIT, PIPE_CAPACITY};
 use crate::cpustate::CpuState;
 use crate::event::{Completion, Segments, SimEvent, Work};
 use crate::sim::{AppState, MachineSim, Stack};
@@ -10,22 +10,14 @@ use crate::stack::CapturedPacket;
 use pcs_des::{SimDuration, SimTime};
 use pcs_trace::WorkKind;
 
-/// The application stage: handles [`SimEvent::AppResume`].
-pub(crate) struct App;
-
-impl super::Stage for App {
-    const NAME: &'static str = "app";
-
-    fn on_event(sim: &mut MachineSim, now: SimTime, ev: SimEvent, _src: ArrivalSource) {
-        let SimEvent::AppResume(app) = ev else {
-            unreachable!("{} stage only handles AppResume", Self::NAME);
-        };
-        sim.apps[app].state = AppState::Blocked;
-        sim.app_try_work(now, app);
-    }
-}
-
 impl MachineSim {
+    /// Handle [`SimEvent::AppResume`]: a sleeping application wakes and
+    /// retries its read.
+    pub(super) fn app_resume(&mut self, now: SimTime, app: usize) {
+        self.apps[app].state = AppState::Blocked;
+        self.app_try_work(now, app);
+    }
+
     pub(crate) fn consumer_readable(&self, app: usize) -> bool {
         match &self.stack {
             Stack::Bpf(devs) => devs[app].readable(),

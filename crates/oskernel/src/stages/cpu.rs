@@ -1,28 +1,15 @@
 //! CPU completion: account the finished work item, run what it
 //! triggers, and restart the CPU.
 
-use super::ArrivalSource;
 use crate::event::{Completion, SimEvent};
 use crate::sim::MachineSim;
 use pcs_des::SimTime;
 use pcs_trace::Stage;
 
-/// The CPU stage: handles [`SimEvent::CpuFree`].
-pub(crate) struct Cpu;
-
-impl super::Stage for Cpu {
-    const NAME: &'static str = "cpu";
-
-    fn on_event(sim: &mut MachineSim, now: SimTime, ev: SimEvent, _src: ArrivalSource) {
-        let SimEvent::CpuFree(cpu) = ev else {
-            unreachable!("{} stage only handles CpuFree", Self::NAME);
-        };
-        sim.cpu_free(now, cpu);
-    }
-}
-
 impl MachineSim {
-    fn cpu_free(&mut self, now: SimTime, cpu: usize) {
+    /// Handle [`SimEvent::CpuFree`]: account the work item that just
+    /// finished on `cpu`, run its completion, and restart the CPU.
+    pub(super) fn cpu_free(&mut self, now: SimTime, cpu: usize) {
         let (mut work, kernel_ns) = self.sched.finish_current(now, cpu);
         if cpu == 0 && kernel_ns > 0 {
             self.note_kernel_busy(now, kernel_ns);

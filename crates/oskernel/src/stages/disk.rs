@@ -1,25 +1,16 @@
 //! Disk write-back and the gzip helper process fed through the FIFO.
 
-use super::{ArrivalSource, PIPE_CAPACITY, WRITEBACK_CHUNK};
+use super::{PIPE_CAPACITY, WRITEBACK_CHUNK};
 use crate::cpustate::CpuState;
 use crate::event::{Completion, Segments, SimEvent, Work};
 use crate::sim::MachineSim;
 use pcs_des::{SimDuration, SimTime};
 use pcs_trace::{Stage, WorkKind, APP_NONE, SEQ_NONE};
 
-/// The disk stage: handles [`SimEvent::WritebackDone`].
-pub(crate) struct Disk;
-
-impl super::Stage for Disk {
-    const NAME: &'static str = "disk";
-
-    fn on_event(sim: &mut MachineSim, now: SimTime, _ev: SimEvent, _src: ArrivalSource) {
-        sim.writeback_done(now);
-    }
-}
-
 impl MachineSim {
-    fn writeback_done(&mut self, now: SimTime) {
+    /// Handle [`SimEvent::WritebackDone`]: one write-back chunk reached
+    /// the disk.
+    pub(super) fn writeback_done(&mut self, now: SimTime) {
         let chunk = WRITEBACK_CHUNK.min(self.dirty_bytes);
         self.dirty_bytes -= chunk;
         self.disk_bytes += chunk;
@@ -32,11 +23,10 @@ impl MachineSim {
             APP_NONE,
             1,
         );
-        // Track the write-back rate for PCI bus sharing. The smoothing
-        // factor is memoized (steady write-back repeats the chunk gap).
+        // Track the write-back rate for PCI bus sharing.
         let dt = now.since(self.last_writeback).as_nanos().max(1) as f64;
         let inst = chunk as f64 * 1e9 / dt;
-        let alpha = self.memo.alpha_writeback.get(dt, |dt| (-dt / 50e6).exp());
+        let alpha = (-dt / 50e6).exp();
         self.writeback_ema_bps = self.writeback_ema_bps * alpha + inst * (1.0 - alpha);
         self.last_writeback = now;
         // Completion interrupt cost on CPU0.

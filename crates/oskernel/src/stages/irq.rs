@@ -1,7 +1,7 @@
 //! Interrupt fire: moderation/polling gates, the batch drain across the
 //! bus, and kernel-side delivery into every consumer.
 
-use super::{ArrivalSource, MAX_IRQ_BATCH};
+use super::MAX_IRQ_BATCH;
 use crate::cpustate::CpuState;
 use crate::event::{Completion, Segments, SimEvent, Work};
 use crate::sim::{MachineSim, Stack};
@@ -28,18 +28,10 @@ pub(crate) fn consumer_stages(o: &crate::stack::DeliverOutcome) -> (Stage, Optio
     }
 }
 
-/// The interrupt stage: handles [`SimEvent::IrqGate`].
-pub(crate) struct Irq;
-
-impl super::Stage for Irq {
-    const NAME: &'static str = "irq";
-
-    fn on_event(sim: &mut MachineSim, now: SimTime, _ev: SimEvent, _src: ArrivalSource) {
-        sim.try_fire_irq(now);
-    }
-}
-
 impl MachineSim {
+    /// Fire an interrupt (or poll visit) over the ring when the NIC's
+    /// interrupt scheme allows it now, else arm an [`SimEvent::IrqGate`]
+    /// for when it will. Also the handler of `IrqGate` itself.
     pub(crate) fn try_fire_irq(&mut self, now: SimTime) {
         if self.irq_pending || self.ring.is_empty() {
             return;
@@ -118,13 +110,7 @@ impl MachineSim {
 
     pub(crate) fn kernel_batch_work(&mut self, now: SimTime, batch: &[PacketRef]) -> Work {
         let c = &self.costs;
-        // Per-consumer delivery cost is a pure function of the filter's
-        // executed instruction count (the only per-packet input —
-        // tap/filter unit costs are run constants), so it is served from
-        // the size-keyed memo: streams with few packet-size classes stop
-        // redoing the float arithmetic per consumer per packet.
-        let tap_pkt_ns = c.tap_pkt_ns;
-        let filter_insn_ns = c.filter_insn_ns;
+        let consumer_cost = |insns: u32| c.tap_pkt_ns + (insns as f64 * c.filter_insn_ns) as u64;
         let freebsd = self.spec.os.is_freebsd();
         // A poll visit skips the interrupt entry/ack machinery.
         let mut irq_ns = match self.spec.nic.interrupts {
@@ -143,9 +129,7 @@ impl MachineSim {
                 Stack::Bpf(devs) => {
                     for (i, d) in devs.iter_mut().enumerate() {
                         let o = d.deliver(pkt, recv_ns);
-                        consumer_ns += self.memo.consumer.get(o.filter_insns as u64, || {
-                            tap_pkt_ns + (o.filter_insns as f64 * filter_insn_ns) as u64
-                        });
+                        consumer_ns += consumer_cost(o.filter_insns);
                         copy_total += o.copied_bytes as u64;
                         if tracing {
                             let (verdict, kernel) = consumer_stages(&o);
@@ -160,9 +144,7 @@ impl MachineSim {
                 Stack::Lsf(l) => {
                     let outcomes = l.deliver(pkt, recv_ns);
                     for (i, o) in outcomes.iter().enumerate() {
-                        consumer_ns += self.memo.consumer.get(o.filter_insns as u64, || {
-                            tap_pkt_ns + (o.filter_insns as f64 * filter_insn_ns) as u64
-                        });
+                        consumer_ns += consumer_cost(o.filter_insns);
                         copy_total += o.copied_bytes as u64;
                         if tracing {
                             let (verdict, kernel) = consumer_stages(o);

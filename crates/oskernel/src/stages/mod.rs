@@ -1,25 +1,26 @@
 //! The packet-lifecycle stages, one module per event kind.
 //!
-//! Each stage owns the handling of one [`SimEvent`] variant and the
-//! helper logic that belongs to it:
+//! Each stage module owns the handler for one [`SimEvent`] variant and
+//! the helper logic that belongs to it:
 //!
-//! | stage                | event            | owns                                     |
-//! |----------------------|------------------|------------------------------------------|
-//! | [`nic::Nic`]         | `Arrival`        | PCI admission, RX ring, arrival EMA      |
-//! | [`irq::Irq`]         | `IrqGate`        | interrupt schemes, batch drain, delivery |
-//! | [`cpu::Cpu`]         | `CpuFree`        | completion dispatch, restart             |
-//! | [`app::App`]         | `AppResume`      | reads, chunked user processing, throttles|
-//! | [`disk::Disk`]       | `WritebackDone`  | write-back, gzip helper process          |
-//! | [`sample::Sample`]   | `Sample`         | cpusage sampling, drain detection        |
+//! | module       | event            | handler           | owns                                     |
+//! |--------------|------------------|-------------------|------------------------------------------|
+//! | [`nic`]      | `Arrival`        | `on_arrival`      | PCI admission, RX ring, arrival EMA      |
+//! | [`irq`]      | `IrqGate`        | `try_fire_irq`    | interrupt schemes, batch drain, delivery |
+//! | [`cpu`]      | `CpuFree`        | `cpu_free`        | completion dispatch, restart             |
+//! | [`app`]      | `AppResume`      | `app_resume`      | reads, chunked user processing, throttles|
+//! | [`disk`]     | `WritebackDone`  | `writeback_done`  | write-back, gzip helper process          |
+//! | [`sample`]   | `Sample`         | `on_sample`       | cpusage sampling, drain detection        |
 //!
-//! Stages implement the common [`Stage`] trait and are routed by
-//! [`dispatch`]; they mutate the sim through `pub(crate)` fields and
-//! submit work through the scheduler ([`crate::sched::Scheduler`]).
-//! The split changes no behavior: handler bodies are the seed loop's
-//! match arms, executed in the same order by the same event queue.
-//! Packets reach the stages only as [`PacketRef`]s pulled by the NIC
-//! stage from the run's [`ArrivalSource`]; no stage owns or copies
-//! packet bytes.
+//! [`dispatch`] matches the event and calls its `MachineSim` handler.
+//! Handler contract: it runs exactly when the event is admitted, with
+//! `now` equal to the queue clock; it may mutate any sim state, submit
+//! work through the scheduler ([`crate::sched::Scheduler`]) and
+//! schedule further events at times `>= now`, but must not pop the
+//! queue itself. Only the arrival handler pulls the next packet from
+//! the run's [`ArrivalSource`] — one pull per arrival keeps chunked
+//! injection order-equivalent to flat injection — and no stage owns or
+//! copies packet bytes.
 
 pub(crate) mod app;
 pub(crate) mod cpu;
@@ -49,30 +50,14 @@ pub(crate) const WRITEBACK_CHUNK: u64 = 1 << 20;
 /// run's [`pcs_pktgen::PacketSource`] flattened into shared references.
 pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = PacketRef>;
 
-/// One lifecycle stage: the handler for one event kind.
-///
-/// Contract: `on_event` is called exactly when the event queue pops an
-/// event of the stage's kind, with `now` equal to the queue clock. A
-/// stage may mutate any sim state, submit work to the scheduler, and
-/// schedule further events at times `>= now`; it must not pop the
-/// queue itself, and it may only pull `src` after consuming an
-/// `Arrival` (one pull per arrival keeps chunked injection
-/// order-equivalent to flat injection).
-pub(crate) trait Stage {
-    /// Stage name, for diagnostics and docs.
-    const NAME: &'static str;
-    /// Handle one dispatched event at sim-time `now`.
-    fn on_event(sim: &mut MachineSim, now: SimTime, ev: SimEvent, src: ArrivalSource);
-}
-
-/// Route one popped event to its stage.
+/// Route one admitted event to its stage's handler.
 pub(crate) fn dispatch(sim: &mut MachineSim, now: SimTime, ev: SimEvent, src: ArrivalSource) {
     match ev {
-        SimEvent::Arrival(_) => nic::Nic::on_event(sim, now, ev, src),
-        SimEvent::IrqGate => irq::Irq::on_event(sim, now, ev, src),
-        SimEvent::CpuFree(_) => cpu::Cpu::on_event(sim, now, ev, src),
-        SimEvent::AppResume(_) => app::App::on_event(sim, now, ev, src),
-        SimEvent::WritebackDone => disk::Disk::on_event(sim, now, ev, src),
-        SimEvent::Sample => sample::Sample::on_event(sim, now, ev, src),
+        SimEvent::Arrival(pkt) => sim.on_arrival(now, pkt, src),
+        SimEvent::IrqGate => sim.try_fire_irq(now),
+        SimEvent::CpuFree(cpu) => sim.cpu_free(now, cpu),
+        SimEvent::AppResume(app) => sim.app_resume(now, app),
+        SimEvent::WritebackDone => sim.writeback_done(now),
+        SimEvent::Sample => sim.on_sample(now),
     }
 }

@@ -1,36 +1,30 @@
 //! Periodic cpusage-style accounting samples and drain detection.
 
-use super::ArrivalSource;
 use crate::cpustate::CpuState;
 use crate::event::SimEvent;
 use crate::report::CpuSample;
 use crate::sim::{AppState, MachineSim};
 use pcs_des::{SimDuration, SimTime};
 
-/// The sampling stage: handles [`SimEvent::Sample`].
-pub(crate) struct Sample;
-
-impl super::Stage for Sample {
-    const NAME: &'static str = "sample";
-
-    fn on_event(sim: &mut MachineSim, now: SimTime, _ev: SimEvent, _src: ArrivalSource) {
-        sim.samples.push(sim.sample(now));
+impl MachineSim {
+    /// Handle [`SimEvent::Sample`]: record a cpusage sample and re-arm
+    /// the half-second clock until the run has drained.
+    pub(super) fn on_sample(&mut self, now: SimTime) {
+        self.samples.push(self.sample(now));
         // Defensive kicks: restart any stalled background
         // consumer so sampling can't outlive real work.
-        sim.schedule_writeback(now);
-        sim.gzip_try_work(now);
-        let done = sim.source_done && (sim.fully_drained() || sim.sched.queue.is_empty());
-        if sim.sampling && !done {
-            sim.sched
+        self.schedule_writeback(now);
+        self.gzip_try_work(now);
+        let done = self.source_done && (self.fully_drained() || self.sched.queue.is_empty());
+        if self.sampling && !done {
+            self.sched
                 .queue
                 .schedule(now + SimDuration::from_millis(500), SimEvent::Sample);
         } else {
-            sim.sampling = false;
+            self.sampling = false;
         }
     }
-}
 
-impl MachineSim {
     pub(crate) fn sample(&self, t: SimTime) -> CpuSample {
         // Cumulative accounting including implicit idle up to `t`.
         let per_cpu = self

@@ -1,19 +1,25 @@
-//! Batch-splitting boundaries: a coalesced NIC run must end exactly
-//! where an intervening event begins.
+//! Cursor admission at its boundaries: the engine that holds the next
+//! arrival outside the event heap must stay byte-identical to the
+//! per-packet oracle (`with_batching(false)`), which schedules every
+//! arrival through the heap.
 //!
-//! The macro-batched engine admits consecutive arrivals as one run only
-//! while the next arrival precedes every heap event. These tests pin
-//! the two boundary families that matter — IRQ/ring-full activity and
-//! fault-window edges — by checking that (a) the batched and per-packet
-//! engines stay byte-identical under each, and (b) the batch probe
-//! shows the runs really did coalesce and really did split.
+//! Each case drives a boundary family where a heap event lands on or
+//! next to the cursor's arrival — ring-full IRQ traffic, fault-window
+//! edges, single-CPU and SMT shapes, line-rate bursts, and interrupt
+//! gates on the NIC's own clock — and requires the two engines to
+//! agree on the full report, including a trace of every lifecycle stage
+//! and every CPU dispatch, which pins the exact event interleaving.
 
-use pcs_des::BatchProbe;
-use pcs_hw::MachineSpec;
-use pcs_oskernel::{MachineFaults, MachineSim, SimConfig, BATCH_COALESCE_CAP};
+use pcs_des::SimTime;
+use pcs_hw::{MachineSpec, NicModel};
+use pcs_oskernel::{MachineFaults, MachineSim, SimConfig};
 use pcs_pktgen::{
-    ChunkedGenerator, Generator, PktgenConfig, SizeSource, TxModel, DEFAULT_CHUNK_PACKETS,
+    ChunkedGenerator, Generator, MaterializedSource, PacketSource, PktgenConfig, SizeSource,
+    TimedPacket, TxModel, DEFAULT_CHUNK_PACKETS,
 };
+use pcs_trace::{Stage, StageFilter, TraceSink, TraceSpec};
+use pcs_wire::{MacAddr, SimPacket};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
@@ -28,27 +34,31 @@ fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
     ChunkedGenerator::new(g, DEFAULT_CHUNK_PACKETS)
 }
 
-/// Run the same workload batched and per-packet; assert byte-identical
-/// reports and return the batched side's probe.
-fn differential(
+/// Run the same workload through the cursor engine and the per-packet
+/// oracle, traced at every stage plus `sched`, and require identical
+/// reports.
+fn differential<S: PacketSource>(
     spec: MachineSpec,
     hooks: impl Fn() -> Option<Box<dyn MachineFaults>>,
-    count: u64,
-    rate: f64,
-    burst: u32,
-) -> Arc<BatchProbe> {
-    let probe = Arc::new(BatchProbe::new());
-    let batched = MachineSim::new(spec, SimConfig::default())
-        .with_batching(true)
-        .with_batch_probe(Arc::clone(&probe))
-        .with_faults(hooks())
-        .run_source(source(count, rate, burst, 1234));
-    let legacy = MachineSim::new(spec, SimConfig::default())
-        .with_batching(false)
-        .with_faults(hooks())
-        .run_source(source(count, rate, burst, 1234));
-    assert_eq!(format!("{batched:?}"), format!("{legacy:?}"));
-    probe
+    source: impl Fn() -> S,
+) {
+    let run = |batched: bool| {
+        let mut filter = StageFilter::sched();
+        for s in Stage::ALL {
+            filter.insert(s);
+        }
+        let report = MachineSim::new(spec, SimConfig::default())
+            .with_batching(batched)
+            .with_stage_times(true)
+            .with_trace(TraceSink::bounded(TraceSpec {
+                filter,
+                ..TraceSpec::default()
+            }))
+            .with_faults(hooks())
+            .run_source(source());
+        format!("{report:?}")
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// An RX ring pinned to one slot: every arrival beyond the first finds
@@ -77,90 +87,93 @@ impl MachineFaults for Window {
 }
 
 #[test]
-fn dense_bursts_coalesce_and_respect_the_cap() {
-    // Flamingo at near line rate drives long back-to-back arrival runs
-    // with no intervening events, deep enough to hit the cap. (A
-    // multi-CPU swan, by contrast, nearly always has a CPU event
-    // between arrivals — coalescing is workload-dependent by design.)
-    let probe = differential(MachineSpec::flamingo(), || None, 4_000, 950.0, 64);
-    assert!(probe.runs() > 0, "the NIC processed at least one run");
-    assert!(
-        probe.coalesced() > 0,
-        "a dense burst must coalesce consecutive arrivals into one run"
-    );
-    assert_eq!(
-        probe.max_run(),
-        BATCH_COALESCE_CAP,
-        "a near-line-rate burst must reach (and never exceed) the coalesce cap"
-    );
-}
-
-#[test]
-fn runs_split_at_ring_full_boundaries() {
-    // With the ring pinned to one slot, IRQ-gate and kernel events fire
-    // between arrivals continuously, so coalesced runs must split far
-    // more often than on the healthy ring — and the output must still
-    // not move by one byte.
-    let healthy = differential(MachineSpec::flamingo(), || None, 4_000, 860.0, 64);
-    let stalled = differential(
+fn line_rate_bursts_match_the_per_packet_oracle() {
+    // Flamingo at near line rate: long back-to-back arrival runs with
+    // the cursor ahead of every queued event.
+    differential(
         MachineSpec::flamingo(),
-        || Some(Box::new(TinyRing)),
-        4_000,
-        860.0,
-        64,
-    );
-    assert!(stalled.runs() > 0);
-    let healthy_mean = healthy.coalesced() as f64 / healthy.runs() as f64;
-    let stalled_mean = stalled.coalesced() as f64 / stalled.runs() as f64;
-    assert!(
-        stalled_mean < healthy_mean,
-        "ring-full IRQ traffic must shorten coalesced runs \
-         (stalled mean {stalled_mean:.2} vs healthy mean {healthy_mean:.2})"
+        || None,
+        || source(4_000, 950.0, 64, 1234),
     );
 }
 
 #[test]
-fn runs_split_at_fault_window_boundaries() {
-    // The shrink window's hook is consulted per delivery; the batched
+fn ring_full_traffic_matches_the_per_packet_oracle() {
+    // With the ring pinned to one slot, IRQ-gate and kernel events fire
+    // between arrivals continuously.
+    for hooks in [
+        || -> Option<Box<dyn MachineFaults>> { None },
+        || -> Option<Box<dyn MachineFaults>> { Some(Box::new(TinyRing)) },
+    ] {
+        differential(MachineSpec::flamingo(), hooks, || {
+            source(4_000, 860.0, 64, 1234)
+        });
+    }
+}
+
+#[test]
+fn fault_window_edges_match_the_per_packet_oracle() {
+    // The shrink window's hook is consulted per delivery; the cursor
     // engine must observe the 1 ms and 3 ms edges at exactly the same
-    // arrival as the per-packet engine (byte-equality inside
-    // `differential` proves it — a run crossing an edge out of order
-    // would move drop counts between buckets).
-    let probe = differential(
+    // arrival as the per-packet engine, or drops would move between
+    // buckets.
+    differential(
         MachineSpec::swan().single_cpu(),
         || Some(Box::new(Window)),
-        4_000,
-        700.0,
-        32,
+        || source(4_000, 700.0, 32, 1234),
     );
-    assert!(probe.runs() > 0);
-    assert!(probe.coalesced() > 0);
 }
 
 #[test]
-fn single_cpu_and_hyperthreaded_machines_coalesce_identically_to_legacy() {
+fn single_cpu_and_hyperthreaded_machines_match_the_per_packet_oracle() {
     for spec in [
         MachineSpec::moorhen().single_cpu(),
         MachineSpec::snipe().with_hyperthreading(),
         MachineSpec::flamingo(),
     ] {
-        let probe = differential(spec, || None, 2_000, 500.0, 16);
-        assert!(probe.runs() > 0);
+        differential(spec, || None, || source(2_000, 500.0, 16, 1234));
     }
 }
 
+/// `n` 550-byte frames exactly 5 µs apart (880 Mbit/s). Every interrupt
+/// gap below is a multiple of 5 µs, so a gate armed at an arrival
+/// falls on the same nanosecond as a later arrival.
+fn lockstep(n: u64) -> MaterializedSource {
+    let packets = (1..=n)
+        .map(|i| {
+            let time = SimTime::from_micros(5 * i);
+            let packet = SimPacket::build_udp(
+                i,
+                time.as_nanos(),
+                550,
+                MacAddr::ZERO,
+                MacAddr::BROADCAST,
+                Ipv4Addr::new(192, 168, 10, 100),
+                Ipv4Addr::new(192, 168, 10, 12),
+                9,
+                9,
+            );
+            TimedPacket { time, packet }
+        })
+        .collect();
+    MaterializedSource::new(Arc::new(packets), DEFAULT_CHUNK_PACKETS)
+}
+
 #[test]
-fn explicit_batching_off_never_touches_the_cursor() {
-    let probe = Arc::new(BatchProbe::new());
-    let _ = MachineSim::new(MachineSpec::swan(), SimConfig::default())
-        .with_batching(false)
-        .with_batch_probe(Arc::clone(&probe))
-        .run_source(source(1_000, 400.0, 16, 7));
-    assert_eq!(probe.runs(), 0, "per-packet engine records no runs");
-    assert_eq!(probe.coalesced(), 0);
-    assert_eq!(
-        probe.alpha_hits() + probe.alpha_misses(),
-        0,
-        "memos are disabled with batching off"
-    );
+fn interrupt_gates_on_a_nic_clock_match_the_per_packet_oracle() {
+    // Moderated and polling NICs schedule `IrqGate` events on their own
+    // clock. On the lockstep grid those gates share instants with
+    // arrivals held in the cursor, so the same-instant tie-break between
+    // a queued gate and the deferred arrival decides the event order;
+    // the generated 900 Mbit/s stream runs the same NICs off the grid.
+    for machine in [MachineSpec::flamingo(), MachineSpec::swan()] {
+        for nic in [
+            NicModel::intel_82544_moderated(100),
+            NicModel::intel_82544_polling(150),
+        ] {
+            let spec = MachineSpec { nic, ..machine };
+            differential(spec, || None, || source(4_000, 900.0, 1, 1234));
+            differential(spec, || None, || lockstep(4_000));
+        }
+    }
 }

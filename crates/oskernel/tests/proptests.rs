@@ -117,7 +117,7 @@ proptest! {
 
 /// A ring-stall hook (RX ring pinned to one slot) for the batching
 /// differential test: every arrival beyond the first finds the ring
-/// full, so IRQ traffic splits coalesced runs continuously.
+/// full, so IRQ traffic runs between arrivals continuously.
 struct Stall;
 impl pcs_hw::NicBusFault for Stall {
     fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
@@ -141,8 +141,8 @@ impl MachineFaults for Preempt {}
 
 /// A kernel-buffer-shrink window (capacity cut to 1/4 between 1 ms and
 /// 3 ms of sim time) for the batching differential test: the
-/// buffer_permille hook is consulted on every delivery, so a coalesced
-/// NIC run must observe the window edge at exactly the same arrival as
+/// buffer_permille hook is consulted on every delivery, so the cursor
+/// engine must observe the window edge at exactly the same arrival as
 /// the per-packet engine.
 struct Kshrink;
 impl pcs_hw::NicBusFault for Kshrink {}
@@ -183,15 +183,14 @@ proptest! {
     // Two full runs per case; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Batching is invisible: the macro-batched engine (lazy arrival
-    /// admission + NIC-run coalescing + cost-model memos) and its
-    /// per-packet test oracle (`with_batching(false)`) produce
-    /// byte-identical reports — and, when traced, byte-identical
-    /// trace exports and run-ledger documents — across machines, rates,
-    /// app counts, trace filters (including `sched`, whose dispatch
-    /// order pins the exact event interleaving) and fault plans
-    /// (kshrink / preempt / ringstall, whose hooks must fire at exactly
-    /// the same arrival inside a coalesced run).
+    /// Batching is invisible: the cursor engine (lazy arrival
+    /// admission) and its per-packet test oracle
+    /// (`with_batching(false)`) produce byte-identical reports — and,
+    /// when traced, byte-identical trace exports and run-ledger
+    /// documents — across machines, rates, app counts, trace filters
+    /// (including `sched`, whose dispatch order pins the exact event
+    /// interleaving) and fault plans (kshrink / preempt / ringstall,
+    /// whose hooks must fire at exactly the same arrival).
     #[test]
     fn batching_is_invisible(
         spec in arb_machine(),

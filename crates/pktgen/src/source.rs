@@ -129,11 +129,6 @@ impl ChunkedGenerator {
             chunk_packets: chunk_packets.max(1),
         }
     }
-
-    /// The wrapped generator (for stats after the stream ends).
-    pub fn generator(&self) -> &Generator {
-        &self.gen
-    }
 }
 
 impl PacketSource for ChunkedGenerator {

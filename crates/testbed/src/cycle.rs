@@ -358,14 +358,12 @@ fn run_cell_streaming(
                 let sink = trace.map(TraceSink::bounded).unwrap_or_default();
                 let armed = faults.map(FaultPlan::arm_machine);
                 let pools = Arc::clone(exec.stats.sim_pools());
-                let batches = Arc::clone(exec.stats.sim_batches());
                 let stage_times = exec.stage_times;
                 scope.spawn(move || {
                     MachineSim::new(spec, sim)
                         .with_trace(sink)
                         .with_faults(armed)
                         .with_pool_probe(pools)
-                        .with_batch_probe(batches)
                         .with_stage_times(stage_times)
                         .run_source(output)
                 })

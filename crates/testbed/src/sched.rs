@@ -10,7 +10,7 @@
 //! inside a cell the pipeline always has the shape of
 //! [`PipelineConfig::default`].
 
-use pcs_des::{BatchProbe, PoolProbe};
+use pcs_des::PoolProbe;
 use pcs_faultsim::FaultPlan;
 use pcs_trace::TraceCollector;
 use std::num::NonZeroUsize;
@@ -41,10 +41,6 @@ pub struct ExecStats {
     /// Hot-path buffer-pool counters published by every simulated cell
     /// (observability only — never part of any simulation result).
     sim_pools: Arc<PoolProbe>,
-    /// Macro-batching counters (coalesced admission runs, cost-memo
-    /// hits) published by every simulated cell — observability only,
-    /// like the pool probe.
-    sim_batches: Arc<BatchProbe>,
 }
 
 impl ExecStats {
@@ -166,13 +162,6 @@ impl ExecStats {
     /// [`pcs_oskernel::MachineSim::with_pool_probe`] call).
     pub fn sim_pools(&self) -> &Arc<PoolProbe> {
         &self.sim_pools
-    }
-
-    /// The shared probe that every simulated cell publishes its
-    /// macro-batching counters into (clone it into a
-    /// [`pcs_oskernel::MachineSim::with_batch_probe`] call).
-    pub fn sim_batches(&self) -> &Arc<BatchProbe> {
-        &self.sim_batches
     }
 }
 

@@ -61,32 +61,15 @@ impl OpticalSplitter {
         self.loss_db() <= self.input_budget_db
     }
 
-    /// Duplicate one timed packet stream into `ways` identical vectors.
-    /// Passive and lossless: every output sees every packet at the same
-    /// time (the methodology's requirement that each sniffer gets the
-    /// same input).
-    pub fn split<I, T: Clone>(&self, input: I) -> Vec<Vec<T>>
-    where
-        I: IntoIterator<Item = T>,
-    {
-        assert!(
-            self.signal_ok(),
-            "optical budget exceeded: {} dB loss over {} dB headroom",
-            self.loss_db(),
-            self.input_budget_db
-        );
-        let source: Vec<T> = input.into_iter().collect();
-        (0..self.ways).map(|_| source.clone()).collect()
-    }
-
     /// Open the streaming broadcast: one bounded queue of at most `depth`
     /// chunks per output (clamped to ≥ 1).
     ///
     /// The [`SplitterSender`] blocks while *any* output's queue is full —
     /// the slowest consumer paces the generator — and closing it (drop)
     /// lets every output drain its remaining chunks and then observe end
-    /// of stream. Panics when the optical budget is exceeded, like
-    /// [`OpticalSplitter::split`].
+    /// of stream. Passive and lossless: every output sees every chunk,
+    /// in order (the methodology's requirement that each sniffer gets
+    /// the same input). Panics when the optical budget is exceeded.
     pub fn channel(&self, depth: usize) -> (SplitterSender, Vec<SplitterOutput>) {
         assert!(
             self.signal_ok(),
@@ -228,22 +211,6 @@ mod tests {
     fn excessive_splitting_fails_the_budget() {
         let s = OpticalSplitter::new(32);
         assert!(!s.signal_ok());
-    }
-
-    #[test]
-    fn outputs_are_identical() {
-        let s = OpticalSplitter::new(3);
-        let outs = s.split(vec![1, 2, 3]);
-        assert_eq!(outs.len(), 3);
-        for o in &outs {
-            assert_eq!(o, &vec![1, 2, 3]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "optical budget exceeded")]
-    fn split_panics_when_signal_too_weak() {
-        OpticalSplitter::new(64).split(vec![1]);
     }
 
     use pcs_pktgen::{ChunkedGenerator, Generator, PktgenConfig, TimedPacket, TxModel};

@@ -10,11 +10,11 @@
 //!
 //! The accounting mirrors the scheduler's `CpuAccounting` exactly, so
 //! the invariant `Σ busy_ns + idle_ns == acct.total()` holds per CPU —
-//! the sim-wide oracle checks it on every report. The macro-batched
-//! engine (DESIGN.md §17) leaves this account untouched by
-//! construction: coalesced NIC runs batch event *admission*, not work
-//! execution, so every dispatch/finish charge happens at the same
-//! instant with the same amounts as in the per-packet test oracle.
+//! the sim-wide oracle checks it on every report. Cursor admission
+//! (DESIGN.md §17) leaves this account untouched by construction: it
+//! changes where the next arrival waits, not work execution, so every
+//! dispatch/finish charge happens at the same instant with the same
+//! amounts as in the per-packet test oracle.
 
 use crate::event::WorkKind;
 
