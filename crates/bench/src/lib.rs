@@ -1,15 +1,11 @@
-//! # pcs-bench — benchmark harness
+//! # pcs-bench — the hot-path bench behind the CI perf gate
 //!
-//! Criterion benchmarks over the reproduction:
-//!
-//! * `benches/microbench.rs` — component throughput (BPF interpretation,
-//!   filter compilation, distribution sampling, packet generation,
-//!   DEFLATE, savefile writing, single-machine simulation);
-//! * `benches/figures.rs` — one benchmark per thesis figure, running the
-//!   actual regeneration code at a reduced scale so regressions in any
-//!   experiment path show up as timing changes.
-//!
-//! Run with `cargo bench --workspace`.
+//! `benches/hotpath.rs` times one `MachineSim::run_source` over a shared
+//! 40k-packet workload, plus the bare event queue as a machine-speed
+//! reference; `scripts/check_perf.py` gates its output against
+//! `BENCH_HOTPATH.json`. Run it with `cargo bench -p pcs-bench --bench
+//! hotpath`. The end-to-end and per-layer numbers come from the
+//! repository benchmark under `benchmark/`.
 
 use pcs_pktgen::{Chunk, PacketSource};
 
@@ -23,7 +19,7 @@ pub const HOTPATH_COUNT: u64 = 40_000;
 /// floor); both views contain the same packets in the same order.
 pub fn hotpath_stream() -> (Vec<Chunk>, Vec<pcs_pktgen::TimedPacket>) {
     use pcs_pktgen::{ChunkedGenerator, Generator, PktgenConfig, TxModel};
-    let chunks = collect_chunks(ChunkedGenerator::new(
+    let mut source = ChunkedGenerator::new(
         Generator::new(
             PktgenConfig {
                 count: HOTPATH_COUNT,
@@ -33,15 +29,10 @@ pub fn hotpath_stream() -> (Vec<Chunk>, Vec<pcs_pktgen::TimedPacket>) {
             4242,
         ),
         4096,
-    ));
+    );
+    let chunks: Vec<Chunk> = std::iter::from_fn(|| source.next_chunk()).collect();
     let packets = chunks.iter().flat_map(|c| c.iter().cloned()).collect();
     (chunks, packets)
-}
-
-/// Drain `source` into its chunks, so a bench can replay them without
-/// timing the generator.
-pub fn collect_chunks(mut source: impl PacketSource) -> Vec<Chunk> {
-    std::iter::from_fn(|| source.next_chunk()).collect()
 }
 
 /// A [`PacketSource`] replaying pre-generated chunks (`Arc` clones, no
@@ -65,30 +56,8 @@ impl PacketSource for ReplayChunks<'_> {
     }
 }
 
-/// A tiny helper shared by the benches: a deterministic packet for filter
-/// benchmarks (the generator's canonical addressing).
-pub fn sample_packet(seq: u64, frame_len: u32) -> pcs_wire::SimPacket {
-    pcs_wire::SimPacket::build_udp(
-        seq,
-        seq * 6_000,
-        frame_len,
-        pcs_wire::MacAddr::ZERO.offset(seq % 3),
-        pcs_wire::MacAddr::new(0, 0x0e, 0x0c, 1, 2, 3),
-        std::net::Ipv4Addr::new(192, 168, 10, 100),
-        std::net::Ipv4Addr::new(192, 168, 10, 12),
-        9,
-        9,
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn sample_packet_is_ipv4() {
-        let p = super::sample_packet(7, 750);
-        assert!(p.ipv4().is_some());
-    }
-
     #[test]
     fn hotpath_stream_views_agree() {
         let (chunks, packets) = super::hotpath_stream();

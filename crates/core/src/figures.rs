@@ -585,8 +585,8 @@ pub fn tbl2_4_machines(_scale: &Scale, _exec: &ExecConfig) -> Experiment {
 /// The registry: every regenerable experiment by id.
 ///
 /// Every entry takes the [`Scale`] plus the [`ExecConfig`] that decides
-/// how many sweep cells run concurrently (and accumulates the
-/// run/cached cell counters the CLI reports).
+/// how many sweep cells run concurrently (and accumulates the cell and
+/// stream counters the CLI reports).
 pub fn all_experiments() -> Vec<(&'static str, &'static str, ExperimentFn)> {
     fn f62a(s: &Scale, e: &ExecConfig) -> Experiment {
         fig6_2_default_buffers(s, false, e)

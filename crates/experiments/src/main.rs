@@ -5,10 +5,10 @@
 //! experiments list
 //! experiments run <id>... [--scale quick|standard|full] [--jobs N]
 //!                         [--csv-dir DIR] [--trace PATH[:FILTER]]
-//!                         [--profile] [--faults SPEC[:SEED]] [--oracle]
+//!                         [--profile] [--faults SPEC[:SEED]]
 //! experiments all [--scale ...] [--jobs N] [--csv-dir DIR]
 //!                 [--trace PATH[:FILTER]] [--profile]
-//!                 [--faults SPEC[:SEED]] [--oracle]
+//!                 [--faults SPEC[:SEED]]
 //! ```
 //!
 //! Output is a text table per experiment (capture rate and CPU usage per
@@ -24,10 +24,11 @@
 //! generated once and shared through a content-addressed cache with a
 //! 1 GiB budget. The simulation is deterministic, so any job count
 //! produces byte-identical tables and CSV files; the summary reports
-//! per-experiment wall-clock plus how many sweep cells were simulated vs
-//! served from the in-process run cache (with hit rates as
-//! percentages), how many packet streams were generated vs shared, and
-//! the peak resident stream bytes.
+//! per-experiment wall-clock plus how many sweep cells were simulated,
+//! how many packet streams were generated vs shared, and the peak
+//! resident stream bytes. Every cell is simulated, and the sim-wide
+//! invariant oracle (packet conservation, buffer bounds, monotonic
+//! clocks, rate sanity) checks every cell; a violation aborts the run.
 //!
 //! `--trace PATH[:FILTER]` records every simulated packet's lifecycle —
 //! wire arrival, NIC ring, bus transfer, filter verdict, kernel buffer,
@@ -39,8 +40,8 @@
 //! observation layer: tables and CSVs stay byte-identical, and `--trace
 //! off` (or omitting the flag) runs the branch-cheap untraced path.
 //! `--profile` prints host-side execution profiling per experiment:
-//! total/max cell wall time, worker-pool utilization, cache service
-//! times. Profiling reads the host clock, so its numbers (unlike
+//! total/max cell wall time, worker-pool utilization, stream-subscribe
+//! times. These read the host clock, so their numbers (unlike
 //! everything else) vary run to run.
 //!
 //! `--ledger PATH` writes the run ledger: one deterministic JSON
@@ -60,9 +61,10 @@
 //! stream-cache squeezes (`SPEC` is fault names joined with `+`, or
 //! `chaos` for all of them; see EXPERIMENTS.md). The same `SPEC:SEED`
 //! produces byte-identical tables and CSVs at any `--jobs` setting.
-//! `--oracle` validates every cell against the sim-wide invariant oracle
-//! (packet conservation, buffer bounds, monotonic clocks, rate sanity)
-//! and reports how many cells passed; a violation aborts the run.
+//!
+//! Argument errors exit 2 with the usage text or a one-line message. An
+//! output path that cannot be written exits 1 with
+//! `experiments: cannot write '<path>': <error>`.
 
 use pcs_core::{all_experiments, ExecConfig, Scale};
 use pcs_faultsim::FaultPlan;
@@ -72,7 +74,6 @@ use pcs_obs::{
 use pcs_testbed::{available_parallelism, parallel_ordered};
 use pcs_trace::{export, DropAttribution, StageFilter, TraceCollector, TraceSpec};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -111,7 +112,17 @@ fn bail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// Percentage helper for the cache summary: `part` out of `whole`.
+/// Unwrap the result of creating or writing the output `path`. On
+/// failure, print `experiments: cannot write '<path>': <error>` and exit
+/// 1 (argument errors exit 2).
+fn output<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("experiments: cannot write '{path}': {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Percentage helper for the summaries: `part` out of `whole`.
 fn percent(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -122,7 +133,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); tables and CSVs are\n                byte-identical at any N.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs; feed two ledgers to `experiments obs diff` to rank\n                what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
+        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments all [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); tables and CSVs are\n                byte-identical at any N.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs; feed two ledgers to `experiments obs diff` to rank\n                what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                stream-subscribe latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs.\nEvery cell is checked against the sim-wide invariant oracle (packet conservation,\n                buffer bounds, clock monotonicity, rate sanity); any violation aborts\n                the run. An output path that cannot be written exits 1.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
     );
     std::process::exit(2);
 }
@@ -228,7 +239,6 @@ fn main() {
             let mut profile = false;
             let mut profile_json: Option<String> = None;
             let mut faults: Option<FaultPlan> = None;
-            let mut oracle = false;
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
@@ -251,7 +261,6 @@ fn main() {
                         let n = args.get(i).unwrap_or_else(|| usage());
                         faults = FaultPlan::parse(n).unwrap_or_else(|msg| bail(msg));
                     }
-                    "--oracle" => oracle = true,
                     "--csv-dir" => {
                         i += 1;
                         csv_dir = Some(args.get(i).unwrap_or_else(|| usage()).clone());
@@ -295,7 +304,7 @@ fn main() {
                 sel
             };
             if let Some(dir) = &csv_dir {
-                std::fs::create_dir_all(dir).expect("create csv dir");
+                output(dir, std::fs::create_dir_all(dir));
             }
             // Fail fast: the trace JSON (and its CSV sibling, which lands
             // in the same directory) is written after the whole sweep, so
@@ -303,7 +312,7 @@ fn main() {
             if let Some((path, _)) = &trace {
                 if let Some(parent) = std::path::Path::new(path).parent() {
                     if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent).expect("create trace dir");
+                        output(&parent.to_string_lossy(), std::fs::create_dir_all(parent));
                     }
                 }
             }
@@ -372,28 +381,21 @@ fn main() {
                 None
             };
             let stage_times = ledger.is_some();
-            let host_profiling = profile || profile_json.is_some();
             let t_all = Instant::now();
             let results = parallel_ordered(selected, outer, |_, (id, desc, run)| {
-                let mut exec = ExecConfig::with_jobs(inner)
-                    .with_oracle(oracle)
-                    .with_stage_times(stage_times);
+                let mut exec = ExecConfig::with_jobs(inner).with_stage_times(stage_times);
                 if let Some(plan) = &faults {
                     exec = exec.with_faults(Arc::clone(plan));
                 }
                 if let Some(collector) = &collector {
                     exec = exec.with_trace(Arc::clone(collector));
                 }
-                if host_profiling {
-                    exec.stats.enable_profiling();
-                }
                 let t0 = Instant::now();
                 let e = run(&scale, &exec);
                 let wall = t0.elapsed().as_secs_f64();
                 eprintln!(
-                    "== {id} finished in {wall:.1}s ({} cells run, {} cached; {} streams generated, {} shared)",
+                    "== {id} finished in {wall:.1}s ({} cells run; {} streams generated, {} shared)",
                     exec.stats.cells_run(),
-                    exec.stats.cells_cached(),
                     exec.stats.streams_generated(),
                     exec.stats.streams_shared()
                 );
@@ -402,60 +404,46 @@ fn main() {
             // Tables and CSVs are emitted in registry order regardless of
             // completion order, so the output is byte-stable at any -j.
             let mut total_run = 0u64;
-            let mut total_cached = 0u64;
             let mut total_generated = 0u64;
             let mut total_shared = 0u64;
             let mut peak_stream_bytes = 0u64;
             for (id, _desc, e, _wall, exec) in &results {
                 total_run += exec.stats.cells_run();
-                total_cached += exec.stats.cells_cached();
                 total_generated += exec.stats.streams_generated();
                 total_shared += exec.stats.streams_shared();
                 peak_stream_bytes = peak_stream_bytes.max(exec.stats.peak_stream_bytes());
                 println!("{}", e.to_table());
                 if let Some(dir) = &csv_dir {
                     let path = format!("{dir}/{}.csv", id.replace('/', "_"));
-                    let mut f = std::fs::File::create(&path).expect("create csv");
-                    f.write_all(e.to_csv().as_bytes()).expect("write csv");
+                    output(&path, std::fs::write(&path, e.to_csv()));
                     eprintln!("== wrote {path}");
                 }
             }
             eprintln!("== summary ({:.1}s wall):", t_all.elapsed().as_secs_f64());
             for (id, desc, _e, wall, exec) in &results {
                 eprintln!(
-                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>5} cached  {:>4} streams gen  {:>4} shared  {:>8.1} MiB peak  ({desc})",
+                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>4} streams gen  {:>4} shared  {:>8.1} MiB peak  ({desc})",
                     exec.stats.cells_run(),
-                    exec.stats.cells_cached(),
                     exec.stats.streams_generated(),
                     exec.stats.streams_shared(),
                     exec.stats.peak_stream_bytes() as f64 / (1024.0 * 1024.0)
                 );
             }
             eprintln!(
-                "== total: {total_run} cells run, {total_cached} served from cache ({:.1}% hit rate); {total_generated} streams generated, {total_shared} shared ({:.1}% share rate), {:.1} MiB peak resident",
-                percent(total_cached, total_run + total_cached),
+                "== total: {total_run} cells run; {total_generated} streams generated, {total_shared} shared ({:.1}% share rate), {:.1} MiB peak resident",
                 percent(total_shared, total_generated + total_shared),
                 peak_stream_bytes as f64 / (1024.0 * 1024.0)
             );
-            if oracle {
-                let validated: u64 = results
-                    .iter()
-                    .map(|(_, _, _, _, exec)| exec.stats.cells_validated())
-                    .sum();
-                eprintln!("== oracle: {validated} cells validated, every invariant held");
-            }
             if profile {
                 eprintln!("== profile (host-side; varies run to run):");
                 for (id, _desc, _e, wall, exec) in &results {
                     let s = &exec.stats;
                     let busy = s.cell_wall_ns() as f64 / 1e9;
                     let util = percent(s.cell_wall_ns(), (wall * 1e9) as u64 * inner as u64);
-                    let hits = s.cells_cached().max(1);
                     let subs = s.streams_shared().max(1);
                     eprintln!(
-                        "==   {id:<12} sim {busy:>7.2}s over {inner} worker(s) ({util:.1}% pool util)  slowest cell {:.2}s  run-cache hit {:.1} µs avg  stream subscribe {:.1} µs avg",
+                        "==   {id:<12} sim {busy:>7.2}s over {inner} worker(s) ({util:.1}% pool util)  slowest cell {:.2}s  stream subscribe {:.1} µs avg",
                         s.cell_wall_ns_max() as f64 / 1e9,
-                        s.run_cache_hit_ns() as f64 / 1e3 / hits as f64,
                         s.stream_subscribe_ns() as f64 / 1e3 / subs as f64
                     );
                     let p = s.sim_pools();
@@ -474,13 +462,16 @@ fn main() {
                 let cells = collector.cells();
                 let json = export::chrome_trace_json(&cells);
                 export::validate_json(&json).expect("generated trace JSON must be valid");
-                std::fs::write(path, &json).expect("write trace json");
+                output(path, std::fs::write(path, &json));
                 eprintln!(
                     "== wrote {path} ({} traced cells; load in Perfetto)",
                     cells.len()
                 );
                 let csv_path = trace_csv_sibling(path);
-                std::fs::write(&csv_path, export::events_csv(&cells)).expect("write trace csv");
+                output(
+                    &csv_path,
+                    std::fs::write(&csv_path, export::events_csv(&cells)),
+                );
                 eprintln!("== wrote {csv_path}");
                 // Per-SUT drop attribution, totalled over every traced
                 // cell. Each row partitions its generated packets
@@ -513,7 +504,7 @@ fn main() {
             // Host-side profile roll-up, shared by the ledger's profile
             // block and --profile-json. Wall-clock numbers: never part of
             // the deterministic surface.
-            let host_profile = host_profiling.then(|| HostProfile {
+            let host_profile = (profile || profile_json.is_some()).then(|| HostProfile {
                 experiments: results
                     .iter()
                     .map(|(id, _desc, _e, wall, exec)| {
@@ -523,13 +514,11 @@ fn main() {
                             id: (*id).to_string(),
                             wall_s: *wall,
                             cells_run: s.cells_run(),
-                            cells_cached: s.cells_cached(),
                             streams_generated: s.streams_generated(),
                             streams_shared: s.streams_shared(),
                             peak_stream_bytes: s.peak_stream_bytes(),
                             cell_wall_ns: s.cell_wall_ns(),
                             cell_wall_ns_max: s.cell_wall_ns_max(),
-                            run_cache_hit_ns: s.run_cache_hit_ns(),
                             stream_subscribe_ns: s.stream_subscribe_ns(),
                             pool_gets: p.gets(),
                             pool_misses: p.misses(),
@@ -552,7 +541,7 @@ fn main() {
                 let embedded = if profile { host_profile.as_ref() } else { None };
                 let json = render_ledger(&meta, &cells, embedded);
                 export::validate_json(&json).expect("generated ledger JSON must be valid");
-                std::fs::write(path, &json).expect("write ledger");
+                output(path, std::fs::write(path, &json));
                 eprintln!(
                     "== wrote {path} ({} cells; compare runs with `experiments obs diff`)",
                     cells.len()
@@ -564,7 +553,7 @@ fn main() {
                     .expect("profile-json implies profiling");
                 let json = render_profile(p);
                 export::validate_json(&json).expect("generated profile JSON must be valid");
-                std::fs::write(path, &json).expect("write profile json");
+                output(path, std::fs::write(path, &json));
                 eprintln!("== wrote {path} (host-side profile; varies run to run)");
             }
         }

@@ -18,7 +18,7 @@
 //!   timing and residency and must **not** change results.
 //! * [`Oracle`] — the sim-wide invariants every run must satisfy:
 //!   packet conservation per stage, attribution balance, bound respect,
-//!   rate sanity. Always on in tests, `--oracle` on the CLI.
+//!   rate sanity. The testbed checks every cell, in every build.
 //!
 //! Every fault window is a **closed-form function of the sim clock and
 //! the plan seed** — no mutable schedule state — so an armed run is

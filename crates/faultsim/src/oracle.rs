@@ -2,10 +2,9 @@
 //!
 //! Machine-checked statements of what *every* run — faulted or not —
 //! must satisfy. The testbed calls [`Oracle::check_report`] on every
-//! machine report of every cell when armed (`--oracle` on the CLI,
-//! always on under `cfg(debug_assertions)`, which includes the test
-//! profile), so any future change that breaks conservation or a bound
-//! fails loudly with the cell label attached.
+//! machine report of every cell, in every build, so any future change
+//! that breaks conservation or a bound fails loudly with the cell label
+//! attached.
 
 use pcs_hw::MachineSpec;
 use pcs_oskernel::RunReport;

@@ -2,7 +2,7 @@
 //! sweep invocation.
 //!
 //! One ledger records every cell the sweep executed: the cell's 128-bit
-//! memoization fingerprint (SUT set + workload + rate + repeat + fault
+//! configuration fingerprint (SUT set + workload + rate + repeat + fault
 //! plan), its achieved rate, and per SUT the exact
 //! [`DropAttribution`], the full metrics-registry dump, exact latency
 //! percentiles from the mergeable quantile digests, and — when
@@ -15,7 +15,8 @@
 //! ledgers at any `--jobs` setting — `cmp A.json B.json` is a valid
 //! determinism check. The one exception is the optional host-side
 //! `profile` block (`--profile`), which reads the host clock and varies
-//! run to run; the diff engine never looks at it.
+//! run to run; the diff engine never looks at it, and the parser skips
+//! it, so ledgers that carry retired profile fields still load.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,8 +52,6 @@ pub struct ExperimentProfile {
     pub wall_s: f64,
     /// Cells simulated.
     pub cells_run: u64,
-    /// Cells served from the run cache.
-    pub cells_cached: u64,
     /// Packet streams generated (stream-cache misses).
     pub streams_generated: u64,
     /// Packet streams shared by subscription (stream-cache hits).
@@ -63,8 +62,6 @@ pub struct ExperimentProfile {
     pub cell_wall_ns: u64,
     /// Slowest single cell, wall nanoseconds.
     pub cell_wall_ns_max: u64,
-    /// Total wall nanoseconds serving run-cache hits.
-    pub run_cache_hit_ns: u64,
     /// Total wall nanoseconds acquiring stream subscriptions.
     pub stream_subscribe_ns: u64,
     /// Hot-path buffer-pool gets across the experiment's sims.
@@ -107,13 +104,11 @@ fn render_profile_into(profile: &HostProfile, out: &mut String) {
         f64_field(e.wall_s, 3, out);
         for (k, v) in [
             ("cells_run", e.cells_run),
-            ("cells_cached", e.cells_cached),
             ("streams_generated", e.streams_generated),
             ("streams_shared", e.streams_shared),
             ("peak_stream_bytes", e.peak_stream_bytes),
             ("cell_wall_ns", e.cell_wall_ns),
             ("cell_wall_ns_max", e.cell_wall_ns_max),
-            ("run_cache_hit_ns", e.run_cache_hit_ns),
             ("stream_subscribe_ns", e.stream_subscribe_ns),
             ("pool_gets", e.pool_gets),
             ("pool_misses", e.pool_misses),

@@ -1,22 +1,22 @@
-//! The per-process run cache (memoized measurement cells).
+//! Cell identity: distilled cell results and the fingerprints that name
+//! cells and their packet streams.
 //!
 //! A *cell* is the smallest independent unit of the evaluation grid: one
 //! (SUT set, workload, rate, repeat) combination. The whole simulation is
 //! deterministic — per-component seeded PCG streams, no host-time
 //! dependence — so a cell's distilled numbers are a pure function of its
-//! configuration. Several figures re-run the same baseline (e.g. the
-//! increased-buffer sweep is recomputed inside the filter, header-to-disk
-//! and default-buffer comparisons); the cache makes each such cell cost
-//! one computation per process.
+//! configuration, and every cell is simulated afresh, as the thesis'
+//! measurement cycle runs every (rate, repeat) afresh.
 //!
-//! Keys are 128-bit FNV-1a fingerprints of the full cell configuration
-//! (machine spec, kernel/app sim config, generator config, rate, repeat),
-//! written field by field through [`pcs_des::Fingerprintable`] — every
-//! identity-relevant field reaches the digest with an unambiguous
-//! encoding, and incidental changes (a `Debug` format tweak, a new
-//! execution-only setting) cannot silently change or collide keys.
-//! The worker count is deliberately *not* part of the key: it never
-//! changes a cell's results, only how they are computed.
+//! The cell fingerprint is a 128-bit FNV-1a digest of the full cell
+//! configuration (machine spec, kernel/app sim config, generator config,
+//! rate, repeat), written field by field through
+//! [`pcs_des::Fingerprintable`] — every identity-relevant field reaches
+//! the digest with an unambiguous encoding, and incidental changes (a
+//! `Debug` format tweak, a new execution-only setting) cannot silently
+//! change or collide fingerprints. Trace exports and the run ledger name
+//! cells by it. The worker count is deliberately *not* part of it: it
+//! never changes a cell's results, only how they are computed.
 
 use crate::cycle::{CycleConfig, Sut};
 use pcs_des::{Fingerprint, Fingerprintable};
@@ -48,8 +48,8 @@ pub struct CellResult {
     pub suts: Vec<CellSut>,
 }
 
-/// 128-bit cell key: two independent FNV-1a streams over the explicit
-/// field-by-field fingerprint.
+/// 128-bit cell fingerprint: two independent FNV-1a streams over the
+/// explicit field-by-field encoding.
 pub type CellKey = (u64, u64);
 
 /// A [`CellKey`] as one 128-bit value — the form trace exports use to
@@ -77,9 +77,9 @@ pub fn cell_key(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>, repeat: u32)
 }
 
 /// [`cell_key`] with the armed fault plan folded in. An armed plan
-/// deterministically changes a cell's results, so it must key the cache;
-/// `None` writes nothing extra, keeping unfaulted keys byte-identical to
-/// what they were before fault injection existed.
+/// deterministically changes a cell's results, so it must change the
+/// fingerprint; `None` writes nothing extra, keeping unfaulted keys
+/// byte-identical to what they were before fault injection existed.
 pub fn cell_key_faulted(
     suts: &[Sut],
     cfg: &CycleConfig,
@@ -128,6 +128,9 @@ pub fn stream_key(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> StreamKe
 }
 
 /// A process-wide memo table of computed cells.
+///
+/// No library path uses it: every cell simulates. It remains for the
+/// repository benchmark's span-traced composition, which still names it.
 #[derive(Default)]
 pub struct RunCache {
     map: Mutex<HashMap<CellKey, CellResult>>,
@@ -139,7 +142,7 @@ impl RunCache {
         RunCache::default()
     }
 
-    /// The process-global cache every sweep consults.
+    /// The process-global instance.
     pub fn global() -> &'static RunCache {
         static GLOBAL: OnceLock<RunCache> = OnceLock::new();
         GLOBAL.get_or_init(RunCache::new)
@@ -240,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_key_the_cache() {
+    fn fault_plans_change_the_fingerprint() {
         let cfg = CycleConfig::fixed(1_000, 512, 42);
         let base = cell_key(&suts(), &cfg, Some(100.0), 0);
         let none = cell_key_faulted(&suts(), &cfg, Some(100.0), 0, None);

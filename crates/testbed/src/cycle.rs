@@ -19,7 +19,7 @@
 //! that differ only in their SUT set subscribe to the published chunks.
 //! The pipeline shape is fixed at [`PipelineConfig::default`].
 
-use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut, RunCache};
+use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut};
 use crate::sched::{parallel_ordered, ExecConfig, PipelineConfig};
 use crate::splitter::OpticalSplitter;
 use crate::switch::MonitorSwitch;
@@ -218,6 +218,7 @@ pub fn cell_label(rate: Option<f64>, repeat: u32) -> String {
 /// Run one cell — one repeat of one rate point over all SUTs — and
 /// distill the numbers every aggregation needs.
 ///
+/// Every call simulates, and the invariant oracle checks every cell.
 /// When `exec.trace` is set, every SUT simulates with an enabled sink
 /// and the cell's per-SUT event logs, metrics and drop attributions are
 /// recorded in the collector (first write wins; duplicates are
@@ -230,23 +231,20 @@ fn run_cell(
     repeat: u32,
     exec: &ExecConfig,
 ) -> CellResult {
+    let started = Instant::now();
     let spec = exec.trace.as_ref().map(|collector| collector.spec());
     let (achieved, mut reports) = run_cell_streaming(suts, cfg, rate, repeat, exec, spec);
-    // The invariant oracle: always armed in debug/test builds, opt-in
-    // (`--oracle`) in release. A violation is a simulation bug, never a
-    // measurement outcome, so it panics with the cell coordinate.
-    if exec.oracle || cfg!(debug_assertions) {
-        let label = cell_label(rate, repeat);
-        let link_mbps = cfg.tx.link_bps as f64 / 1e6;
-        if let Err(violation) = Oracle::check_rate(&label, achieved, link_mbps) {
+    // A violation is a simulation bug, never a measurement outcome, so
+    // it panics with the cell coordinate.
+    let label = cell_label(rate, repeat);
+    let link_mbps = cfg.tx.link_bps as f64 / 1e6;
+    if let Err(violation) = Oracle::check_rate(&label, achieved, link_mbps) {
+        panic!("{violation}");
+    }
+    for (sut, report) in suts.iter().zip(&reports) {
+        if let Err(violation) = Oracle::check_report(&label, &sut.spec, report) {
             panic!("{violation}");
         }
-        for (sut, report) in suts.iter().zip(&reports) {
-            if let Err(violation) = Oracle::check_report(&label, &sut.spec, report) {
-                panic!("{violation}");
-            }
-        }
-        exec.stats.record_validated();
     }
     let result = distill(achieved, &reports);
     if let Some(collector) = &exec.trace {
@@ -267,8 +265,9 @@ fn run_cell(
             repeat,
             exec.faults.as_deref(),
         ));
-        collector.record_cell(cell_label(rate, repeat), key, achieved, traces);
+        collector.record_cell(label, key, achieved, traces);
     }
+    exec.stats.record_run(started.elapsed().as_nanos() as u64);
     result
 }
 
@@ -299,7 +298,7 @@ fn cell_source(
         .map_or(pipeline.stream_cache_bytes, |plan| {
             plan.clamp_stream_budget(pipeline.stream_cache_bytes)
         });
-    let probe = stats.profiling().then(Instant::now);
+    let t0 = Instant::now();
     match StreamCache::global().acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
@@ -308,9 +307,7 @@ fn cell_source(
             Box::new(PublishingSource::new(generate, publisher))
         }
         StreamRole::Subscribe(subscriber) => {
-            if let Some(t0) = probe {
-                stats.note_stream_subscribe(t0.elapsed().as_nanos() as u64);
-            }
+            stats.note_stream_subscribe(t0.elapsed().as_nanos() as u64);
             stats.record_stream_shared();
             Box::new(subscriber)
         }
@@ -403,49 +400,6 @@ fn run_cell_streaming(
     (account.achieved_mbps(), reports)
 }
 
-/// [`run_cell`] through the process-global [`RunCache`]: figures that
-/// re-run the same baseline configuration pay for each cell once per
-/// process.
-///
-/// A cache hit whose trace the collector has not yet recorded re-runs
-/// the cell (counted as a run, not a hit): the memo table stores
-/// distilled numbers only, and determinism makes the re-run's trace the
-/// one the original computation would have produced.
-fn run_cell_cached(
-    suts: &[Sut],
-    cfg: &CycleConfig,
-    rate: Option<f64>,
-    repeat: u32,
-    exec: &ExecConfig,
-) -> CellResult {
-    let key = cell_key_faulted(suts, cfg, rate, repeat, exec.faults.as_deref());
-    let cache = RunCache::global();
-    let profiling = exec.stats.profiling();
-    let trace_missing = exec
-        .trace
-        .as_ref()
-        .is_some_and(|collector| !collector.contains(&cell_label(rate, repeat), wide_key(key)));
-    if !trace_missing {
-        let probe = profiling.then(Instant::now);
-        if let Some(hit) = cache.get(&key) {
-            if let Some(t0) = probe {
-                exec.stats
-                    .note_run_cache_hit(t0.elapsed().as_nanos() as u64);
-            }
-            exec.stats.record_cached();
-            return hit;
-        }
-    }
-    let started = profiling.then(Instant::now);
-    let result = run_cell(suts, cfg, rate, repeat, exec);
-    if let Some(t0) = started {
-        exec.stats.note_cell_wall(t0.elapsed().as_nanos() as u64);
-    }
-    cache.insert(key, result.clone());
-    exec.stats.record_run();
-    result
-}
-
 /// Aggregate one rate point's cells (one per repeat) into a
 /// [`PointResult`] by median, exactly as the thesis' §6.2.2 calculation
 /// does over its seven repetitions.
@@ -500,7 +454,7 @@ pub fn aggregate_point(
 pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointResult {
     let exec = ExecConfig::serial();
     let cells: Vec<CellResult> = (0..cfg.repeats)
-        .map(|repeat| run_cell_cached(suts, cfg, rate, repeat, &exec))
+        .map(|repeat| run_cell(suts, cfg, rate, repeat, &exec))
         .collect();
     let labels: Vec<String> = suts.iter().map(|sut| sut.spec.label()).collect();
     aggregate_point(rate, cfg.count, &labels, &cells)
@@ -521,8 +475,8 @@ pub fn run_sweep(suts: &[Sut], cfg: &CycleConfig, rates: &[Option<f64>]) -> Vec<
 /// Each cell generates its own packet stream (the per-repeat seed
 /// derivation the serial cycle already used) and runs its SUT sims, so
 /// the output is bit-identical to [`run_sweep`] for any `exec.jobs`.
-/// Cells are memoized in the process-global [`RunCache`]; `exec.stats`
-/// counts how many were simulated vs served from cache.
+/// Every cell simulates; `exec.stats` counts the cells and their wall
+/// time.
 pub fn run_sweep_exec(
     suts: &[Sut],
     cfg: &CycleConfig,
@@ -536,7 +490,7 @@ pub fn run_sweep_exec(
         .flat_map(|(ri, _)| (0..cfg.repeats).map(move |rep| (ri, rep)))
         .collect();
     let results: Vec<CellResult> = parallel_ordered(cells, exec.jobs, |_, (ri, repeat)| {
-        run_cell_cached(suts, cfg, rates[ri], repeat, exec)
+        run_cell(suts, cfg, rates[ri], repeat, exec)
     });
     let labels: Vec<String> = suts.iter().map(|sut| sut.spec.label()).collect();
     rates
@@ -642,9 +596,9 @@ mod tests {
                 format!("{parallel:?}"),
                 "jobs={jobs} must not change any bit of the results"
             );
-            // Every cell was already computed by the serial run above.
-            assert_eq!(exec.stats.cells_cached(), 9, "jobs={jobs}");
-            assert_eq!(exec.stats.cells_run(), 0, "jobs={jobs}");
+            // The serial run computed the same cells; every one of them
+            // simulates again.
+            assert_eq!(exec.stats.cells_run(), 9, "jobs={jobs}");
         }
     }
 
@@ -664,7 +618,7 @@ mod tests {
                 sim: SimConfig::default(),
             },
         ];
-        // run_cell bypasses the run cache, so both calls simulate.
+        // Both calls simulate; only the stream is shared.
         let exec = ExecConfig::serial();
         for (i, rate) in [Some(250.0), None].into_iter().enumerate() {
             // The first run generates and publishes …
@@ -675,6 +629,7 @@ mod tests {
             assert_eq!(exec.stats.streams_shared(), i as u64 + 1);
             assert_eq!(cold, warm, "rate={rate:?}");
         }
+        assert_eq!(exec.stats.cells_run(), 4);
         assert!(exec.stats.peak_stream_bytes() > 0);
     }
 
@@ -730,7 +685,7 @@ mod tests {
 
     #[test]
     fn empty_sut_set_still_reports_the_achieved_rate() {
-        // Unique packet count: run and stream caches are process-global.
+        // Unique packet count: the stream cache is process-global.
         let mut cfg = CycleConfig::mwn(8_513, 31);
         cfg.repeats = 2;
         let p = run_point(&[], &cfg, Some(100.0));
@@ -752,7 +707,7 @@ mod tests {
     #[test]
     fn traced_cells_record_balanced_attributions_without_changing_results() {
         use pcs_trace::TraceCollector;
-        // Unique packet count: run and stream caches are process-global.
+        // Unique packet count: the stream cache is process-global.
         let mut cfg = CycleConfig::mwn(8_317, 99);
         cfg.repeats = 1;
         let suts = vec![
@@ -767,7 +722,7 @@ mod tests {
         ];
         let collector = Arc::new(TraceCollector::new(TraceSpec::default()));
         let exec = ExecConfig::serial().with_trace(Arc::clone(&collector));
-        let traced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &exec);
+        let traced = run_cell(&suts, &cfg, Some(300.0), 0, &exec);
         assert_eq!(collector.len(), 1);
         let cell = &collector.cells()[0];
         assert_eq!(cell.label, "rate=300.0 rep=0");
@@ -780,25 +735,24 @@ mod tests {
                 assert_eq!(attr.generated, cfg.count);
             }
         }
-        // The same cell untraced must distill identically (the sink only
-        // observes) and be served from the run cache.
+        // The same cell untraced simulates again and must distill
+        // identically (the sink only observes).
         let untraced_exec = ExecConfig::serial();
-        let untraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &untraced_exec);
+        let untraced = run_cell(&suts, &cfg, Some(300.0), 0, &untraced_exec);
         assert_eq!(format!("{traced:?}"), format!("{untraced:?}"));
-        assert_eq!(untraced_exec.stats.cells_cached(), 1);
-        // A fresh collector re-runs the cached cell to reproduce its
-        // trace (the memo table stores distilled numbers only).
+        assert_eq!(untraced_exec.stats.cells_run(), 1);
+        // A fresh collector simulates the cell once more and records an
+        // identical trace.
         let fresh = Arc::new(TraceCollector::new(TraceSpec::default()));
         let retrace_exec = ExecConfig::serial().with_trace(Arc::clone(&fresh));
-        let retraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &retrace_exec);
+        let retraced = run_cell(&suts, &cfg, Some(300.0), 0, &retrace_exec);
         assert_eq!(retrace_exec.stats.cells_run(), 1);
-        assert_eq!(retrace_exec.stats.cells_cached(), 0);
         assert_eq!(format!("{traced:?}"), format!("{retraced:?}"));
         assert_eq!(fresh.cells(), collector.cells(), "traces are reproducible");
     }
 
     #[test]
-    fn profiling_collects_host_side_timings() {
+    fn every_sweep_simulates_and_times_its_cells() {
         let mut cfg = CycleConfig::mwn(8_423, 5150);
         cfg.repeats = 2;
         let suts = vec![Sut {
@@ -806,19 +760,17 @@ mod tests {
             sim: SimConfig::default(),
         }];
         let exec = ExecConfig::serial();
-        exec.stats.enable_profiling();
-        assert!(exec.stats.profiling());
-        run_sweep_exec(&suts, &cfg, &[Some(200.0)], &exec);
+        let first = run_sweep_exec(&suts, &cfg, &[Some(200.0)], &exec);
+        assert_eq!(exec.stats.cells_run(), 2);
         assert!(exec.stats.cell_wall_ns() > 0);
         assert!(exec.stats.cell_wall_ns_max() <= exec.stats.cell_wall_ns());
-        // Re-running hits the run cache; the hit latency is recorded.
-        run_sweep_exec(&suts, &cfg, &[Some(200.0)], &exec);
-        assert_eq!(exec.stats.cells_cached(), 2);
-        // (hit service time can legitimately round to 0 ns; just make
-        // sure nothing panicked and the counters stayed monotone)
+        // Repeating the sweep simulates both cells again, adds their
+        // wall time, and reproduces the results bit for bit.
         let wall = exec.stats.cell_wall_ns();
-        run_sweep_exec(&suts, &cfg, &[Some(200.0)], &exec);
-        assert_eq!(exec.stats.cell_wall_ns(), wall, "hits don't count as runs");
+        let second = run_sweep_exec(&suts, &cfg, &[Some(200.0)], &exec);
+        assert_eq!(exec.stats.cells_run(), 4);
+        assert!(exec.stats.cell_wall_ns() > wall);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! The cycle executes on the parallel sweep engine ([`sched`]): every
 //! (rate × repeat) cell of a sweep is an independent deterministic job,
 //! scheduled across a bounded worker pool and merged back in input
-//! order, with cells memoized per process in the [`cache`].
+//! order. Every cell simulates, and the invariant oracle checks every
+//! cell; the [`cache`] module names cells and their streams by
+//! fingerprint.
 //!
 //! Inside a cell, packets *stream*: the generator produces bounded
 //! chunks that the [`splitter`] broadcasts to every sniffer's queue

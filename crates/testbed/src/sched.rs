@@ -14,29 +14,23 @@ use pcs_des::PoolProbe;
 use pcs_faultsim::FaultPlan;
 use pcs_trace::TraceCollector;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Counters a sweep (or a whole CLI run) accumulates while executing.
 ///
-/// The cache/stream counters are always maintained (they are cheap
-/// relaxed increments). The host-side *profiling* set — per-cell wall
-/// time and cache-hit service latencies — is only collected after
-/// [`ExecStats::enable_profiling`] (CLI `--profile`), because it reads
-/// the host clock; it describes execution speed, never simulation
+/// Every counter is a cheap relaxed atomic and always maintained. The
+/// host-side timings — per-cell wall time and stream-subscribe latency —
+/// read the host clock: they describe execution speed, never simulation
 /// results.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     cells_run: AtomicU64,
-    cells_cached: AtomicU64,
-    cells_validated: AtomicU64,
     streams_generated: AtomicU64,
     streams_shared: AtomicU64,
     peak_stream_bytes: AtomicU64,
-    profile: AtomicBool,
     cell_wall_ns: AtomicU64,
     cell_wall_ns_max: AtomicU64,
-    run_cache_hit_ns: AtomicU64,
     stream_subscribe_ns: AtomicU64,
     /// Hot-path buffer-pool counters published by every simulated cell
     /// (observability only — never part of any simulation result).
@@ -44,19 +38,11 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Record a cell that was actually simulated.
-    pub fn record_run(&self) {
+    /// Record one simulated cell and its wall-clock time.
+    pub fn record_run(&self, wall_ns: u64) {
         self.cells_run.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cell served from the [`crate::RunCache`].
-    pub fn record_cached(&self) {
-        self.cells_cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cell whose reports the invariant oracle checked.
-    pub fn record_validated(&self) {
-        self.cells_validated.fetch_add(1, Ordering::Relaxed);
+        self.cell_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
+        self.cell_wall_ns_max.fetch_max(wall_ns, Ordering::Relaxed);
     }
 
     /// Record a cell that generated (and published) its packet stream.
@@ -81,16 +67,6 @@ impl ExecStats {
         self.cells_run.load(Ordering::Relaxed)
     }
 
-    /// Cells answered from the cache so far.
-    pub fn cells_cached(&self) -> u64 {
-        self.cells_cached.load(Ordering::Relaxed)
-    }
-
-    /// Cells the invariant oracle validated so far.
-    pub fn cells_validated(&self) -> u64 {
-        self.cells_validated.load(Ordering::Relaxed)
-    }
-
     /// Packet streams generated (stream-cache misses) so far.
     pub fn streams_generated(&self) -> u64 {
         self.streams_generated.load(Ordering::Relaxed)
@@ -107,30 +83,7 @@ impl ExecStats {
         self.peak_stream_bytes.load(Ordering::Relaxed)
     }
 
-    /// Turn on host-side profiling for every execution sharing these
-    /// counters.
-    pub fn enable_profiling(&self) {
-        self.profile.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether host-side profiling is being collected.
-    pub fn profiling(&self) -> bool {
-        self.profile.load(Ordering::Relaxed)
-    }
-
-    /// Record one simulated cell's wall-clock time (profiling only).
-    pub fn note_cell_wall(&self, ns: u64) {
-        self.cell_wall_ns.fetch_add(ns, Ordering::Relaxed);
-        self.cell_wall_ns_max.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Record the service time of one run-cache hit (profiling only).
-    pub fn note_run_cache_hit(&self, ns: u64) {
-        self.run_cache_hit_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Record the acquisition time of one stream-cache subscription
-    /// (profiling only).
+    /// Record the acquisition time of one stream-cache subscription.
     pub fn note_stream_subscribe(&self, ns: u64) {
         self.stream_subscribe_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -144,11 +97,6 @@ impl ExecStats {
     /// Slowest single cell's wall-clock nanoseconds.
     pub fn cell_wall_ns_max(&self) -> u64 {
         self.cell_wall_ns_max.load(Ordering::Relaxed)
-    }
-
-    /// Total wall-clock nanoseconds spent serving run-cache hits.
-    pub fn run_cache_hit_ns(&self) -> u64 {
-        self.run_cache_hit_ns.load(Ordering::Relaxed)
     }
 
     /// Total wall-clock nanoseconds spent acquiring stream-cache
@@ -168,9 +116,8 @@ impl ExecStats {
 /// The shape of every cell's generator → splitter → sniffer pipeline.
 ///
 /// There is one shape, [`PipelineConfig::default`]; it is a struct so
-/// the numbers have names. None of the fields participate in the run
-/// cache's cell key: chunk boundaries and queue depth never change a
-/// result.
+/// the numbers have names. None of the fields participate in the cell
+/// fingerprint: chunk boundaries and queue depth never change a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Packets per generated chunk.
@@ -196,7 +143,7 @@ impl Default for PipelineConfig {
 }
 
 /// How a sweep executes: worker count, shared counters and the optional
-/// trace, fault and oracle layers.
+/// trace and fault layers.
 ///
 /// Cloning shares the counters (an `Arc`), so one `ExecConfig` handed to
 /// several figures accumulates their cells together.
@@ -204,7 +151,7 @@ impl Default for PipelineConfig {
 pub struct ExecConfig {
     /// Upper bound on concurrently running cells.
     pub jobs: usize,
-    /// Shared run/cache counters.
+    /// Shared execution counters.
     pub stats: Arc<ExecStats>,
     /// When set, every cell simulates with an enabled
     /// [`TraceSink`](pcs_trace::TraceSink) and records its event log,
@@ -217,10 +164,6 @@ pub struct ExecConfig {
     /// splitter/cache perturbations). `None` (the default) keeps the sims
     /// on the branch-cheap off path and results byte-identical to today.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Run the invariant oracle on every cell's reports. Always on under
-    /// `cfg(debug_assertions)` (the test profiles); this flag arms it in
-    /// release builds (`--oracle`).
-    pub oracle: bool,
     /// Arm per-stage sim-time attribution
     /// ([`pcs_oskernel::MachineSim::with_stage_times`]) on every cell, so
     /// traced cells carry a [`pcs_trace::StageTimes`] account into the
@@ -247,7 +190,6 @@ impl ExecConfig {
             stats: Arc::new(ExecStats::default()),
             trace: None,
             faults: None,
-            oracle: false,
             stage_times: false,
         }
     }
@@ -261,13 +203,6 @@ impl ExecConfig {
     /// The same execution with `plan` armed on every cell.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> ExecConfig {
         self.faults = Some(plan);
-        self
-    }
-
-    /// The same execution with the invariant oracle armed (it is always
-    /// on in debug/test builds regardless of this flag).
-    pub fn with_oracle(mut self, oracle: bool) -> ExecConfig {
-        self.oracle = oracle;
         self
     }
 
@@ -382,17 +317,17 @@ mod tests {
     fn exec_config_clamps_and_counts() {
         let cfg = ExecConfig::with_jobs(0);
         assert_eq!(cfg.jobs, 1);
-        cfg.stats.record_run();
-        cfg.stats.record_cached();
-        cfg.stats.record_cached();
+        cfg.stats.record_run(30);
+        cfg.stats.record_run(20);
         cfg.stats.record_stream_generated();
         cfg.stats.record_stream_shared();
         cfg.stats.record_stream_shared();
         cfg.stats.note_stream_resident(100);
         cfg.stats.note_stream_resident(40);
         let shared = cfg.clone();
-        assert_eq!(shared.stats.cells_run(), 1);
-        assert_eq!(shared.stats.cells_cached(), 2);
+        assert_eq!(shared.stats.cells_run(), 2);
+        assert_eq!(shared.stats.cell_wall_ns(), 50);
+        assert_eq!(shared.stats.cell_wall_ns_max(), 30);
         assert_eq!(shared.stats.streams_generated(), 1);
         assert_eq!(shared.stats.streams_shared(), 2);
         assert_eq!(shared.stats.peak_stream_bytes(), 100, "high-water mark");

@@ -38,12 +38,11 @@ pub struct CellTrace {
 
 /// Thread-safe collector shared by all sweep workers.
 ///
-/// Cells are keyed by their memoization fingerprint and stored in a
+/// Cells are keyed by their configuration fingerprint and stored in a
 /// `BTreeMap`, so the exported ordering is independent of worker
 /// scheduling: identical seeds and configs produce byte-identical exports
 /// at any `--jobs`. Re-recording an already-present key is a no-op — a
-/// run-cache hit or a concurrently duplicated cell would reproduce the
-/// identical trace anyway.
+/// re-simulated cell reproduces the identical trace anyway.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     spec: TraceSpec,
@@ -65,6 +64,9 @@ impl TraceCollector {
     }
 
     /// Whether a cell with this label/key was already recorded.
+    ///
+    /// No library path uses it; the repository benchmark's span-traced
+    /// composition still calls it.
     pub fn contains(&self, label: &str, key: u128) -> bool {
         self.cells
             .lock()

@@ -1,21 +1,13 @@
 //! Determinism guarantees of the parallel sweep engine: the same seed
 //! must produce byte-identical outputs at any worker count, and the
-//! in-process [`RunCache`] and content-addressed stream cache must be
-//! invisible in the results.
+//! content-addressed stream cache must be invisible in the results.
 //!
 //! Each test uses a packet count no other test in this binary uses, so
-//! the process-global cache cannot leak cells between concurrently
-//! running tests and the run/cached counters stay exact. Tests that
-//! *clear* the global cache additionally serialize on
-//! [`CACHE_CLEAR_LOCK`], so one test's flush cannot break another's
-//! cold/warm counter assertions.
+//! the process-global stream cache cannot share streams between
+//! concurrently running tests and the generated/shared counters stay
+//! exact.
 
 use pcapbench::core::{figures, ExecConfig, Scale};
-use pcapbench::testbed::RunCache;
-use std::sync::Mutex;
-
-/// Serializes the tests that flush the process-global run cache.
-static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn csv_is_byte_identical_at_any_job_count() {
@@ -42,48 +34,7 @@ fn csv_is_byte_identical_at_any_job_count() {
 }
 
 #[test]
-fn warm_cache_reproduces_cold_run_exactly() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
-    let scale = Scale {
-        count: 29_000,
-        repeats: 2,
-        rates: vec![Some(300.0), None],
-    };
-    // Cold: make sure nothing of this configuration is cached, then run.
-    RunCache::global().clear();
-    let cold_exec = ExecConfig::with_jobs(4);
-    let cold = figures::fig6_6_filter(&scale, true, &cold_exec);
-    assert!(
-        cold_exec.stats.cells_run() >= 1,
-        "cold run must simulate at least one cell"
-    );
-
-    // Warm: same figure again in the same process — every cell must come
-    // from the cache and the rendered bytes must not change.
-    let warm_exec = ExecConfig::with_jobs(4);
-    let warm = figures::fig6_6_filter(&scale, true, &warm_exec);
-    assert_eq!(
-        warm_exec.stats.cells_run(),
-        0,
-        "warm run must simulate nothing"
-    );
-    assert_eq!(
-        warm_exec.stats.cells_cached(),
-        cold_exec.stats.cells_run() + cold_exec.stats.cells_cached(),
-        "warm run must serve every cell from cache"
-    );
-    assert_eq!(cold.to_csv(), warm.to_csv());
-    assert_eq!(cold.to_table(), warm.to_table());
-
-    // And a cache flush in between must still not change the bytes.
-    RunCache::global().clear();
-    let reran = figures::fig6_6_filter(&scale, true, &ExecConfig::with_jobs(4));
-    assert_eq!(cold.to_csv(), reran.to_csv());
-}
-
-#[test]
 fn cold_and_warm_stream_cache_render_identical_csv() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 35_000,
         repeats: 2,
@@ -91,14 +42,12 @@ fn cold_and_warm_stream_cache_render_identical_csv() {
     };
     // Cold: no other test uses this packet count, so every cell
     // generates and publishes its own stream.
-    RunCache::global().clear();
     let cold_exec = ExecConfig::with_jobs(4);
     let cold = figures::fig6_2_default_buffers(&scale, true, &cold_exec);
     assert_eq!(cold_exec.stats.streams_generated(), 4, "rates × repeats");
     assert_eq!(cold_exec.stats.streams_shared(), 0);
-    // Warm: the run cache is flushed so every cell simulates again, but
-    // each one subscribes to the stream the cold run published.
-    RunCache::global().clear();
+    // Warm: every cell simulates again, but each one subscribes to the
+    // stream the cold run published.
     let warm_exec = ExecConfig::with_jobs(4);
     let warm = figures::fig6_2_default_buffers(&scale, true, &warm_exec);
     assert_eq!(warm_exec.stats.cells_run(), cold_exec.stats.cells_run());

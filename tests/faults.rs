@@ -3,9 +3,10 @@
 //! shipped machine-side faults demonstrably move losses into their
 //! advertised attribution buckets.
 //!
-//! Figure-level tests use packet counts no other test binary uses
-//! (41k/43k), so the process-global run cache cannot leak cells between
-//! tests; tests that flush the cache serialize on [`CACHE_CLEAR_LOCK`].
+//! Every cell simulates, and the invariant oracle checks every cell, so
+//! each faulted sweep below is also a conservation proof. Figure-level
+//! tests use packet counts no other test binary uses (41k/43k), so the
+//! process-global stream cache cannot share streams between them.
 
 use pcapbench::core::{figures, ExecConfig, Scale};
 use pcapbench::des::SimTime;
@@ -13,13 +14,9 @@ use pcapbench::faultsim::FaultPlan;
 use pcapbench::hw::MachineSpec;
 use pcapbench::oskernel::{MachineSim, SimConfig};
 use pcapbench::pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
-use pcapbench::testbed::RunCache;
 use pcapbench::wire::{MacAddr, SimPacket};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
-
-/// Serializes the tests that flush the process-global run cache.
-static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// `n` dense UDP arrivals, `gap_ns` apart.
 fn packets(n: u64, gap_ns: u64) -> Arc<Vec<TimedPacket>> {
@@ -56,7 +53,6 @@ fn plan(spec: &str) -> FaultPlan {
 
 #[test]
 fn armed_plan_is_deterministic_across_execution_knobs() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 41_000,
         repeats: 2,
@@ -64,26 +60,19 @@ fn armed_plan_is_deterministic_across_execution_knobs() {
     };
     let chaos = Arc::new(plan("chaos:99"));
 
-    RunCache::global().clear();
     let base = figures::fig6_2_default_buffers(&scale, true, &ExecConfig::with_jobs(1));
 
-    RunCache::global().clear();
     let serial = figures::fig6_2_default_buffers(
         &scale,
         true,
-        &ExecConfig::with_jobs(1)
-            .with_faults(Arc::clone(&chaos))
-            .with_oracle(true),
+        &ExecConfig::with_jobs(1).with_faults(Arc::clone(&chaos)),
     );
 
     // Same plan, more workers. Bytes must not move.
-    RunCache::global().clear();
     let reshaped = figures::fig6_2_default_buffers(
         &scale,
         true,
-        &ExecConfig::with_jobs(4)
-            .with_faults(Arc::clone(&chaos))
-            .with_oracle(true),
+        &ExecConfig::with_jobs(4).with_faults(Arc::clone(&chaos)),
     );
     assert_eq!(
         serial.to_csv(),
@@ -99,13 +88,10 @@ fn armed_plan_is_deterministic_across_execution_knobs() {
         serial.to_csv(),
         "an armed chaos plan must change the sweep"
     );
-    RunCache::global().clear();
     let reseeded = figures::fig6_2_default_buffers(
         &scale,
         true,
-        &ExecConfig::with_jobs(4)
-            .with_faults(Arc::new(plan("chaos:100")))
-            .with_oracle(true),
+        &ExecConfig::with_jobs(4).with_faults(Arc::new(plan("chaos:100"))),
     );
     assert_ne!(
         serial.to_csv(),
@@ -116,24 +102,19 @@ fn armed_plan_is_deterministic_across_execution_knobs() {
 
 #[test]
 fn host_side_faults_do_not_change_results() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 43_000,
         repeats: 2,
         rates: vec![Some(220.0), None],
     };
-    RunCache::global().clear();
     let base = figures::fig6_2_default_buffers(&scale, true, &ExecConfig::with_jobs(4));
     // Splitter hiccups stall the producer thread and the cache squeeze
     // shrinks the stream budget: both reshape execution only, so the
     // rendered bytes must equal the unfaulted run's.
-    RunCache::global().clear();
     let hiccuped = figures::fig6_2_default_buffers(
         &scale,
         true,
-        &ExecConfig::with_jobs(4)
-            .with_faults(Arc::new(plan("hiccup+squeeze:7")))
-            .with_oracle(true),
+        &ExecConfig::with_jobs(4).with_faults(Arc::new(plan("hiccup+squeeze:7"))),
     );
     assert_eq!(
         base.to_csv(),

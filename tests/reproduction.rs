@@ -2,7 +2,8 @@
 //! — the orderings, knees and factors the thesis reports — asserted over
 //! reduced-scale runs of the actual experiment code.
 
-use pcapbench::core::{figures, ExecConfig, Scale};
+use pcapbench::core::{figures, ExecConfig, Experiment, Scale};
+use std::sync::OnceLock;
 
 /// A reduced scale that still outlasts buffer capacity where it matters.
 fn scale() -> Scale {
@@ -19,12 +20,21 @@ fn exec() -> ExecConfig {
     ExecConfig::parallel()
 }
 
+/// Fig 6.3 (increased buffers) at [`scale`]: the baseline several tests
+/// compare against, computed once per CPU mode and shared.
+fn increased_buffers(smp: bool) -> &'static Experiment {
+    static SMP: OnceLock<Experiment> = OnceLock::new();
+    static NO_SMP: OnceLock<Experiment> = OnceLock::new();
+    let baseline = if smp { &SMP } else { &NO_SMP };
+    baseline.get_or_init(|| figures::fig6_3_increased_buffers(&scale(), smp, &exec()))
+}
+
 #[test]
 fn headline_moorhen_wins_flamingo_loses() {
     // §7.1: "moorhen, the FreeBSD 5.4/AMD Opteron combination, is
     // performing best ... flamingo ... is often losing more packets than
     // the other systems."
-    let e = figures::fig6_3_increased_buffers(&scale(), true, &exec());
+    let e = increased_buffers(true);
     let moorhen = e.final_capture("moorhen").unwrap();
     let flamingo = e.final_capture("flamingo").unwrap();
     assert!(moorhen > 99.0, "moorhen dual loses ~nothing: {moorhen}");
@@ -43,7 +53,7 @@ fn headline_moorhen_wins_flamingo_loses() {
 
 #[test]
 fn single_cpu_ordering_and_knees() {
-    let e = figures::fig6_3_increased_buffers(&scale(), false, &exec());
+    let e = increased_buffers(false);
     // moorhen stays close to lossless even single-CPU.
     assert!(e.final_capture("moorhen").unwrap() > 90.0);
     // The Linux systems capture everything at 300 but lose at the top.
@@ -70,7 +80,7 @@ fn default_buffers_hurt_linux() {
     // §6.3.1/§7.1: increased buffers raise the Linux drop knee.
     let s = scale();
     let def = figures::fig6_2_default_buffers(&s, false, &exec());
-    let inc = figures::fig6_3_increased_buffers(&s, false, &exec());
+    let inc = increased_buffers(false);
     for name in ["swan", "snipe"] {
         let d = def.series.iter().find(|x| x.label.contains(name)).unwrap();
         let i = inc.series.iter().find(|x| x.label.contains(name)).unwrap();
@@ -133,7 +143,7 @@ fn filters_are_cheap_for_freebsd_costlier_for_linux() {
     // Fig 6.6: "using BPF filters is cheap"; Linux drops a few more
     // packets at the highest rates.
     let s = scale();
-    let plain = figures::fig6_3_increased_buffers(&s, true, &exec());
+    let plain = increased_buffers(true);
     let filt = figures::fig6_6_filter(&s, true, &exec());
     let m_plain = plain.final_capture("moorhen").unwrap();
     let m_filt = filt.final_capture("moorhen").unwrap();
@@ -248,7 +258,7 @@ fn compression_favours_the_higher_clocked_xeons() {
 fn header_writing_is_cheap() {
     // Fig 6.14(b): FreeBSD unchanged, Linux loses about 10%.
     let s = scale();
-    let plain = figures::fig6_3_increased_buffers(&s, true, &exec());
+    let plain = increased_buffers(true);
     let disk = figures::fig6_14_headers(&s, true, &exec());
     let m_delta = plain.final_capture("moorhen").unwrap() - disk.final_capture("moorhen").unwrap();
     assert!(

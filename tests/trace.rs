@@ -5,17 +5,11 @@
 //! must partition its generated packets exactly.
 //!
 //! Like `tests/determinism.rs`, each test uses a packet count no other
-//! test in this binary uses (the run and stream caches are
-//! process-global), and tests that flush the run cache serialize on
-//! [`CACHE_CLEAR_LOCK`].
+//! test in this binary uses (the stream cache is process-global).
 
 use pcapbench::core::{figures, ExecConfig, Scale};
-use pcapbench::testbed::RunCache;
 use pcapbench::trace::{export, StageFilter, TraceCollector, TraceSpec};
-use std::sync::{Arc, Mutex};
-
-/// Serializes the tests that flush the process-global run cache.
-static CACHE_CLEAR_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn traced_exec(jobs: usize) -> (ExecConfig, Arc<TraceCollector>) {
     let collector = Arc::new(TraceCollector::new(TraceSpec::default()));
@@ -38,14 +32,12 @@ fn sched_exec(jobs: usize, cap: usize) -> (ExecConfig, Arc<TraceCollector>) {
 
 #[test]
 fn trace_exports_are_byte_identical_at_any_jobs() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 23_500,
         repeats: 2,
         rates: vec![Some(250.0), None],
     };
     // Reference: serial.
-    RunCache::global().clear();
     let (ref_exec, ref_collector) = traced_exec(1);
     let ref_fig = figures::fig6_2_default_buffers(&scale, true, &ref_exec);
     let ref_cells = ref_collector.cells();
@@ -55,7 +47,6 @@ fn trace_exports_are_byte_identical_at_any_jobs() {
     export::validate_json(&ref_json).expect("trace JSON must be RFC 8259 valid");
 
     for jobs in [2, 4] {
-        RunCache::global().clear();
         let (exec, collector) = traced_exec(jobs);
         let fig = figures::fig6_2_default_buffers(&scale, true, &exec);
         assert_eq!(
@@ -82,7 +73,6 @@ fn trace_exports_are_byte_identical_at_any_jobs() {
 /// themselves.
 #[test]
 fn sched_trace_is_byte_identical_at_any_jobs() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     // Packet count unique to this binary.
     let scale = Scale {
         count: 22_500,
@@ -90,7 +80,6 @@ fn sched_trace_is_byte_identical_at_any_jobs() {
         rates: vec![Some(400.0), None],
     };
     let run = |jobs: usize| {
-        RunCache::global().clear();
         let (exec, collector) = sched_exec(jobs, 1 << 16);
         let fig = figures::fig6_2_default_buffers(&scale, true, &exec);
         (fig.to_csv(), export::chrome_trace_json(&collector.cells()))
@@ -121,13 +110,11 @@ fn sched_trace_export_matches_golden() {
     // cell, bounded sink — so the fixture stays reviewable. Regenerate
     // after an intentional format change with:
     // UPDATE_GOLDEN=1 cargo test --test trace
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 5_500,
         repeats: 1,
         rates: vec![None],
     };
-    RunCache::global().clear();
     let (exec, collector) = sched_exec(1, 64);
     figures::fig6_2_default_buffers(&scale, true, &exec);
     let json = export::chrome_trace_json(&collector.cells());
@@ -158,15 +145,12 @@ fn sched_trace_export_matches_golden() {
 
 #[test]
 fn tracing_does_not_change_rendered_results() {
-    let _guard = CACHE_CLEAR_LOCK.lock().unwrap();
     let scale = Scale {
         count: 24_500,
         repeats: 1,
         rates: vec![Some(300.0), None],
     };
-    RunCache::global().clear();
     let untraced = figures::fig6_6_filter(&scale, true, &ExecConfig::with_jobs(4));
-    RunCache::global().clear();
     let (exec, collector) = traced_exec(4);
     let traced = figures::fig6_6_filter(&scale, true, &exec);
     assert_eq!(untraced.to_csv(), traced.to_csv());
