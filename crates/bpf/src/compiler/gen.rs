@@ -119,6 +119,9 @@ struct Gen {
     ir: Vec<Ir>,
     next_label: Label,
     next_slot: u32,
+    /// Statements and conditionals emitted so far. Resolution keeps every
+    /// one of them, so the program is at least this long.
+    emitted: usize,
 }
 
 impl Gen {
@@ -127,7 +130,17 @@ impl Gen {
             ir: Vec::new(),
             next_label: 0,
             next_slot: 0,
+            emitted: 0,
         }
+    }
+
+    /// Fail with `TooLong` as soon as the program can no longer fit
+    /// [`insn::MAXINSNS`], instead of emitting the rest of it.
+    fn check_len(&self) -> Result<(), GenError> {
+        if self.emitted > insn::MAXINSNS {
+            return Err(GenError::Invalid(ValidateError::TooLong(self.emitted)));
+        }
+        Ok(())
     }
 
     fn fresh(&mut self) -> Label {
@@ -141,10 +154,12 @@ impl Gen {
     }
 
     fn stmt(&mut self, i: Insn) {
+        self.emitted += 1;
         self.ir.push(Ir::Stmt(i));
     }
 
     fn cond(&mut self, code: u16, k: u32, jt: Label, jf: Label) {
+        self.emitted += 1;
         self.ir.push(Ir::Cond { code, k, jt, jf });
     }
 
@@ -188,6 +203,7 @@ impl Gen {
     /// Returns the abstract states guaranteed at `t` and at `f`
     /// (considering only exits produced by this fragment).
     fn gen_cond(&mut self, e: &Expr, t: Label, f: Label, st: St) -> Result<(St, St), GenError> {
+        self.check_len()?;
         match e {
             Expr::Not(x) => {
                 let (xt, xf) = self.gen_cond(x, f, t, st)?;
@@ -575,6 +591,7 @@ impl Gen {
     /// failures (non-IP packet for `ip[...]`, wrong protocol for
     /// `tcp[...]`) jump to `f`.
     fn gen_arith(&mut self, a: &Arith, f: Label, st: St) -> Result<St, GenError> {
+        self.check_len()?;
         match a {
             Arith::Num(n) => {
                 let mut st = st;

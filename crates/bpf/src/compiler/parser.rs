@@ -1,4 +1,6 @@
-//! Recursive-descent parser for the pcap filter expression language.
+//! Parser for the pcap filter expression language: recursive descent,
+//! except that `expr`, `term` and `factor` share one loop over an
+//! explicit stack, so parentheses and `not`s do not recurse.
 //!
 //! The grammar covers the subset exercised by the thesis (its Fig. 6.5
 //! filter uses `ether[n:m]` relations, protocol keywords, and
@@ -17,9 +19,37 @@
 //!            | "ip" "proto" NUMBER
 //!            | [proto] [dir] [type] value
 //! ```
+//!
+//! Nesting is bounded by [`MAX_FILTER_DEPTH`], checked while parsing, so
+//! no input can build a syntax tree deep enough to overflow the stack of
+//! the parser, the code generator or the tree's own drop.
 
 use super::ast::*;
 use super::lexer::{lex, LexError, Token};
+
+/// The deepest expression a filter may hold. Every parenthesis pair,
+/// `not`, accessor bracket and binary operator (`and`, `or` and the
+/// arithmetic ones) nests its operands one level deeper, so a chain of
+/// `n` operators is `n` deep: `and`/`or` trees lean left and the code
+/// generator walks them recursively. A 2,000-term `or` chain still
+/// parses (and fails codegen with `TooLong`), and an expression at the
+/// bound compiles on a 2 MiB thread.
+pub const MAX_FILTER_DEPTH: usize = 2048;
+
+/// A parsed node and its depth.
+type Parsed<T> = Result<(T, usize), ParseError>;
+
+/// What [`Parser::expr`] still has open around the operand it parses.
+enum Open {
+    /// A `(` awaiting its `)`.
+    Paren,
+    /// A `not` awaiting its operand.
+    Not,
+    /// An `and`'s left operand and its depth.
+    And(Expr, usize),
+    /// An `or`'s left operand and its depth.
+    Or(Expr, usize),
+}
 
 /// A parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +84,12 @@ pub fn parse(input: &str) -> Result<Option<Expr>, ParseError> {
     if tokens.is_empty() {
         return Ok(None);
     }
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
+    let (e, _) = p.expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
     }
@@ -65,6 +99,9 @@ pub fn parse(input: &str) -> Result<Option<Expr>, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses, `not`s and brackets open around the current token,
+    /// bounded as each one opens.
+    open: usize,
 }
 
 impl Parser {
@@ -110,35 +147,92 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.term()?;
-        while self.eat(&Token::OrOr) {
-            let r = self.term()?;
-            e = Expr::Or(Box::new(e), Box::new(r));
+    /// The depth of a node one level above operands `depth` deep.
+    fn nest(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth >= MAX_FILTER_DEPTH {
+            return Err(self.err(&format!("expression nested deeper than {MAX_FILTER_DEPTH}")));
         }
-        Ok(e)
+        Ok(depth + 1)
     }
 
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.factor()?;
-        while self.eat(&Token::AndAnd) {
-            let r = self.factor()?;
-            e = Expr::And(Box::new(e), Box::new(r));
-        }
-        Ok(e)
+    /// Open a parenthesis, `not` or bracket, before parsing inside it.
+    fn open(&mut self) -> Result<(), ParseError> {
+        self.open = self.nest(self.open)?;
+        Ok(())
     }
 
-    fn factor(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Bang) {
-            return Ok(Expr::Not(Box::new(self.factor()?)));
-        }
-        if self.eat(&Token::LParen) {
-            let e = self.expr()?;
-            if !self.eat(&Token::RParen) {
-                return Err(self.err("expected ')'"));
+    /// `expr`, `term` and `factor` in one loop over an explicit stack of
+    /// what is still open, so parentheses and `not`s cost heap instead of
+    /// recursion. `not` binds tightest, then `and`, then `or`, and both
+    /// operators associate to the left, as in the grammar.
+    fn expr(&mut self) -> Parsed<Expr> {
+        let mut pending: Vec<Open> = Vec::new();
+        loop {
+            loop {
+                let prefix = if self.eat(&Token::Bang) {
+                    Open::Not
+                } else if self.eat(&Token::LParen) {
+                    Open::Paren
+                } else {
+                    break;
+                };
+                self.open()?;
+                pending.push(prefix);
             }
-            return Ok(e);
+            let (mut e, mut depth) = self.atom()?;
+            loop {
+                while let Some(Open::Not) = pending.last() {
+                    pending.pop();
+                    self.open -= 1;
+                    depth = self.nest(depth)?;
+                    e = Expr::Not(Box::new(e));
+                }
+                let and = self.eat(&Token::AndAnd);
+                let or = !and && self.eat(&Token::OrOr);
+                // Fold the pending operators that bind at least as tight
+                // as the next one (all of them at the end of a group).
+                loop {
+                    match pending.pop() {
+                        Some(Open::And(l, l_depth)) => {
+                            depth = self.nest(l_depth.max(depth))?;
+                            e = Expr::And(Box::new(l), Box::new(e));
+                        }
+                        Some(Open::Or(l, l_depth)) if !and => {
+                            depth = self.nest(l_depth.max(depth))?;
+                            e = Expr::Or(Box::new(l), Box::new(e));
+                        }
+                        other => {
+                            pending.extend(other);
+                            break;
+                        }
+                    }
+                }
+                if and || or {
+                    pending.push(if and {
+                        Open::And(e, depth)
+                    } else {
+                        Open::Or(e, depth)
+                    });
+                    break;
+                }
+                // The end of a parenthesised group (only a `(` can still
+                // be open here), or of the expression.
+                match pending.pop() {
+                    None => return Ok((e, depth)),
+                    Some(_) => {
+                        self.open -= 1;
+                        if !self.eat(&Token::RParen) {
+                            return Err(self.err("expected ')'"));
+                        }
+                        depth = self.nest(depth)?;
+                    }
+                }
+            }
         }
+    }
+
+    /// A relation or a primitive: the operands of `and`, `or` and `not`.
+    fn atom(&mut self) -> Parsed<Expr> {
         // Relation starters: a number, `len`, or `proto[`.
         let starts_relation = match self.peek() {
             Some(Token::Number(_)) => true,
@@ -151,11 +245,11 @@ impl Parser {
         if starts_relation {
             return self.relation();
         }
-        self.primitive()
+        Ok((self.primitive()?, 0))
     }
 
-    fn relation(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.arith()?;
+    fn relation(&mut self) -> Parsed<Expr> {
+        let (lhs, l_depth) = self.arith()?;
         let op = match self.next() {
             Some(Token::Eq) => RelOp::Eq,
             Some(Token::Ne) => RelOp::Ne,
@@ -165,12 +259,12 @@ impl Parser {
             Some(Token::Le) => RelOp::Le,
             _ => return Err(self.err("expected relational operator")),
         };
-        let rhs = self.arith()?;
-        Ok(Expr::Rel(op, lhs, rhs))
+        let (rhs, r_depth) = self.arith()?;
+        Ok((Expr::Rel(op, lhs, rhs), l_depth.max(r_depth)))
     }
 
-    fn arith(&mut self) -> Result<Arith, ParseError> {
-        let mut e = self.aterm()?;
+    fn arith(&mut self) -> Parsed<Arith> {
+        let (mut e, mut depth) = self.aterm()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Plus) => ArithOp::Add,
@@ -179,14 +273,15 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let r = self.aterm()?;
+            let (r, r_depth) = self.aterm()?;
+            depth = self.nest(depth.max(r_depth))?;
             e = Arith::Bin(op, Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn aterm(&mut self) -> Result<Arith, ParseError> {
-        let mut e = self.afact()?;
+    fn aterm(&mut self) -> Parsed<Arith> {
+        let (mut e, mut depth) = self.afact()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Star) => ArithOp::Mul,
@@ -195,21 +290,24 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let r = self.afact()?;
+            let (r, r_depth) = self.afact()?;
+            depth = self.nest(depth.max(r_depth))?;
             e = Arith::Bin(op, Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn afact(&mut self) -> Result<Arith, ParseError> {
+    fn afact(&mut self) -> Parsed<Arith> {
         match self.next() {
-            Some(Token::Number(n)) => Ok(Arith::Num(n)),
-            Some(Token::Ident(w)) if w == "len" => Ok(Arith::PktLen),
+            Some(Token::Number(n)) => Ok((Arith::Num(n), 0)),
+            Some(Token::Ident(w)) if w == "len" => Ok((Arith::PktLen, 0)),
             Some(Token::Ident(w)) if is_load_base(&w) => {
                 if !self.eat(&Token::LBracket) {
                     return Err(self.err("expected '[' after protocol accessor"));
                 }
-                let offset = self.arith()?;
+                self.open()?;
+                let (offset, depth) = self.arith()?;
+                self.open -= 1;
                 let size = if self.eat(&Token::Colon) {
                     let n = self.expect_number("load size")?;
                     if !matches!(n, 1 | 2 | 4) {
@@ -230,11 +328,12 @@ impl Parser {
                     "icmp" => LoadBase::Icmp,
                     _ => unreachable!("is_load_base checked"),
                 };
-                Ok(Arith::Load {
+                let load = Arith::Load {
                     base,
                     offset: Box::new(offset),
                     size,
-                })
+                };
+                Ok((load, self.nest(depth)?))
             }
             _ => Err(ParseError {
                 at: self.pos.saturating_sub(1),

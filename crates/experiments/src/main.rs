@@ -18,11 +18,13 @@
 //! `--jobs N` bounds the worker pool (default: all host cores). Whole
 //! experiments run concurrently, and each experiment's sweep cells are
 //! further spread over the remaining workers. Inside each cell the
-//! generator streams 4096-packet chunks through bounded per-sniffer
-//! queues four chunks deep. Identical packet streams — the same
+//! generator streams 4096-packet chunks that every sniffer's simulation
+//! reads in place, one thread per sniffer; a cell holds its whole stream
+//! while it runs. Identical packet streams — the same
 //! (workload, rate, repeat) measured over different SUT sets — are
-//! generated once and shared through a content-addressed cache with a
-//! 1 GiB budget. The simulation is deterministic, so any job count
+//! generated once and shared through a content-addressed cache, which
+//! keeps completed streams resident up to a 1 GiB budget. The
+//! simulation is deterministic, so any job count
 //! produces byte-identical tables and CSV files; the summary reports
 //! per-experiment wall-clock plus how many sweep cells were simulated,
 //! how many packet streams were generated vs shared, and the peak

@@ -13,9 +13,11 @@
 //!   jitter, kernel-buffer shrink, app pauses, scheduler preemption)
 //!   are injected through the hook traits [`pcs_hw::NicBusFault`] /
 //!   [`pcs_hw::SchedFault`] / [`pcs_oskernel::MachineFaults`] and
-//!   deterministically change results; host-side faults (splitter
-//!   hiccups, stream-cache squeeze) perturb the one cell pipeline's
-//!   timing and residency and must **not** change results.
+//!   deterministically change results; host-side faults (hiccups that
+//!   stall the cell's stream reader, so that a generating cell's
+//!   sniffers catch up and wait, and stream-cache squeeze) perturb the
+//!   one cell pipeline's timing and residency and must **not** change
+//!   results.
 //! * [`Oracle`] — the sim-wide invariants every run must satisfy:
 //!   packet conservation per stage, attribution balance, bound respect,
 //!   rate sanity. The testbed checks every cell, in every build.

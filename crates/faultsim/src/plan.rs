@@ -17,8 +17,8 @@ const SQUEEZE_BUDGET: u64 = 1 << 20;
 /// The first six are **machine-side**: they perturb the simulated
 /// hardware/kernel on the sim clock and deterministically change
 /// results. The last two are **host-side**: they stress the execution
-/// machinery (splitter queues, the stream cache) and must leave results
-/// byte-identical.
+/// machinery (the cell's stream reader, the stream cache) and must
+/// leave results byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// NIC RX descriptor ring shrinks to a sliver (driver stops
@@ -39,7 +39,8 @@ pub enum FaultKind {
     /// A foreign task preempts the capture workers at dispatch — the
     /// host scheduler charges extra occupancy before each work item.
     Preempt,
-    /// Host-side: the splitter producer stalls briefly on some chunks.
+    /// Host-side: the cell's stream reader stalls briefly before some
+    /// chunks; in a generating cell, sniffers that catch up wait.
     SplitterHiccup,
     /// Host-side: the stream cache runs under a starvation budget.
     CacheSqueeze,
@@ -169,9 +170,10 @@ impl FaultPlan {
         Box::new(ArmedMachineFaults::new(self))
     }
 
-    /// Host-side hook: if the splitter producer should stall before
-    /// broadcasting chunk `chunk_index`, for how many microseconds.
-    /// Purely a scheduling perturbation — results must not change.
+    /// Host-side hook: if the cell's stream reader should stall before
+    /// passing chunk `chunk_index` through the switch, for how many
+    /// microseconds. Purely a scheduling perturbation — results must not
+    /// change.
     pub fn splitter_hiccup_us(&self, chunk_index: u64) -> Option<u64> {
         if !self.has(FaultKind::SplitterHiccup) {
             return None;

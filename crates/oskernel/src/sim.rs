@@ -331,12 +331,12 @@ impl MachineSim {
     /// Packets are pulled out of the source chunk by chunk and injected
     /// as shared [`PacketRef`]s: each arrival holds its chunk alive by
     /// refcount, and the sim reads the packet in place inside its
-    /// broadcast chunk without ever copying it. A source backed by a
-    /// bounded queue blocks the pull, which is exactly how pipeline
-    /// backpressure propagates from a slow sniffer to the generator.
-    /// Because the event loop only requests the next arrival after the
-    /// current one has been injected, the event sequence — and therefore
-    /// the whole [`RunReport`] — is the same at any chunk size.
+    /// broadcast chunk without ever copying it. A source that has caught
+    /// up with a still-generating producer blocks the pull until the next
+    /// chunk is published. Because the event loop only requests the next
+    /// arrival after the current one has been injected, the event
+    /// sequence — and therefore the whole [`RunReport`] — is the same at
+    /// any chunk size.
     pub fn run_source<S>(mut self, source: S) -> RunReport
     where
         S: PacketSource,

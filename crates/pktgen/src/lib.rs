@@ -15,12 +15,13 @@
 //!   limits of the testbed's NICs;
 //! * [`createdist`] — the `createDist` conversion pipeline between
 //!   sizes/dist/trace/procfs representations;
-//! * [`source`] — the chunked [`PacketSource`] streaming interface the
-//!   testbed's splitter broadcasts to its sniffers, and the shared
+//! * [`source`] — the chunked [`PacketSource`] streaming interface
+//!   through which every sniffer reads its cell's stream, and the shared
 //!   [`PacketRef`] packet references of the clone-free injection path;
 //! * [`streamcache`] — the process-global, content-addressed
 //!   [`StreamCache`] that generates each distinct stream at most once
-//!   and shares its chunks across measurement cells.
+//!   and publishes its chunks to every sniffer of every measurement cell
+//!   that needs it, one [`StreamSubscriber`] per sniffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,14 +2,12 @@
 //! and its consumers.
 //!
 //! The testbed feeds one generated stream through a passive optical
-//! splitter to all sniffers *simultaneously* (thesis §3.1) — nothing in
-//! that path ever holds the whole run in memory. [`PacketSource`] is the
-//! software equivalent: a pull-based stream of fixed-size chunks
-//! (`Arc<[TimedPacket]>`), cheap to clone per consumer, small enough
-//! (~4k packets) that a generator thread and several machine simulations
-//! overlap instead of serializing behind a fully materialized
-//! `Vec<TimedPacket>`. MoonGen-style software pipelines win exactly this
-//! way: small batched buffers between producer and consumers.
+//! splitter to all sniffers *simultaneously* (thesis §3.1).
+//! [`PacketSource`] is the software equivalent: a pull-based stream of
+//! fixed-size chunks (`Arc<[TimedPacket]>`), shared by pointer with every
+//! consumer, small enough (~4k packets) that the generator and the
+//! machine simulations reading its published stream overlap instead of
+//! serializing behind a fully generated run.
 
 use crate::generator::{Generator, TimedPacket};
 use pcs_des::SimTime;
@@ -20,9 +18,10 @@ use std::sync::Arc;
 /// broadcasting a chunk to N consumers copies a pointer, not packets.
 pub type Chunk = Arc<[TimedPacket]>;
 
-/// Default packets per chunk. Large enough to amortize queue handoffs,
-/// small enough that a chunk of worst-case frames stays comfortably in
-/// cache and pipeline memory stays bounded.
+/// Default packets per chunk. Large enough to amortize the per-chunk
+/// handoff (a lock and an `Arc` clone per reader), small enough that a
+/// chunk of worst-case frames stays comfortably in cache and sniffers
+/// start soon after generation does.
 pub const DEFAULT_CHUNK_PACKETS: usize = 4096;
 
 /// A pull-based source of packet chunks.

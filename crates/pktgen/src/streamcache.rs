@@ -1,29 +1,31 @@
 //! The process-global, content-addressed stream chunk cache.
 //!
 //! The testbed generates *one* stream per (workload, rate, repeat) and
-//! feeds it to every sniffer through the optical splitter — yet a sweep
-//! that evaluates several SUT sets at the same measurement point used to
-//! regenerate that identical stream once per cell. This cache shares the
-//! generation: streams are addressed by a 128-bit [`Fingerprintable`]
-//! digest of everything that determines their content (generator config,
-//! pacing rate, per-repeat seed), the first cell to need a stream
-//! generates and publishes its [`Chunk`]s, and every concurrent or later
-//! cell at the same key subscribes to the published chunks instead of
-//! running the generator again.
+//! feeds it to every sniffer at once, as the thesis' optical splitter
+//! does. A published stream is that broadcast: in order, without loss,
+//! chunk by chunk, with every subscriber reading in place. Across cells
+//! it also shares the generation: streams are addressed by a 128-bit
+//! [`Fingerprintable`] digest of everything that determines their
+//! content (generator config, pacing rate, per-repeat seed), the first
+//! cell to need a stream generates and publishes its [`Chunk`]s, and
+//! every concurrent or later cell at the same key subscribes to the
+//! published chunks instead of running the generator again.
 //!
 //! Publication is incremental: a [`StreamPublisher`] appends chunks as
 //! the producing cell pulls them, and a [`StreamSubscriber`] blocks only
-//! when it catches up with the producer — concurrent cells overlap, they
-//! do not serialize behind a fully generated stream. Subscribed chunks
-//! are the *same allocations* the producer made (`Arc` clones), so a
-//! shared stream is resident exactly once no matter how many cells read
-//! it.
+//! when it catches up with the producer — sniffers and concurrent cells
+//! overlap with generation, they do not serialize behind a fully
+//! generated stream. The producing cell's own sniffers read through
+//! [`StreamPublisher::subscribe`], and each sniffer holds its own clone
+//! of a subscriber. Subscribed chunks are the *same allocations* the
+//! producer made (`Arc` clones), so a shared stream is resident exactly
+//! once no matter how many sniffers and cells read it.
 //!
 //! Residency is bounded: completed streams are evicted least-recently-
 //! used once the cache exceeds its byte budget. Eviction only unlinks a
-//! stream from the cache — cells still holding its chunks keep them
-//! alive until they finish — so it can never corrupt an in-flight cell,
-//! it only forfeits future sharing.
+//! stream from the cache — a cell's subscribers keep its whole stream
+//! alive until the cell finishes — so it can never corrupt an in-flight
+//! cell, it only forfeits future sharing.
 //!
 //! [`Fingerprintable`]: pcs_des::Fingerprintable
 
@@ -294,6 +296,16 @@ impl StreamPublisher<'_> {
             .note_published(self.key, chunk_bytes(chunk), self.budget_bytes);
     }
 
+    /// A subscriber to this stream that starts at chunk 0, whatever has
+    /// been published so far: how the producing cell feeds its own
+    /// sniffers from the stream it generates.
+    pub fn subscribe(&self) -> StreamSubscriber {
+        StreamSubscriber {
+            stream: Arc::clone(&self.stream),
+            next: 0,
+        }
+    }
+
     /// Mark the stream complete: subscribers observe end of stream once
     /// they drain the published chunks.
     pub fn finish(mut self) {
@@ -363,7 +375,9 @@ impl<S: PacketSource> PacketSource for PublishingSource<'_, S> {
 
 /// The consuming side of one cached stream: a [`PacketSource`] over the
 /// published chunks, blocking only while it is caught up with a still-
-/// publishing producer.
+/// publishing producer. A clone reads on independently from the same
+/// position.
+#[derive(Clone)]
 pub struct StreamSubscriber {
     stream: Arc<SharedStream>,
     next: usize,
@@ -443,6 +457,38 @@ mod tests {
         let bytes: u64 = produced.iter().map(chunk_bytes).sum();
         assert_eq!(cache.resident_bytes(), bytes);
         assert_eq!(cache.peak_resident_bytes(), bytes);
+    }
+
+    #[test]
+    fn own_and_cloned_subscribers_read_the_producers_chunks() {
+        let cache = StreamCache::new();
+        let mut publisher = match cache.acquire((7, 1), u64::MAX) {
+            StreamRole::Produce(p) => p,
+            StreamRole::Subscribe(_) => unreachable!(),
+        };
+        let fresh = match cache.acquire((7, 1), u64::MAX) {
+            StreamRole::Produce(_) => unreachable!(),
+            StreamRole::Subscribe(s) => s,
+        };
+        let clone = fresh.clone();
+        let mut source = gen(1_000, 11);
+        let first = source.next_chunk().expect("a first chunk");
+        publisher.publish(&first);
+        // Subscribed after a chunk went out, the producer's own reader
+        // still starts at chunk 0.
+        let own = publisher.subscribe();
+        let mut produced = vec![first];
+        produced.extend(drain(PublishingSource::new(source, publisher)));
+        for reader in [own, fresh, clone] {
+            let read = drain(reader);
+            assert_eq!(read.len(), produced.len());
+            for (a, b) in read.iter().zip(&produced) {
+                assert!(
+                    Arc::ptr_eq(a, b),
+                    "every reader shares the producer's chunks"
+                );
+            }
+        }
     }
 
     #[test]

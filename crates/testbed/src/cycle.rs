@@ -9,15 +9,15 @@
 //! results aggregate by median).
 //!
 //! All sniffers observe the *same* packet stream, as behind the thesis'
-//! passive optical splitter. A cell has one path through the testbed:
-//! it acquires its (workload, rate, repeat) stream from the
-//! process-global, content-addressed
-//! [`StreamCache`](pcs_pktgen::StreamCache), forwards each chunk through
-//! the monitoring switch, and broadcasts it over the splitter's bounded
-//! queues while one machine simulation per SUT consumes concurrently.
-//! The first cell to need a stream generates and publishes it; cells
-//! that differ only in their SUT set subscribe to the published chunks.
-//! The pipeline shape is fixed at [`PipelineConfig::default`].
+//! passive optical splitter. A cell has one path through the testbed,
+//! one broadcast: it acquires its (workload, rate, repeat) stream from
+//! the process-global, content-addressed [`StreamCache`], one thread per
+//! SUT runs its machine simulation on its own subscriber of that stream,
+//! and the cell's thread drains the stream through the monitoring
+//! switch. The first cell to need a stream generates and publishes it,
+//! its sniffers reading along as it goes; cells that differ only in
+//! their SUT set subscribe to the published chunks. The pipeline shape
+//! is fixed at [`PipelineConfig::default`].
 
 use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut};
 use crate::sched::{parallel_ordered, ExecConfig, PipelineConfig};
@@ -30,7 +30,7 @@ use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
     ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
-    StreamCache, StreamRole, TimedPacket, TxModel,
+    StreamCache, StreamRole, StreamSubscriber, TimedPacket, TxModel,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
 use std::sync::Arc;
@@ -271,23 +271,24 @@ fn run_cell(
     result
 }
 
-/// The cell's chunk source, acquired from the content-addressed
-/// [`StreamCache`].
+/// The cell's stream, acquired from the content-addressed
+/// [`StreamCache`]: the source the cell thread drains through the
+/// monitoring switch, and a subscriber that reads the same chunks from
+/// chunk 0, to clone for each sniffer.
 ///
 /// The first cell to need a (workload, rate, repeat) stream generates
 /// and publishes it; every concurrent or later cell — typically the same
 /// measurement point over a *different* SUT set — subscribes to the
-/// published chunks instead of running the generator again. Subscribed
-/// chunks flow through the very same switch accounting and splitter
-/// broadcast as generated ones, so results are byte-identical either
-/// way.
-fn cell_source(
+/// published chunks instead of running the generator again. Either way
+/// every sniffer reads the very chunks the generator made, so results
+/// are byte-identical.
+fn cell_stream(
     cfg: &CycleConfig,
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
     pipeline: PipelineConfig,
-) -> Box<dyn PacketSource> {
+) -> (Box<dyn PacketSource>, StreamSubscriber) {
     let stats = &exec.stats;
     // An armed cache-squeeze fault starves the stream cache's byte
     // budget — an execution perturbation (eviction churn, re-generation)
@@ -302,24 +303,27 @@ fn cell_source(
     match StreamCache::global().acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
+            let sniffers = publisher.subscribe();
             let generate =
                 ChunkedGenerator::new(build_generator(cfg, rate, repeat), pipeline.chunk_packets);
-            Box::new(PublishingSource::new(generate, publisher))
+            (
+                Box::new(PublishingSource::new(generate, publisher)),
+                sniffers,
+            )
         }
         StreamRole::Subscribe(subscriber) => {
             stats.note_stream_subscribe(t0.elapsed().as_nanos() as u64);
             stats.record_stream_shared();
-            Box::new(subscriber)
+            (Box::new(subscriber.clone()), subscriber)
         }
     }
 }
 
-/// The cell's pipeline: the calling thread pulls chunks from the cell's
-/// source, accounts them through the monitoring switch, and broadcasts
-/// each over the splitter's bounded queues while one scoped thread per
-/// SUT consumes. The bounded queues cap pipeline memory at roughly
-/// `chunk_packets × (depth_chunks + 1)` packets per SUT and let the
-/// slowest sniffer pace the generator.
+/// The cell's one broadcast: one scoped thread per SUT runs its machine
+/// simulation on its own subscriber of the cell's stream, while the
+/// calling thread drains the stream through the monitoring switch. No
+/// thread ever waits on a sniffer; a sniffer that catches up with a
+/// generating cell waits for the next published chunk.
 fn run_cell_streaming(
     suts: &[Sut],
     cfg: &CycleConfig,
@@ -328,18 +332,18 @@ fn run_cell_streaming(
     exec: &ExecConfig,
     trace: Option<TraceSpec>,
 ) -> (f64, Vec<RunReport>) {
-    let pipeline = PipelineConfig::default();
-    let mut source = cell_source(cfg, rate, repeat, exec, pipeline);
-    // With no SUTs there is nothing to split to; the stream still passes
-    // the switch, which is all the achieved rate needs.
-    let (sender, outputs) = match suts.len() {
-        0 => (None, Vec::new()),
-        ways => {
-            let (sender, outputs) =
-                OpticalSplitter::new(ways as u32).channel(pipeline.depth_chunks);
-            (Some(sender), outputs)
-        }
-    };
+    // With no SUTs there is no splitter; the stream still passes the
+    // switch, which is all the achieved rate needs.
+    if !suts.is_empty() {
+        let splitter = OpticalSplitter::new(suts.len() as u32);
+        assert!(
+            splitter.signal_ok(),
+            "optical budget exceeded: {} dB loss at {} ways",
+            splitter.loss_db(),
+            splitter.ways()
+        );
+    }
+    let (mut source, sniffers) = cell_stream(cfg, rate, repeat, exec, PipelineConfig::default());
 
     let mut switch = MonitorSwitch::thesis_setup();
     let before = switch.snmp_read(8);
@@ -348,8 +352,8 @@ fn run_cell_streaming(
     let reports: Vec<RunReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = suts
             .iter()
-            .zip(outputs)
-            .map(|(sut, output)| {
+            .map(|sut| {
+                let input = sniffers.clone();
                 let spec = sut.spec;
                 let sim = sut.sim.clone();
                 let sink = trace.map(TraceSink::bounded).unwrap_or_default();
@@ -362,15 +366,15 @@ fn run_cell_streaming(
                         .with_faults(armed)
                         .with_pool_probe(pools)
                         .with_stage_times(stage_times)
-                        .run_source(output)
+                        .run_source(input)
                 })
             })
             .collect();
         let mut chunk_index = 0u64;
         while let Some(chunk) = source.next_chunk() {
-            // Splitter hiccup: a host-side producer stall. The splitter's
-            // bounded queues absorb or backpressure it; results must stay
-            // byte-identical.
+            // Splitter hiccup: a host-side stall of the cell's stream
+            // reader. In a generating cell, sniffers that catch up wait
+            // for the next chunk; results must stay byte-identical.
             if let Some(us) = faults.and_then(|plan| plan.splitter_hiccup_us(chunk_index)) {
                 std::thread::sleep(std::time::Duration::from_micros(us));
             }
@@ -379,11 +383,7 @@ fn run_cell_streaming(
                 switch.forward(&tp.packet);
                 account.note(tp);
             }
-            if let Some(sender) = &sender {
-                sender.broadcast(&chunk);
-            }
         }
-        drop(sender); // end of stream: consumers drain and finish
         handles
             .into_iter()
             .map(|h| h.join().expect("sniffer thread panicked"))
@@ -681,6 +681,41 @@ mod tests {
             assert_eq!(cell.achieved_mbps, 0.0);
             assert_eq!(cell.suts.len(), suts.len());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "optical budget exceeded")]
+    fn nine_sut_cell_exceeds_the_optical_budget() {
+        let suts: Vec<Sut> = (0..9)
+            .map(|_| Sut {
+                spec: MachineSpec::moorhen(),
+                sim: SimConfig::default(),
+            })
+            .collect();
+        let cfg = CycleConfig::fixed(0, 512, 1);
+        run_cell(&suts, &cfg, Some(100.0), 0, &ExecConfig::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "sniffer thread panicked")]
+    fn a_panicking_sniffer_fails_the_cell_instead_of_hanging() {
+        // Unique packet count: the stream cache is process-global.
+        let mut cfg = CycleConfig::mwn(8_629, 13);
+        cfg.repeats = 1;
+        let suts = vec![
+            Sut {
+                spec: MachineSpec::swan(),
+                sim: SimConfig::default(),
+            },
+            Sut {
+                spec: MachineSpec::moorhen(),
+                sim: SimConfig {
+                    apps: Vec::new(), // MachineSim refuses a SUT with no application
+                    ..SimConfig::default()
+                },
+            },
+        ];
+        run_cell(&suts, &cfg, Some(200.0), 0, &ExecConfig::serial());
     }
 
     #[test]

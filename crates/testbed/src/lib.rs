@@ -13,11 +13,13 @@
 //! cell; the [`cache`] module names cells and their streams by
 //! fingerprint.
 //!
-//! Inside a cell, packets *stream*: the generator produces bounded
-//! chunks that the [`splitter`] broadcasts to every sniffer's queue
-//! while the machine simulations consume concurrently, in the one
-//! pipeline shape [`PipelineConfig::default`]. Results are
-//! byte-identical at any job count.
+//! Inside a cell, packets *stream*, in one broadcast: the generator
+//! publishes bounded chunks, and every sniffer's machine simulation
+//! reads them in place, on its own thread, from its own subscriber of
+//! the cell's stream — the software form of the passive [`splitter`],
+//! whose optical budget the cell checks. The pipeline has the one shape
+//! [`PipelineConfig::default`]. Results are byte-identical at any job
+//! count.
 //!
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global

@@ -113,7 +113,7 @@ impl ExecStats {
     }
 }
 
-/// The shape of every cell's generator → splitter → sniffer pipeline.
+/// The shape of every cell's generator → sniffer pipeline.
 ///
 /// There is one shape, [`PipelineConfig::default`]; it is a struct so
 /// the numbers have names. None of the fields participate in the cell
@@ -122,16 +122,18 @@ impl ExecStats {
 pub struct PipelineConfig {
     /// Packets per generated chunk.
     pub chunk_packets: usize,
-    /// Bounded depth, in chunks, of each sniffer's splitter queue. Peak
-    /// pipeline memory is roughly `chunk_packets × (depth_chunks + 1) ×
-    /// ways` packets.
+    /// Bounded depth, in chunks, of each [`OpticalSplitter::channel`]
+    /// queue. Only the repository benchmark uses it; no library path
+    /// does.
+    ///
+    /// [`OpticalSplitter::channel`]: crate::OpticalSplitter::channel
     pub depth_chunks: usize,
     /// Byte budget of the process-global content-addressed stream cache.
     pub stream_cache_bytes: u64,
 }
 
 impl Default for PipelineConfig {
-    /// ~4k-packet chunks, four in flight per sniffer, stream sharing
+    /// ~4k-packet chunks, four-chunk benchmark queues, stream sharing
     /// under the default byte budget.
     fn default() -> PipelineConfig {
         PipelineConfig {

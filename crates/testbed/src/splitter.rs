@@ -7,19 +7,21 @@
 //! signal level per output: each two-way split costs ~3.5 dB, and the
 //! receivers need the level to stay above their sensitivity budget.
 //!
-//! In the simulation the splitter is the *broadcast stage* of the
-//! streaming pipeline: [`OpticalSplitter::channel`] produces one
-//! [`SplitterSender`] and one bounded [`SplitterOutput`] queue per way.
-//! The generator thread broadcasts each [`Chunk`] (an `Arc`, so a pointer
-//! copy per way — passive duplication) and each machine simulation
-//! consumes its own queue concurrently. Queues are bounded, so a slow
-//! sniffer exerts backpressure on the generator instead of letting memory
-//! grow with the run length; every output still sees every chunk in
-//! order, so every sniffer simulates exactly the generated stream.
+//! In the simulation the splitter is the cell's stream itself: every
+//! sniffer thread reads its own
+//! [`StreamSubscriber`](pcs_pktgen::StreamSubscriber) of the one
+//! published stream, chunk by chunk, in place — a pointer copy per way,
+//! passive duplication. The testbed's cell pipeline takes only the
+//! optics from this module: [`OpticalSplitter::signal_ok`] asserts that
+//! the SUT count fits the optical budget.
+//!
+//! [`OpticalSplitter::channel`] remains for the repository benchmark's
+//! span-traced cells: one bounded, in-order queue per way, closed when
+//! the sender is dropped.
 
 use pcs_pktgen::{Chunk, PacketSource};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 
 /// A passive optical splitter with `ways` outputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,15 +63,15 @@ impl OpticalSplitter {
         self.loss_db() <= self.input_budget_db
     }
 
-    /// Open the streaming broadcast: one bounded queue of at most `depth`
-    /// chunks per output (clamped to ≥ 1).
+    /// Open a broadcast of one bounded queue of at most `depth` chunks
+    /// per output (clamped to ≥ 1). Only the repository benchmark's
+    /// span-traced cells use it; no library path does.
     ///
-    /// The [`SplitterSender`] blocks while *any* output's queue is full —
-    /// the slowest consumer paces the generator — and closing it (drop)
-    /// lets every output drain its remaining chunks and then observe end
-    /// of stream. Passive and lossless: every output sees every chunk,
-    /// in order (the methodology's requirement that each sniffer gets
-    /// the same input). Panics when the optical budget is exceeded.
+    /// The [`SplitterSender`] blocks while *any* output's queue is full,
+    /// and dropping it lets every output drain its remaining chunks and
+    /// then observe end of stream. Every live output sees every chunk, in
+    /// order; a dropped output is skipped. Panics when the optical budget
+    /// is exceeded.
     pub fn channel(&self, depth: usize) -> (SplitterSender, Vec<SplitterOutput>) {
         assert!(
             self.signal_ok(),
@@ -77,84 +79,20 @@ impl OpticalSplitter {
             self.loss_db(),
             self.input_budget_db
         );
-        let queues: Vec<Arc<ChunkQueue>> = (0..self.ways)
-            .map(|_| Arc::new(ChunkQueue::new(depth.max(1))))
-            .collect();
-        let outputs = queues
-            .iter()
-            .map(|queue| SplitterOutput {
-                queue: Arc::clone(queue),
+        let (queues, outputs) = (0..self.ways)
+            .map(|_| {
+                let (queue, output) = sync_channel(depth.max(1));
+                (queue, SplitterOutput { output })
             })
-            .collect();
+            .unzip();
         (SplitterSender { queues }, outputs)
-    }
-}
-
-/// One output's bounded chunk queue.
-struct ChunkQueue {
-    state: Mutex<ChunkQueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    depth: usize,
-}
-
-struct ChunkQueueState {
-    chunks: VecDeque<Chunk>,
-    closed: bool,
-}
-
-impl ChunkQueue {
-    fn new(depth: usize) -> ChunkQueue {
-        ChunkQueue {
-            state: Mutex::new(ChunkQueueState {
-                chunks: VecDeque::with_capacity(depth),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            depth,
-        }
-    }
-
-    /// Blocking bounded push; a no-op once the receiver hung up.
-    fn push(&self, chunk: Chunk) {
-        let mut state = self.state.lock().expect("splitter queue poisoned");
-        while state.chunks.len() >= self.depth && !state.closed {
-            state = self.not_full.wait(state).expect("splitter queue poisoned");
-        }
-        if !state.closed {
-            state.chunks.push_back(chunk);
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Blocking pop; `None` once the sender closed and the queue drained.
-    fn pop(&self) -> Option<Chunk> {
-        let mut state = self.state.lock().expect("splitter queue poisoned");
-        loop {
-            if let Some(chunk) = state.chunks.pop_front() {
-                self.not_full.notify_one();
-                return Some(chunk);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("splitter queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("splitter queue poisoned");
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
 /// The generator side of [`OpticalSplitter::channel`]. Dropping it ends
 /// the stream for every output.
 pub struct SplitterSender {
-    queues: Vec<Arc<ChunkQueue>>,
+    queues: Vec<SyncSender<Chunk>>,
 }
 
 impl SplitterSender {
@@ -162,15 +100,8 @@ impl SplitterSender {
     /// output's queue is full (pipeline backpressure).
     pub fn broadcast(&self, chunk: &Chunk) {
         for queue in &self.queues {
-            queue.push(Arc::clone(chunk));
-        }
-    }
-}
-
-impl Drop for SplitterSender {
-    fn drop(&mut self) {
-        for queue in &self.queues {
-            queue.close();
+            // A dropped output (a bailed-out sniffer) just stops receiving.
+            let _ = queue.send(Arc::clone(chunk));
         }
     }
 }
@@ -178,20 +109,12 @@ impl Drop for SplitterSender {
 /// One splitter output: a [`PacketSource`] fed by the sender's
 /// broadcasts, consumed by one machine simulation.
 pub struct SplitterOutput {
-    queue: Arc<ChunkQueue>,
+    output: Receiver<Chunk>,
 }
 
 impl PacketSource for SplitterOutput {
     fn next_chunk(&mut self) -> Option<Chunk> {
-        self.queue.pop()
-    }
-}
-
-impl Drop for SplitterOutput {
-    fn drop(&mut self) {
-        // Unblock the sender if this consumer bails early (e.g. a
-        // panicking sniffer thread): further pushes become no-ops.
-        self.queue.close();
+        self.output.recv().ok()
     }
 }
 

@@ -108,9 +108,10 @@ fn host_side_faults_do_not_change_results() {
         rates: vec![Some(220.0), None],
     };
     let base = figures::fig6_2_default_buffers(&scale, true, &ExecConfig::with_jobs(4));
-    // Splitter hiccups stall the producer thread and the cache squeeze
-    // shrinks the stream budget: both reshape execution only, so the
-    // rendered bytes must equal the unfaulted run's.
+    // Hiccups stall each cell's stream reader (a generating cell's
+    // sniffers catch up and wait) and the cache squeeze shrinks the
+    // stream budget: both reshape execution only, so the rendered bytes
+    // must equal the unfaulted run's.
     let hiccuped = figures::fig6_2_default_buffers(
         &scale,
         true,

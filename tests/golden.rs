@@ -10,6 +10,9 @@
 //! `experiments all --scale quick --csv-dir DIR` writes except the
 //! `fig4.1` scatter; CI diffs the whole directory against a release run,
 //! and a subset cheap enough for the test profile is asserted here.
+//! `tests/golden/quick.ledger.json` is the whole quick suite's ledger
+//! (`experiments all --scale quick --ledger PATH`); CI `cmp`s a release
+//! run against it.
 //! Regenerate after an intentional format change with:
 //!
 //! ```text
