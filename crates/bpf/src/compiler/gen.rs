@@ -5,12 +5,21 @@
 //! *false* exit label, then labels are resolved to the forward-only relative
 //! offsets of the instruction format.
 //!
-//! Like libpcap's optimizer, the generator tracks an **abstract machine
-//! state** (what the accumulator holds, which header guards have already
-//! passed on the current path) and skips redundant loads and guards. This is
-//! what turns the thesis' Fig. 6.5 expression — an `and`-chain of 38
-//! `ip src`/`ip dst` tests plus preamble — into a 50-instruction program,
-//! matching the count the thesis reports, instead of a naive ~160.
+//! The generator tracks an **abstract machine state** (what the
+//! accumulator holds, which header guards have already passed on the
+//! current path) and skips redundant loads and guards as it emits. The
+//! optimizer ([`crate::opt`]) is what brings the thesis' Fig. 6.5
+//! expression — an `and`-chain of 38 `ip src`/`ip dst` tests plus
+//! preamble — down to the 50 instructions the thesis reports: with
+//! `opt::optimize` skipped it compiles to 162. The generator's state is
+//! still load-bearing. With it disabled and the optimizer kept:
+//!
+//! * `udp[0:2] = udp[2:2]` and
+//!   `ip and (tcp or (udp and (port 53 or port 80))) and not arp` each
+//!   keep a dead `ldh [12]`;
+//! * an `ip and ip …` chain at `MAX_FILTER_DEPTH` emits more than
+//!   `MAXINSNS` instructions and fails with `TooLong` before the
+//!   optimizer runs.
 
 use super::ast::*;
 use crate::insn::{self, Insn};

@@ -136,3 +136,61 @@ proptest! {
         prop_assert_eq!(le_m, len <= n);
     }
 }
+
+/// Filter-language tokens: primitives and qualifiers, operators,
+/// brackets, numbers at and past the u32 limit, well- and badly-formed
+/// addresses, stray bytes, and a few whole primitives so that some
+/// soups reach code generation.
+#[rustfmt::skip]
+const FILTER_VOCAB: &[&str] = &[
+    "ip", "ip6", "arp", "rarp", "tcp", "udp", "icmp", "ether", "host", "net", "port", "proto",
+    "src", "dst", "less", "greater", "len", "and", "or", "not", "&&", "||", "!", "=", "==",
+    "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "&", "|", "(", ")", "[", "]", ":",
+    "udp[0:2]", "tcp[13]&2", "ether[12:2]", "ip[9]", "0", "1", "2", "4", "53", "255", "256",
+    "65535", "65536", "4294967295", "4294967296", "99999999999999999999", "0x0", "0xffffffff",
+    "0x100000000", "0x", "10.0.0.1", "192.168.0.0", "255.255.255.255", "256.0.0.1", "1.2.3",
+    "1.2.3.4.5", "00:11:22:33:44:55", "ff:ff:ff:ff:ff:ff", "aa:bb", "1:2:3:4:5:6:7", "_", "é",
+    "\"", "'", "\\", "@", "#", ",", ";", "\t", "\n", "\0", "tcp port 80", "ip src 10.0.0.1",
+    "net 10.0.0.0/8", "ether host 00:11:22:33:44:55", "udp[0:2] = udp[2:2]", "len > 1000",
+];
+
+/// `tcpdump -d` dialect tokens: every mnemonic, operands of each
+/// addressing mode (in and out of range), jump keywords and targets,
+/// index prefixes, comments, line breaks, stray bytes and a few whole
+/// instruction lines.
+#[rustfmt::skip]
+const ASM_VOCAB: &[&str] = &[
+    "ld", "ldh", "ldb", "ldx", "st", "stx", "add", "sub", "mul", "div", "mod", "or", "and",
+    "xor", "lsh", "rsh", "neg", "ja", "jeq", "jgt", "jge", "jset", "ret", "tax", "txa",
+    "unknown", "#0", "#1", "#0x800", "#0xffffffff", "#0x100000000", "#4294967296", "#pktlen",
+    "#", "a", "x", "[12]", "[x + 14]", "[x+", "M[0]", "M[15]", "M[16]", "M[4294967295]",
+    "4*([14]&0xf)", "4*([", "jt", "jf", "0", "1", "2", "3", "255", "256", "4294967295",
+    "4294967296", "-1", "(000)", "(001)", "(999)", "(", ")", "[", "]", "+", ";", "; comment",
+    "\n", "\n", "\n", "\t", "é", "\0", "\nldh [12]\n", "\njeq #0x800 jt 2 jf 3\n",
+    "\nret #96\n", "\nret a\n",
+];
+
+/// A token soup: indices into `vocab`, joined by single spaces (the
+/// vendored proptest has no string strategy).
+fn soup(vocab: &'static [&'static str], max_tokens: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..vocab.len(), 0..max_tokens)
+        .prop_map(move |ix| ix.iter().map(|&i| vocab[i]).collect::<Vec<_>>().join(" "))
+}
+
+proptest! {
+    /// The filter compiler answers any token soup with a valid program
+    /// or a typed error, never a panic.
+    #[test]
+    fn compile_never_panics_on_token_soup(expr in soup(FILTER_VOCAB, 48), snaplen in any::<u32>()) {
+        if let Ok(prog) = pcs_bpf::compile(&expr, snaplen) {
+            prop_assert!(validate(&prog).is_ok(), "{expr:?} compiled to an invalid program");
+        }
+    }
+
+    /// The assembler answers any token soup with a program or a typed
+    /// error, never a panic.
+    #[test]
+    fn assemble_never_panics_on_token_soup(text in soup(ASM_VOCAB, 48)) {
+        let _ = asm::assemble(&text);
+    }
+}

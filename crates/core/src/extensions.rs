@@ -2,21 +2,13 @@
 //! work, plus ablations of this reproduction's own modelling choices.
 
 use crate::experiment::{Experiment, Series, SeriesPoint};
+use crate::figures::seed_of;
 use crate::scale::Scale;
 use pcs_capture::MeasurementApp;
 use pcs_hw::{MachineSpec, PciBus, PciKind};
 use pcs_oskernel::SimConfig;
 use pcs_pktgen::TxModel;
 use pcs_testbed::{run_sweep_exec, CycleConfig, ExecConfig, Sut};
-
-fn seed_of(id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// §7.2: "The most commonly interest would be the evaluation of
 /// 10 Gigabit Ethernet … The difficulty is the further increased maximum

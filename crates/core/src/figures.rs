@@ -15,8 +15,8 @@ use pcs_oskernel::{AppConfig, BufferConfig, SimConfig};
 use pcs_pktgen::{mwn_counts, mwn_mean, TxModel};
 use pcs_testbed::{run_sweep_exec, standard_suts, CycleConfig, ExecConfig, Sut};
 
-/// Derive a deterministic seed from an experiment id.
-fn seed_of(id: &str) -> u64 {
+/// Derive a deterministic seed from an experiment id (FNV-1a).
+pub(crate) fn seed_of(id: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in id.bytes() {
         h ^= b as u64;

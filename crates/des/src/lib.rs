@@ -13,8 +13,6 @@
 //! * [`Pcg32`] / [`SplitMix64`] — deterministic PRNG streams, so that a run
 //!   seed fully determines the generated packet sequence (the paper's
 //!   reproducibility requirement, §3.2);
-//! * [`SegVec`] — an inline small-vector (spill-to-heap fallback) for the
-//!   simulator's per-work-item segment lists;
 //! * [`BufPool`] / [`PoolProbe`] — free-list buffer pools and their
 //!   cross-thread statistics probe, the allocation-free hot path's
 //!   memory supply;
@@ -39,7 +37,6 @@ pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod runq;
-pub mod segvec;
 pub mod stats;
 pub mod time;
 
@@ -50,5 +47,4 @@ pub use pool::{BufPool, PoolProbe, PoolStats};
 pub use queue::EventQueue;
 pub use rng::{Pcg32, SplitMix64};
 pub use runq::{RunQueue, WorkClass};
-pub use segvec::SegVec;
 pub use time::{SimDuration, SimTime};

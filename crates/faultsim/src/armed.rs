@@ -9,7 +9,6 @@
 
 use crate::plan::{FaultKind, FaultPlan};
 use pcs_des::SplitMix64;
-use pcs_hw::{NicBusFault, SchedFault};
 use pcs_oskernel::MachineFaults;
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -78,43 +77,8 @@ impl Windows {
     }
 }
 
-/// The host-scheduler preemption hook for an armed plan: while a window
-/// is active, every dispatch is charged the remaining window — capped at
-/// one scheduler slice — as extra occupancy before the work runs.
-///
-/// Usable standalone (it implements [`SchedFault`] alone) or as the
-/// scheduler half of [`ArmedMachineFaults`].
-pub struct FaultyScheduler {
-    preempt: Option<Windows>,
-}
-
-impl FaultyScheduler {
-    /// The scheduler hook for `plan`; inert unless `preempt` is armed.
-    pub fn new(plan: &FaultPlan) -> FaultyScheduler {
-        FaultyScheduler {
-            preempt: plan.has(FaultKind::Preempt).then(|| {
-                Windows::new(
-                    plan.seed(),
-                    FaultKind::Preempt,
-                    PREEMPT_PERIOD_NS,
-                    PREEMPT_DUR_NS,
-                )
-            }),
-        }
-    }
-}
-
-impl SchedFault for FaultyScheduler {
-    fn preempt_extra_ns(&mut self, now_ns: u64, _cpu: usize) -> u64 {
-        match self.preempt.and_then(|w| w.active_until(now_ns)) {
-            Some(end) => (end - now_ns).min(PREEMPT_SLICE_NS),
-            None => 0,
-        }
-    }
-}
-
-/// [`NicBusFault`] + [`SchedFault`] + [`MachineFaults`] for one armed
-/// [`FaultPlan`].
+/// [`MachineFaults`] for one armed [`FaultPlan`]: one optional window
+/// per machine-side fault kind.
 ///
 /// Built via [`FaultPlan::arm_machine`]; one instance per simulated
 /// machine.
@@ -124,7 +88,10 @@ pub struct ArmedMachineFaults {
     irq_jitter: Option<Windows>,
     kernel_shrink: Option<Windows>,
     app_pause: Option<Windows>,
-    sched: FaultyScheduler,
+    /// While a preempt window is active, every dispatch is charged the
+    /// remaining window — capped at one scheduler slice — as extra
+    /// occupancy before the work runs.
+    preempt: Option<Windows>,
 }
 
 impl ArmedMachineFaults {
@@ -151,18 +118,12 @@ impl ArmedMachineFaults {
                 KERNEL_SHRINK_DUR_NS,
             ),
             app_pause: w(FaultKind::AppPause, APP_PAUSE_PERIOD_NS, APP_PAUSE_DUR_NS),
-            sched: FaultyScheduler::new(plan),
+            preempt: w(FaultKind::Preempt, PREEMPT_PERIOD_NS, PREEMPT_DUR_NS),
         }
     }
 }
 
-impl SchedFault for ArmedMachineFaults {
-    fn preempt_extra_ns(&mut self, now_ns: u64, cpu: usize) -> u64 {
-        self.sched.preempt_extra_ns(now_ns, cpu)
-    }
-}
-
-impl NicBusFault for ArmedMachineFaults {
+impl MachineFaults for ArmedMachineFaults {
     fn ring_slots(&mut self, now_ns: u64, base: usize) -> usize {
         match self.ring_stall {
             Some(w) if w.active_until(now_ns).is_some() => (base / 16).max(1),
@@ -183,9 +144,14 @@ impl NicBusFault for ArmedMachineFaults {
             None => 0,
         }
     }
-}
 
-impl MachineFaults for ArmedMachineFaults {
+    fn preempt_extra_ns(&mut self, now_ns: u64, _cpu: usize) -> u64 {
+        match self.preempt.and_then(|w| w.active_until(now_ns)) {
+            Some(end) => (end - now_ns).min(PREEMPT_SLICE_NS),
+            None => 0,
+        }
+    }
+
     fn buffer_permille(&mut self, now_ns: u64) -> u32 {
         match self.kernel_shrink {
             Some(w) if w.active_until(now_ns).is_some() => KERNEL_SHRINK_PERMILLE,
@@ -262,7 +228,7 @@ mod tests {
     #[test]
     fn preempt_hold_is_capped_at_one_slice() {
         let plan = FaultPlan::parse("preempt:9").unwrap().unwrap();
-        let mut f = FaultyScheduler::new(&plan);
+        let mut f = ArmedMachineFaults::new(&plan);
         let mut fired = false;
         for t in (0..400_000_000u64).step_by(50_000) {
             let extra = f.preempt_extra_ns(t, 1);
@@ -271,7 +237,7 @@ mod tests {
         }
         assert!(fired, "an armed preempt plan should eventually hold a core");
         let quiet = FaultPlan::parse("ringstall:9").unwrap().unwrap();
-        let mut q = FaultyScheduler::new(&quiet);
+        let mut q = ArmedMachineFaults::new(&quiet);
         assert!((0..400_000_000u64)
             .step_by(50_000)
             .all(|t| q.preempt_extra_ns(t, 0) == 0));

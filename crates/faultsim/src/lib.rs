@@ -11,8 +11,7 @@
 //!   `--faults SPEC[:SEED]` and fingerprinted like every other piece of
 //!   configuration. Machine-side faults (ring stalls, bus bursts, IRQ
 //!   jitter, kernel-buffer shrink, app pauses, scheduler preemption)
-//!   are injected through the hook traits [`pcs_hw::NicBusFault`] /
-//!   [`pcs_hw::SchedFault`] / [`pcs_oskernel::MachineFaults`] and
+//!   are injected through the hook trait [`pcs_oskernel::MachineFaults`] and
 //!   deterministically change results; host-side faults (hiccups that
 //!   stall the cell's stream reader, so that a generating cell's
 //!   sniffers catch up and wait, and stream-cache squeeze) perturb the
@@ -33,6 +32,6 @@ mod armed;
 mod oracle;
 mod plan;
 
-pub use armed::{ArmedMachineFaults, FaultyScheduler};
+pub use armed::ArmedMachineFaults;
 pub use oracle::Oracle;
 pub use plan::{FaultKind, FaultPlan};

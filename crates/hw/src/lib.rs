@@ -14,7 +14,6 @@ pub mod bus;
 pub mod cost;
 pub mod cpu;
 pub mod disk;
-pub mod fault;
 pub mod fingerprint;
 pub mod machine;
 pub mod memory;
@@ -24,7 +23,6 @@ pub use bus::{PciBus, PciKind};
 pub use cost::{os_costs, OsCosts, OsKind};
 pub use cpu::{CpuArch, CpuSpec};
 pub use disk::{write_benchmark, DiskModel, WriteBenchResult};
-pub use fault::{NicBusFault, SchedFault};
 pub use machine::MachineSpec;
 pub use memory::{MemoryKind, MemorySystem};
 pub use nic::{InterruptScheme, NicModel};

@@ -12,24 +12,44 @@
 //!
 //! These types are built and torn down once per interrupt batch or app
 //! chunk, so their layout is part of the allocation-free hot path
-//! (DESIGN.md §15): segments live inline in a [`pcs_des::SegVec`] (no
-//! per-`Work` heap allocation), the work's total duration is cached at
-//! construction instead of re-summed at every dispatch, and the
-//! `recorded`/`traced` buffers in [`Completion::AppChunk`] are pooled
-//! vectors recycled when the completion is consumed. Packets themselves
-//! travel as [`PacketRef`]s — the simulator's only packet type — so an
-//! arrival is one chunk refcount bump, never a copy or a box.
+//! (DESIGN.md §15): a work item's segments live in a fixed inline array
+//! of three slots (no per-`Work` heap allocation), its duration is the
+//! sum of those at most three segments, and the `recorded`/`traced`
+//! buffers in [`Completion::AppChunk`] are pooled vectors recycled when
+//! the completion is consumed. Packets themselves travel as
+//! [`PacketRef`]s — the simulator's only packet type — so an arrival is
+//! one chunk refcount bump, never a copy or a box.
 
 use crate::cpustate::CpuState;
 use crate::stack::CapturedPacket;
-use pcs_des::SegVec;
 use pcs_pktgen::PacketRef;
 use pcs_trace::{WorkKind, APP_NONE};
 
-/// A work item's `(state, ns)` segment list: at most two at
-/// construction (kernel batch, app chunk) plus one fault split, so
-/// four inline slots never spill in practice.
-pub(crate) type Segments = SegVec<(CpuState, u64), 4>;
+/// The most `(state, ns)` segments one work item holds. Every stage
+/// builds a work item from one or two segments, and the only other
+/// segment is the preemption hold `Scheduler::dispatch` appends once
+/// per item, so three slots hold every work item by construction.
+const MAX_SEGMENTS: usize = 3;
+
+/// A work item's segments, inline in a fixed array: no heap allocation
+/// per work item, and a push past [`MAX_SEGMENTS`] panics instead of
+/// spilling.
+#[derive(Default)]
+struct Segments {
+    slots: [(CpuState, u64); MAX_SEGMENTS],
+    len: usize,
+}
+
+impl Segments {
+    fn push(&mut self, segment: (CpuState, u64)) {
+        assert!(
+            self.len < MAX_SEGMENTS,
+            "a work item holds at most {MAX_SEGMENTS} segments"
+        );
+        self.slots[self.len] = segment;
+        self.len += 1;
+    }
+}
 
 /// Simulation events: everything the pending-event queue can deliver.
 ///
@@ -86,47 +106,45 @@ pub(crate) struct Work {
     /// What kind of work this is — the scheduler-trace vocabulary.
     pub(crate) kind: WorkKind,
     /// (state, ns) segments; executed as one uninterruptible span.
-    pub(crate) segments: Segments,
-    /// Cached sum of the segment durations, maintained by
-    /// [`Work::stretch`] / [`Work::push_segment`] so dispatch never
-    /// re-walks the segments.
-    duration: u64,
+    segments: Segments,
     pub(crate) complete: Completion,
 }
 
 impl Work {
-    /// Build a work item, caching the segment-duration sum.
-    pub(crate) fn new(kind: WorkKind, segments: Segments, complete: Completion) -> Work {
-        let duration = segments.iter().map(|s| s.1).sum();
-        Work {
+    /// Build a work item from its `(state, ns)` segments.
+    pub(crate) fn new(kind: WorkKind, segments: &[(CpuState, u64)], complete: Completion) -> Work {
+        let mut work = Work {
             kind,
-            segments,
-            duration,
+            segments: Segments::default(),
             complete,
+        };
+        for &segment in segments {
+            work.segments.push(segment);
         }
+        work
     }
 
+    /// The segments, in execution order.
+    pub(crate) fn segments(&self) -> &[(CpuState, u64)] {
+        &self.segments.slots[..self.segments.len]
+    }
+
+    /// The total duration: the sum of the segments.
     pub(crate) fn duration(&self) -> u64 {
-        self.duration
+        self.segments().iter().map(|s| s.1).sum()
     }
 
-    /// Scale every segment by `scale` (the SMT sibling stretch),
-    /// recomputing the cached duration with the exact per-segment f64
-    /// rounding — and u64 summation order — of the pre-cache code.
+    /// Scale every segment by `scale` (the SMT sibling stretch), each
+    /// rounded down on its own.
     pub(crate) fn stretch(&mut self, scale: f64) {
-        let mut total = 0u64;
-        for seg in self.segments.iter_mut() {
+        for seg in &mut self.segments.slots[..self.segments.len] {
             seg.1 = (seg.1 as f64 * scale) as u64;
-            total += seg.1;
         }
-        self.duration = total;
     }
 
-    /// Append one segment, carrying the cached duration through the
-    /// split instead of re-summing.
+    /// Append one segment (the preemption hold).
     pub(crate) fn push_segment(&mut self, state: CpuState, ns: u64) {
         self.segments.push((state, ns));
-        self.duration += ns;
     }
 
     /// The application this work belongs to, for scheduler traces
@@ -156,20 +174,38 @@ mod tests {
     }
 
     #[test]
-    fn work_duration_is_cached_and_maintained() {
+    fn work_duration_sums_the_segments() {
         let mut w = Work::new(
             WorkKind::KernelBatch,
-            Segments::from_slice(&[(CpuState::Irq, 100), (CpuState::SoftIrq, 50)]),
+            &[(CpuState::Irq, 100), (CpuState::SoftIrq, 50)],
             Completion::KernelBatch,
         );
         assert_eq!(w.duration(), 150);
         w.push_segment(CpuState::System, 25);
         assert_eq!(w.duration(), 175);
-        assert_eq!(w.segments.len(), 3);
-        // Stretch rounds each segment exactly like the original loop.
+        assert_eq!(w.segments().len(), 3);
+        // Stretch rounds each segment down on its own.
         w.stretch(0.5);
-        let resummed: u64 = w.segments.iter().map(|s| s.1).sum();
-        assert_eq!(w.duration(), resummed);
+        assert_eq!(
+            w.segments(),
+            [
+                (CpuState::Irq, 50),
+                (CpuState::SoftIrq, 25),
+                (CpuState::System, 12)
+            ]
+        );
         assert_eq!(w.duration(), 50 + 25 + 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "a work item holds at most 3 segments")]
+    fn a_fourth_segment_panics() {
+        let mut w = Work::new(
+            WorkKind::KernelBatch,
+            &[(CpuState::Irq, 100), (CpuState::SoftIrq, 50)],
+            Completion::KernelBatch,
+        );
+        w.push_segment(CpuState::System, 25);
+        w.push_segment(CpuState::System, 25);
     }
 }

@@ -11,7 +11,7 @@
 //!   sink in [`SchedCtx`]; off/unfiltered sinks cost one branch.
 //! * **Faults** — an armed [`MachineFaults`] plan may charge extra
 //!   occupancy to the CPU at dispatch
-//!   ([`pcs_hw::SchedFault::preempt_extra_ns`]), modelling a host
+//!   ([`MachineFaults::preempt_extra_ns`]), modelling a host
 //!   scheduler preempting the capture workers. The extra time is folded
 //!   into the work's segments so accounting still sums to wall time.
 //!
@@ -250,8 +250,9 @@ impl Scheduler {
         }
         // Preemption fault: a foreign task holds the core before this
         // work runs. The hold is appended as a system-time segment so
-        // per-CPU accounting still sums to the wall occupancy; the
-        // cached duration is carried through the split, not re-summed.
+        // per-CPU accounting still sums to the wall occupancy. Work
+        // arrives with one or two segments, so the hold always fits the
+        // third inline slot.
         if let Some(f) = ctx.faults.as_mut() {
             let extra = f.preempt_extra_ns(now.as_nanos(), cpu);
             if extra > 0 {
@@ -293,7 +294,7 @@ impl Scheduler {
         // equals the wall time this CPU was occupied).
         let mut kernel_ns = 0u64;
         let mut total_ns = 0u64;
-        for (state, ns) in &work.segments {
+        for (state, ns) in work.segments() {
             self.cpus[cpu].acct.add(*state, *ns);
             total_ns += ns;
             if matches!(state, CpuState::Irq | CpuState::SoftIrq | CpuState::System) && cpu == 0 {

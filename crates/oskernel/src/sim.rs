@@ -683,8 +683,6 @@ mod tests {
         // All-default hooks: every injection site asks and gets the base
         // value back.
         struct Inert;
-        impl pcs_hw::NicBusFault for Inert {}
-        impl pcs_hw::SchedFault for Inert {}
         impl MachineFaults for Inert {}
 
         let spec = pcs_hw::MachineSpec::swan();
@@ -705,13 +703,11 @@ mod tests {
         // back-to-back arrivals must overflow at the NIC, and the
         // attribution identity must stay exact.
         struct Stall;
-        impl pcs_hw::NicBusFault for Stall {
+        impl MachineFaults for Stall {
             fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
                 1
             }
         }
-        impl pcs_hw::SchedFault for Stall {}
-        impl MachineFaults for Stall {}
 
         let spec = pcs_hw::MachineSpec::swan();
         let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(2_000, 3));
@@ -735,13 +731,11 @@ mod tests {
         // slow down (less captured under overload), accounting must still
         // sum to wall occupancy, and attribution must stay exact.
         struct Preempt;
-        impl pcs_hw::NicBusFault for Preempt {}
-        impl pcs_hw::SchedFault for Preempt {
+        impl MachineFaults for Preempt {
             fn preempt_extra_ns(&mut self, _now_ns: u64, _cpu: usize) -> u64 {
                 2_000
             }
         }
-        impl MachineFaults for Preempt {}
 
         let spec = pcs_hw::MachineSpec::swan();
         let plain = MachineSim::new(spec, SimConfig::default()).run_source(packets(20_000, 1));

@@ -4,7 +4,7 @@
 
 use super::{APP_CHUNK, DIRTY_LIMIT, PIPE_CAPACITY};
 use crate::cpustate::CpuState;
-use crate::event::{Completion, Segments, SimEvent, Work};
+use crate::event::{Completion, SimEvent, Work};
 use crate::sim::{AppState, MachineSim, Stack};
 use crate::stack::CapturedPacket;
 use pcs_des::{SimDuration, SimTime};
@@ -57,7 +57,7 @@ impl MachineSim {
                     .copy_ns(bytes, self.arrival_ema_bps as u64, 0, cached);
                 let work = Work::new(
                     WorkKind::AppRead,
-                    Segments::from_slice(&[(CpuState::System, c.wakeup_ns + c.syscall_ns + copy)]),
+                    &[(CpuState::System, c.wakeup_ns + c.syscall_ns + copy)],
                     Completion::AppCopyout { app },
                 );
                 let cpu = self.app_run_cpu(app);
@@ -271,7 +271,7 @@ impl MachineSim {
 
         Ok(Work::new(
             WorkKind::AppChunk,
-            Segments::from_slice(&[(CpuState::System, system_ns), (CpuState::User, user_ns)]),
+            &[(CpuState::System, system_ns), (CpuState::User, user_ns)],
             Completion::AppChunk {
                 app,
                 packets: n,

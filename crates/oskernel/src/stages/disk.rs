@@ -2,7 +2,7 @@
 
 use super::{PIPE_CAPACITY, WRITEBACK_CHUNK};
 use crate::cpustate::CpuState;
-use crate::event::{Completion, Segments, SimEvent, Work};
+use crate::event::{Completion, SimEvent, Work};
 use crate::sim::MachineSim;
 use pcs_des::{SimDuration, SimTime};
 use pcs_trace::{Stage, WorkKind, APP_NONE, SEQ_NONE};
@@ -32,7 +32,7 @@ impl MachineSim {
         // Completion interrupt cost on CPU0.
         let w = Work::new(
             WorkKind::DiskIrq,
-            Segments::from_slice(&[(CpuState::Irq, self.spec.disk.irq_ns)]),
+            &[(CpuState::Irq, self.spec.disk.irq_ns)],
             Completion::None,
         );
         self.submit(now, 0, w, true);
@@ -67,7 +67,7 @@ impl MachineSim {
         let read_ns = c.pipe_syscall_ns + (bytes as f64 * c.pipe_ns_per_byte) as u64;
         let work = Work::new(
             WorkKind::Gzip,
-            Segments::from_slice(&[(CpuState::System, read_ns), (CpuState::User, compress_ns)]),
+            &[(CpuState::System, read_ns), (CpuState::User, compress_ns)],
             Completion::GzipChunk { bytes },
         );
         // A fresh CPU-bound process lands wherever the scheduler finds

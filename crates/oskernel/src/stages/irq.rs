@@ -3,7 +3,7 @@
 
 use super::MAX_IRQ_BATCH;
 use crate::cpustate::CpuState;
-use crate::event::{Completion, Segments, SimEvent, Work};
+use crate::event::{Completion, SimEvent, Work};
 use crate::sim::{MachineSim, Stack};
 use crate::stack::DropKind;
 use pcs_des::{SimDuration, SimTime};
@@ -169,13 +169,14 @@ impl MachineSim {
         } else {
             0
         };
-        let mut segments = Segments::new();
-        if freebsd {
-            segments.push((CpuState::Irq, irq_ns + copy_ns));
+        let segments: &[(CpuState, u64)] = if freebsd {
+            &[(CpuState::Irq, irq_ns + copy_ns)]
         } else {
-            segments.push((CpuState::Irq, irq_ns));
-            segments.push((CpuState::SoftIrq, soft_ns + copy_ns));
-        }
+            &[
+                (CpuState::Irq, irq_ns),
+                (CpuState::SoftIrq, soft_ns + copy_ns),
+            ]
+        };
         Work::new(WorkKind::KernelBatch, segments, Completion::KernelBatch)
     }
 

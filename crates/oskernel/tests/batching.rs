@@ -64,18 +64,14 @@ fn differential<S: PacketSource>(
 /// An RX ring pinned to one slot: every arrival beyond the first finds
 /// the ring full, and the IRQ machinery runs continuously.
 struct TinyRing;
-impl pcs_hw::NicBusFault for TinyRing {
+impl MachineFaults for TinyRing {
     fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
         1
     }
 }
-impl pcs_hw::SchedFault for TinyRing {}
-impl MachineFaults for TinyRing {}
 
 /// A kernel-buffer-shrink window between 1 ms and 3 ms of sim time.
 struct Window;
-impl pcs_hw::NicBusFault for Window {}
-impl pcs_hw::SchedFault for Window {}
 impl MachineFaults for Window {
     fn buffer_permille(&mut self, now_ns: u64) -> u32 {
         if (1_000_000..3_000_000).contains(&now_ns) {

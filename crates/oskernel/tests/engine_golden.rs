@@ -45,28 +45,22 @@ fn machines() -> [(&'static str, MachineSpec); 7] {
 
 /// RX ring pinned to one slot: every arrival beyond the first overflows.
 struct RingStall;
-impl pcs_hw::NicBusFault for RingStall {
+impl MachineFaults for RingStall {
     fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
         1
     }
 }
-impl pcs_hw::SchedFault for RingStall {}
-impl MachineFaults for RingStall {}
 
 /// Every dispatch held 2 µs by a foreign task (a work-item split).
 struct Preempt;
-impl pcs_hw::NicBusFault for Preempt {}
-impl pcs_hw::SchedFault for Preempt {
+impl MachineFaults for Preempt {
     fn preempt_extra_ns(&mut self, _now_ns: u64, _cpu: usize) -> u64 {
         2_000
     }
 }
-impl MachineFaults for Preempt {}
 
 /// Kernel buffers cut to a quarter between 1 ms and 3 ms of sim time.
 struct Kshrink;
-impl pcs_hw::NicBusFault for Kshrink {}
-impl pcs_hw::SchedFault for Kshrink {}
 impl MachineFaults for Kshrink {
     fn buffer_permille(&mut self, now_ns: u64) -> u32 {
         if (1_000_000..3_000_000).contains(&now_ns) {

@@ -119,25 +119,21 @@ proptest! {
 /// differential test: every arrival beyond the first finds the ring
 /// full, so IRQ traffic runs between arrivals continuously.
 struct Stall;
-impl pcs_hw::NicBusFault for Stall {
+impl MachineFaults for Stall {
     fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
         1
     }
 }
-impl pcs_hw::SchedFault for Stall {}
-impl MachineFaults for Stall {}
 
-/// A constant-preemption hook (2 µs per dispatch), splitting work items
-/// mid-segment — the path that must carry the cached duration and the
-/// spilled segment vector correctly through the pool.
+/// A constant-preemption hook (2 µs per dispatch): every work item gains
+/// a third segment at dispatch, the path that must carry the full
+/// inline segment array correctly through the pool.
 struct Preempt;
-impl pcs_hw::NicBusFault for Preempt {}
-impl pcs_hw::SchedFault for Preempt {
+impl MachineFaults for Preempt {
     fn preempt_extra_ns(&mut self, _now_ns: u64, _cpu: usize) -> u64 {
         2_000
     }
 }
-impl MachineFaults for Preempt {}
 
 /// A kernel-buffer-shrink window (capacity cut to 1/4 between 1 ms and
 /// 3 ms of sim time) for the batching differential test: the
@@ -145,8 +141,6 @@ impl MachineFaults for Preempt {}
 /// engine must observe the window edge at exactly the same arrival as
 /// the per-packet engine.
 struct Kshrink;
-impl pcs_hw::NicBusFault for Kshrink {}
-impl pcs_hw::SchedFault for Kshrink {}
 impl MachineFaults for Kshrink {
     fn buffer_permille(&mut self, now_ns: u64) -> u32 {
         if (1_000_000..3_000_000).contains(&now_ns) {

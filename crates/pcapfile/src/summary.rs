@@ -121,11 +121,13 @@ impl SizeHistogram {
                 .trim()
                 .parse()
                 .map_err(|e| format!("line {}: bad count: {e}", ln + 1))?;
-            h.counts
-                .entry(size)
-                .and_modify(|c| *c += count)
-                .or_insert(count);
-            h.total += count;
+            // The total bounds every per-size count, so checking it alone
+            // rules out overflow in both.
+            h.total = h
+                .total
+                .checked_add(count)
+                .ok_or_else(|| format!("line {}: total count exceeds u64", ln + 1))?;
+            *h.counts.entry(size).or_insert(0) += count;
         }
         Ok(h)
     }
@@ -219,6 +221,9 @@ mod tests {
         let back = SizeHistogram::from_dist_format("40:2\n1500:1", ':').unwrap();
         assert_eq!(back.count(40), 2);
         assert!(SizeHistogram::from_dist_format("garbage", ' ').is_err());
+        // Counts summing past u64 are a typed error, not an overflow.
+        let e = SizeHistogram::from_dist_format("40 18446744073709551615\n52 1\n", ' ');
+        assert!(e.unwrap_err().starts_with("line 2:"));
     }
 
     #[test]

@@ -44,6 +44,12 @@ impl Default for DistConfig {
     }
 }
 
+/// The largest precision ρ either constructor accepts: a million cells
+/// per array, a thousand times the thesis' default. A larger value is a
+/// malformed input, not a distribution, and `u32::MAX` would ask for
+/// 16 GiB of outlier cells.
+pub const MAX_PRECISION: u32 = 1_000_000;
+
 /// Errors from building a distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {
@@ -99,6 +105,9 @@ impl TwoStageDist {
     {
         if cfg.precision == 0 {
             return Err(DistError::BadConfig("precision must be positive"));
+        }
+        if cfg.precision > MAX_PRECISION {
+            return Err(DistError::BadConfig("precision exceeds MAX_PRECISION"));
         }
         if cfg.binsize == 0 {
             return Err(DistError::BadConfig("binsize must be positive"));
@@ -270,6 +279,9 @@ impl TwoStageDist {
         if precision == 0 || binsize == 0 {
             return Err(DistError::BadConfig("precision/binsize must be positive"));
         }
+        if precision > MAX_PRECISION {
+            return Err(DistError::BadConfig("precision exceeds MAX_PRECISION"));
+        }
         if max_size == 0 || max_size > u16::MAX as u32 {
             return Err(DistError::BadConfig("max_size out of range"));
         }
@@ -279,10 +291,10 @@ impl TwoStageDist {
             if size > max_size {
                 return Err(DistError::BadConfig("outlier size exceeds max_size"));
             }
+            if outliers.len() + cells as usize > rho {
+                return Err(DistError::BadConfig("outlier cells exceed precision"));
+            }
             outliers.extend(std::iter::repeat_n(Some(size as u16), cells as usize));
-        }
-        if outliers.len() > rho {
-            return Err(DistError::BadConfig("outlier cells exceed precision"));
         }
         outliers.resize(rho, None);
 
@@ -291,10 +303,10 @@ impl TwoStageDist {
             if size > max_size {
                 return Err(DistError::BadConfig("bin base exceeds max_size"));
             }
+            if bins.len() + cells as usize > rho {
+                return Err(DistError::BadConfig("bin cells exceed precision"));
+            }
             bins.extend(std::iter::repeat_n(size as u16, cells as usize));
-        }
-        if bins.len() > rho {
-            return Err(DistError::BadConfig("bin cells exceed precision"));
         }
         if bins.is_empty() {
             return Err(DistError::BadConfig("no bin entries"));
@@ -405,6 +417,11 @@ mod tests {
         );
         let cfg = DistConfig {
             precision: 0,
+            ..DistConfig::default()
+        };
+        assert!(TwoStageDist::from_counts([(40u32, 1u64)], &cfg).is_err());
+        let cfg = DistConfig {
+            precision: MAX_PRECISION + 1,
             ..DistConfig::default()
         };
         assert!(TwoStageDist::from_counts([(40u32, 1u64)], &cfg).is_err());

@@ -378,6 +378,22 @@ mod tests {
     }
 
     #[test]
+    fn oversized_distributions_are_refused_before_allocating() {
+        // Both ask for 4G cells (16 GiB); neither may allocate them.
+        let mut c = PktgenControl::new();
+        c.pgset("dist 4294967295 20 1500 1 1").unwrap();
+        c.pgset("outl 40 1").unwrap();
+        let e = c.pgset("hist 0 1").unwrap_err();
+        assert!(e.message.contains("MAX_PRECISION"), "{e}");
+        let mut c = PktgenControl::new();
+        c.pgset("dist 1000 20 1500 1 1").unwrap();
+        c.pgset("outl 40 4294967295").unwrap();
+        let e = c.pgset("hist 0 1").unwrap_err();
+        assert!(e.message.contains("exceed precision"), "{e}");
+        assert!(!c.dist_ready());
+    }
+
+    #[test]
     fn entry_lines_require_dist() {
         let mut c = PktgenControl::new();
         assert!(c.pgset("outl 40 100").is_err());

@@ -1,8 +1,10 @@
 //! Property tests for the distribution machinery and the generator.
 
 use pcs_des::Pcg32;
+use pcs_pktgen::createdist::read_input;
 use pcs_pktgen::{
-    DistConfig, Generator, PktgenConfig, PktgenControl, SizeSource, TwoStageDist, TxModel,
+    DistConfig, Generator, InputKind, PktgenConfig, PktgenControl, SizeSource, TwoStageDist,
+    TxModel,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -121,5 +123,66 @@ proptest! {
             "target {rate} achieved {}",
             stats.rate_mbps
         );
+    }
+}
+
+/// `pgset` tokens: every command and flag, numbers at and past the u32
+/// and u64 limits, malformed numbers, well- and badly-formed IP and MAC
+/// addresses, line breaks (one command per line), stray bytes, and whole
+/// `dist`/`outl`/`hist` lines so that some scripts complete a
+/// distribution.
+#[rustfmt::skip]
+const PGSET_VOCAB: &[&str] = &[
+    "count", "delay", "pkt_size", "dst", "src_min", "dst_mac", "src_mac", "src_mac_count",
+    "udp_src_port", "udp_dst_port", "dist", "outl", "hist", "flag", "PKTSIZE_REAL",
+    "DIST_READY", "pgset", "0", "1", "2", "20", "40", "41", "42", "1000", "1500", "1514",
+    "1515", "65535", "65536", "4294967295", "4294967296", "18446744073709551615",
+    "18446744073709551616", "-1", "+1", "0x10", "1e3", "1.5", "10.0.0.1", "255.255.255.255",
+    "256.0.0.1", "::1", "00:11:22:33:44:55", "ff:ff:ff:ff:ff:ff", "00:11:22:33:44",
+    "gg:00:00:00:00:00", "\"", "'", "=", "#", "\t", "é", "\0", "\n", "\n",
+    "\ndist 1000 20 1500 1 1\n", "\ndist 4294967295 20 1500 1 1\n", "\noutl 40 500\n",
+    "\noutl 40 4294967295\n", "\nhist 0 500\n", "\nhist 0 4294967295\n",
+    "\nflag PKTSIZE_REAL\n",
+];
+
+/// `createDist` input fragments: sizes and counts at and past the u32
+/// and u64 limits, malformed numbers, field and line separators, pcap
+/// magic numbers of both byte orders and resolutions, raw bytes that
+/// are not UTF-8, and whole `<size> <count>` lines. The `u64::MAX` count
+/// line is listed twice so that 1024 cases reach a total past `u64::MAX`.
+#[rustfmt::skip]
+const CREATEDIST_VOCAB: &[&[u8]] = &[
+    b"0", b"1", b"40", b"1500", b"65535", b"4294967295", b"4294967296", b"18446744073709551616",
+    b"-1", b"+7", b"1.5", b"0x28", b"1e9", b" ", b"\t", b",", b";", b":", b"\n", b"\r\n", b"#",
+    b"size", b"count", &[0xd4, 0xc3, 0xb2, 0xa1], &[0xa1, 0xb2, 0xc3, 0xd4],
+    &[0x4d, 0x3c, 0xb2, 0xa1], &[0, 0, 0, 0], &[0xff; 4], &[0xff], &[0xc3], "é".as_bytes(),
+    b"18446744073709551615", b"40 600\n", b"52 1\n", b"1500 400\n", b"1500,400\n", b"576\t12\n",
+    b"40 18446744073709551615\n", b"40 18446744073709551615\n",
+];
+
+proptest! {
+    /// The control interface answers every line of a token soup with
+    /// `Ok` or a typed error, never a panic, and one endpoint survives
+    /// the whole script.
+    #[test]
+    fn pgset_never_panics_on_token_soup(ix in proptest::collection::vec(0..PGSET_VOCAB.len(), 0..64)) {
+        let script = ix.iter().map(|&i| PGSET_VOCAB[i]).collect::<Vec<_>>().join(" ");
+        let mut ctl = PktgenControl::new();
+        for line in script.split('\n') {
+            let _ = ctl.pgset(line);
+        }
+    }
+
+    /// `read_input` answers a token soup with a histogram or a typed
+    /// error in every input format and with every field separator,
+    /// never a panic.
+    #[test]
+    fn read_input_never_panics_on_token_soup(ix in proptest::collection::vec(0..CREATEDIST_VOCAB.len(), 0..64)) {
+        let data: Vec<u8> = ix.iter().flat_map(|&i| CREATEDIST_VOCAB[i].iter().copied()).collect();
+        for kind in [InputKind::Sizes, InputKind::Dist, InputKind::Trace] {
+            for sep in [' ', ',', '\t', ';'] {
+                let _ = read_input(kind, &data, sep);
+            }
+        }
     }
 }

@@ -1,13 +1,15 @@
-//! # pcs-zdeflate — a DEFLATE/gzip implementation for analysis-load
-//! experiments
+//! # pcs-zdeflate — a DEFLATE/gzip implementation, the reproduction's
+//! zlib substitute
 //!
 //! The thesis measures how per-packet *compression* load affects capture
 //! rates: the capture application calls zlib's `gzwrite()` on every packet
 //! at levels 3 and 9 (Fig. 6.11, Fig. B.3), and a separate experiment pipes
 //! `tcpdump` output through a `gzip` process (Fig. 6.12). This crate is the
-//! zlib substitute: a real, self-contained compressor whose per-level CPU
-//! effort profile drives the simulated load, plus a complete decoder for
-//! verification.
+//! zlib substitute: a real, self-contained compressor plus a complete
+//! decoder for verification. The simulation does not run it: the simulated
+//! compression load is charged from `OsCosts::compress_cycles_per_byte`
+//! (pcs-hw's `COMPRESS_CYCLES`, cycles per byte by level, one table shared
+//! by all four systems).
 //!
 //! * [`deflate()`](deflate::deflate) / [`inflate()`](inflate::inflate) — RFC 1951 streams (stored + fixed-Huffman
 //!   encoder with hash-chain LZ77 and lazy matching; full decoder including
