@@ -1,9 +1,10 @@
 //! # pcs-bench — the hot-path bench behind the CI perf gate
 //!
-//! `benches/hotpath.rs` times one `MachineSim::run_source` over a shared
-//! 40k-packet workload, plus the bare event queue as a machine-speed
-//! reference; `scripts/check_perf.py` gates its output against
-//! `BENCH_HOTPATH.json`. Run it with `cargo bench -p pcs-bench --bench
+//! `benches/hotpath.rs` times one `MachineSim::run_source` over a
+//! 40k-packet workload replayed from pre-generated chunks, which the sim
+//! reads in place by stream position, plus the bare event queue as a
+//! machine-speed reference; `scripts/check_perf.py` gates its output
+//! against `BENCH_HOTPATH.json`. Run it with `cargo bench -p pcs-bench --bench
 //! hotpath`. The end-to-end and per-layer numbers come from the
 //! repository benchmark under `benchmark/`.
 

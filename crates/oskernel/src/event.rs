@@ -16,13 +16,12 @@
 //! of three slots (no per-`Work` heap allocation), its duration is the
 //! sum of those at most three segments, and the `recorded`/`traced`
 //! buffers in [`Completion::AppChunk`] are pooled vectors recycled when
-//! the completion is consumed. Packets themselves travel as
-//! [`PacketRef`]s — the simulator's only packet type — so an arrival is
-//! one chunk refcount bump, never a copy or a box.
+//! the completion is consumed. Packets themselves travel as `u64`
+//! stream positions into the sim's [`crate::sim::StreamWindow`], so an
+//! arrival is one integer: no copy, no box and no refcount.
 
 use crate::cpustate::CpuState;
 use crate::stack::CapturedPacket;
-use pcs_pktgen::PacketRef;
 use pcs_trace::{WorkKind, APP_NONE};
 
 /// The most `(state, ns)` segments one work item holds. Every stage
@@ -54,15 +53,13 @@ impl Segments {
 /// Simulation events: everything the pending-event queue can deliver.
 ///
 /// Entries sit in the event queue by the hundreds, so the enum must
-/// stay small: every variant's payload is at most a [`PacketRef`] (a
-/// chunk reference plus an index — already indirect, nothing worth
-/// boxing further); a compile-time check in this module's tests keeps
-/// it that way.
+/// stay small: every variant's payload is at most one `u64` or `usize`,
+/// and a check in this module's tests keeps the enum at 16 bytes.
 #[derive(Debug)]
 pub(crate) enum SimEvent {
-    /// A frame has fully arrived at the NIC: a shared reference into the
-    /// generator chunk it was broadcast in, read in place.
-    Arrival(PacketRef),
+    /// A frame has fully arrived at the NIC: its stream position, read
+    /// in place through the sim's [`crate::sim::StreamWindow`].
+    Arrival(u64),
     /// A CPU finished its current work item.
     CpuFree(usize),
     /// An interrupt may fire now (moderation gap elapsed).
@@ -165,9 +162,9 @@ mod tests {
     #[test]
     fn sim_event_stays_small() {
         // EventQueue entries are (time, seq, event); the event payload
-        // must not outgrow the Arrival variant's chunk reference.
+        // must not outgrow one 8-byte word beside the tag.
         assert!(
-            std::mem::size_of::<SimEvent>() <= 40,
+            std::mem::size_of::<SimEvent>() <= 16,
             "SimEvent grew to {} bytes — box the large variant",
             std::mem::size_of::<SimEvent>()
         );

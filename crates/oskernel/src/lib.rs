@@ -18,9 +18,10 @@
 //!
 //! Packet injection is zero-copy: [`MachineSim::run_source`], the one
 //! way to run a simulation, pulls a chunked [`pcs_pktgen::PacketSource`]
-//! and admits each arrival as a [`pcs_pktgen::PacketRef`] into its
-//! chunk, so the N machine simulations reading one broadcast stream
-//! share its bytes instead of cloning every packet.
+//! into a small window of the chunks it still needs and admits each
+//! arrival by its stream position, so the N machine simulations reading
+//! one broadcast stream share its bytes instead of cloning every packet,
+//! and no packet takes a refcount of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

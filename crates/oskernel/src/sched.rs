@@ -25,7 +25,6 @@ use crate::fault::MachineFaults;
 use crate::sim::MachineSim;
 use crate::stack::CapturedPacket;
 use pcs_des::{BufPool, EventQueue, PoolStats, RunQueue, SimDuration, SimTime, WorkClass};
-use pcs_pktgen::PacketRef;
 use pcs_trace::{StageTimes, TraceSink};
 
 /// Every Nth slot goes to user work when both queues are loaded.
@@ -74,8 +73,9 @@ pub(crate) struct SchedCtx<'a> {
 /// indistinguishable from a fresh one — which the committed engine
 /// golden (`tests/engine_golden.rs`) pins.
 pub(crate) struct HotPool {
-    /// IRQ batch scratch: the packets drained from the NIC ring.
-    pub(crate) views: BufPool<PacketRef>,
+    /// IRQ batch scratch: the stream positions drained from the NIC
+    /// ring.
+    pub(crate) views: BufPool<u64>,
     /// App-chunk scratch plus the `recorded` buffers in
     /// [`crate::event::Completion::AppChunk`].
     pub(crate) captured: BufPool<CapturedPacket>,

@@ -25,8 +25,10 @@
 //!
 //! This module holds only the façade: construction, the one run entry
 //! point ([`MachineSim::run_source`]), and state shared across stages.
-//! Packets enter as [`PacketRef`]s into the source's chunks — the
-//! simulator's only packet type — and are read in place, never copied.
+//! The sim holds the source's chunks it still needs in a
+//! [`StreamWindow`] and addresses every packet by its `u64` stream
+//! position: arrivals, the NIC ring and the IRQ batch carry positions,
+//! and a packet is read in place inside its chunk, never copied.
 
 use crate::config::{AppConfig, SimConfig};
 use crate::event::SimEvent;
@@ -37,7 +39,7 @@ use crate::stack::{BpfDevice, CapturedPacket, LsfSocket, LsfState};
 use crate::stages;
 use pcs_des::{AdmissionCursor, BatchProbe, PoolProbe, SimTime};
 use pcs_hw::{MachineSpec, OsCosts};
-use pcs_pktgen::{PacketRef, PacketSource, SourceRefs};
+use pcs_pktgen::{Chunk, PacketSource, TimedPacket};
 use pcs_trace::TraceSink;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -71,6 +73,74 @@ pub(crate) enum Stack {
     Lsf(LsfState),
 }
 
+/// The source chunks a run still needs, addressed by stream position:
+/// the run's `n`-th packet, counted from 0 across every chunk, is
+/// position `n`.
+///
+/// The live positions are the NIC ring's entries and the pending
+/// arrival; an IRQ batch is priced as soon as it leaves the ring and
+/// holds nothing afterwards. [`StreamWindow::pull`] releases every chunk
+/// that ends at or before the oldest of them, so the window spans the
+/// ring's front to the pending arrival — one or two chunks at the
+/// default chunk size — and no packet holds a refcount of its own.
+#[derive(Default)]
+pub(crate) struct StreamWindow {
+    /// `(first position, chunk)` in stream order; never an empty chunk.
+    chunks: VecDeque<(u64, Chunk)>,
+    /// The next position to hand out.
+    next: u64,
+}
+
+impl StreamWindow {
+    /// Hand out the next stream position, or `None` once `src` is
+    /// exhausted. When every position of the window is handed out, the
+    /// next non-empty chunk is pulled from `src` into the window, and
+    /// every chunk that ends at or before the oldest live position
+    /// leaves it: `oldest_live`, or the new chunk's first position when
+    /// no earlier one is live.
+    pub(crate) fn pull(
+        &mut self,
+        src: &mut dyn PacketSource,
+        oldest_live: Option<u64>,
+    ) -> Option<u64> {
+        let end = self
+            .chunks
+            .back()
+            .map_or(0, |(first, chunk)| first + chunk.len() as u64);
+        if self.next == end {
+            let chunk = loop {
+                let chunk = src.next_chunk()?;
+                if !chunk.is_empty() {
+                    break chunk;
+                }
+            };
+            self.chunks.push_back((end, chunk));
+            let oldest = oldest_live.unwrap_or(end);
+            while let Some((first, chunk)) = self.chunks.front() {
+                if first + chunk.len() as u64 > oldest {
+                    break;
+                }
+                self.chunks.pop_front();
+            }
+        }
+        let pos = self.next;
+        self.next += 1;
+        Some(pos)
+    }
+
+    /// The packet at stream position `pos`, which must be live.
+    pub(crate) fn get(&self, pos: u64) -> &TimedPacket {
+        // Newest first: the arrival being handled sits in the last chunk,
+        // and the ring rarely reaches back past it.
+        for (first, chunk) in self.chunks.iter().rev() {
+            if pos >= *first {
+                return &chunk[(pos - first) as usize];
+            }
+        }
+        panic!("stream position {pos} has left the window")
+    }
+}
+
 /// The machine simulator. Feed it a chunked packet source via
 /// [`MachineSim::run_source`].
 ///
@@ -98,7 +168,10 @@ pub struct MachineSim {
     pub(crate) stack: Stack,
 
     // NIC
-    pub(crate) ring: VecDeque<PacketRef>,
+    /// The input chunks still needed, addressed by stream position.
+    pub(crate) window: StreamWindow,
+    /// Stream positions of the frames in the RX descriptor ring.
+    pub(crate) ring: VecDeque<u64>,
     pub(crate) ring_slots: usize,
     pub(crate) nic_ring_drops: u64,
     pub(crate) irq_pending: bool,
@@ -155,10 +228,10 @@ pub struct MachineSim {
     /// per-packet test oracle ([`MachineSim::with_batching`]`(false)`),
     /// which schedules every arrival through the heap, byte-identically.
     pub(crate) batching: bool,
-    /// Lazy-admission cursor: the next wire arrival, held outside the
-    /// event heap under its reserved (time, seq) key. Always empty when
-    /// batching is off.
-    pub(crate) pending_arrival: AdmissionCursor<PacketRef>,
+    /// Lazy-admission cursor: the stream position of the next wire
+    /// arrival, held outside the event heap under its reserved (time,
+    /// seq) key. Always empty when batching is off.
+    pub(crate) pending_arrival: AdmissionCursor<u64>,
 
     /// Observability tap for the hot-path buffer pools. Stats are
     /// published here when the run finishes; they never enter the
@@ -237,6 +310,7 @@ impl MachineSim {
             costs,
             apps,
             stack,
+            window: StreamWindow::default(),
             ring: VecDeque::new(),
             nic_ring_drops: 0,
             irq_pending: false,
@@ -328,22 +402,21 @@ impl MachineSim {
     /// (including the post-generation drain), and report. The one way to
     /// run a `MachineSim`.
     ///
-    /// Packets are pulled out of the source chunk by chunk and injected
-    /// as shared [`PacketRef`]s: each arrival holds its chunk alive by
-    /// refcount, and the sim reads the packet in place inside its
-    /// broadcast chunk without ever copying it. A source that has caught
-    /// up with a still-generating producer blocks the pull until the next
-    /// chunk is published. Because the event loop only requests the next
-    /// arrival after the current one has been injected, the event
-    /// sequence — and therefore the whole [`RunReport`] — is the same at
-    /// any chunk size.
-    pub fn run_source<S>(mut self, source: S) -> RunReport
+    /// Packets are pulled out of the source chunk by chunk into the
+    /// sim's [`StreamWindow`] and injected by stream position: the sim
+    /// reads each packet in place inside its broadcast chunk without
+    /// copying it, and lets a chunk go once no live position falls in
+    /// it. A source that has caught up with a still-generating producer
+    /// blocks the pull until the next chunk is published. Because the
+    /// event loop only requests the next arrival after the current one
+    /// has been injected, the event sequence — and therefore the whole
+    /// [`RunReport`] — is the same at any chunk size.
+    pub fn run_source<S>(mut self, mut source: S) -> RunReport
     where
         S: PacketSource,
     {
-        let mut src = SourceRefs::new(source);
-        match src.next() {
-            Some(pkt) => self.schedule_arrival(pkt),
+        match self.window.pull(&mut source, None) {
+            Some(pos) => self.schedule_arrival(pos),
             None => self.source_done = true,
         }
         self.sched
@@ -357,12 +430,12 @@ impl MachineSim {
             // allocated in scheduling order. With batching off the
             // cursor is always empty and this is a plain heap pop.
             let (now, ev) = if self.pending_arrival.precedes(self.sched.queue.peek_key()) {
-                let (t, pkt) = self
+                let (t, pos) = self
                     .pending_arrival
                     .take()
                     .expect("cursor checked non-empty");
                 self.sched.queue.advance_to(t);
-                (t, SimEvent::Arrival(pkt))
+                (t, SimEvent::Arrival(pos))
             } else {
                 match self.sched.queue.pop() {
                     Some(x) => x,
@@ -377,7 +450,7 @@ impl MachineSim {
                     break;
                 }
             }
-            stages::dispatch(&mut self, now, ev, &mut src);
+            stages::dispatch(&mut self, now, ev, &mut source);
         }
 
         self.finish_report()
@@ -443,6 +516,134 @@ mod tests {
 
     fn packets(n: u64, gap_us: u64) -> MaterializedSource {
         MaterializedSource::new(timed(n, gap_us), DEFAULT_CHUNK_PACKETS)
+    }
+
+    /// A source replaying `chunks` in order.
+    struct Chunks(std::vec::IntoIter<Chunk>);
+
+    impl PacketSource for Chunks {
+        fn next_chunk(&mut self) -> Option<Chunk> {
+            self.0.next()
+        }
+    }
+
+    /// The first positions of the chunks a window holds.
+    fn window_firsts(w: &StreamWindow) -> Vec<u64> {
+        w.chunks.iter().map(|(first, _)| *first).collect()
+    }
+
+    #[test]
+    fn window_resolves_positions_across_chunks() {
+        let all = timed(9_000, 1);
+        for chunk_packets in [1usize, 7, 4096] {
+            // An empty chunk before every real one: each is skipped.
+            let mut chunks = Vec::new();
+            for part in all.chunks(chunk_packets) {
+                chunks.push(Chunk::from(Vec::new()));
+                chunks.push(Chunk::from(part.to_vec()));
+            }
+            let mut src = Chunks(chunks.into_iter());
+            let mut w = StreamWindow::default();
+            // Position 0 stays live, so nothing is released.
+            let mut positions = Vec::new();
+            while let Some(pos) = w.pull(&mut src, Some(0)) {
+                positions.push(pos);
+            }
+            assert_eq!(positions, (0..9_000).collect::<Vec<u64>>());
+            assert_eq!(w.chunks.len(), 9_000usize.div_ceil(chunk_packets));
+            for (pos, tp) in all.iter().enumerate() {
+                assert_eq!(w.get(pos as u64), tp, "chunk={chunk_packets} pos={pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_releases_exactly_the_chunks_behind_the_oldest_live_position() {
+        let mut src = MaterializedSource::new(timed(40, 1), 7);
+        let mut w = StreamWindow::default();
+        let mut pull = |w: &mut StreamWindow, oldest_live: Option<u64>| {
+            w.pull(&mut src, oldest_live).expect("stream not exhausted")
+        };
+        for pos in 0..7 {
+            assert_eq!(pull(&mut w, None), pos);
+        }
+        assert_eq!(window_firsts(&w), [0]);
+        // Chunk [7, 14) enters while position 6 is live: [0, 7) stays.
+        assert_eq!(pull(&mut w, Some(6)), 7);
+        assert_eq!(window_firsts(&w), [0, 7]);
+        for pos in 8..14 {
+            // No chunk enters, so nothing is released.
+            assert_eq!(pull(&mut w, None), pos);
+        }
+        assert_eq!(window_firsts(&w), [0, 7]);
+        // Chunk [14, 21) enters with 7 the oldest live position: [0, 7)
+        // ends at 7 and goes; [7, 14) holds 7 and stays.
+        assert_eq!(pull(&mut w, Some(7)), 14);
+        assert_eq!(window_firsts(&w), [7, 14]);
+        assert_eq!(w.get(7).packet.seq, 7);
+        for pos in 15..21 {
+            assert_eq!(pull(&mut w, Some(7)), pos);
+        }
+        // Nothing earlier live: only the entering chunk [21, 28) stays.
+        assert_eq!(pull(&mut w, None), 21);
+        assert_eq!(window_firsts(&w), [21]);
+        assert_eq!(w.get(21).packet.seq, 21);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream position 3 has left the window")]
+    fn window_refuses_a_released_position() {
+        let mut src = MaterializedSource::new(timed(20, 1), 7);
+        let mut w = StreamWindow::default();
+        for _ in 0..8 {
+            w.pull(&mut src, None);
+        }
+        w.get(3);
+    }
+
+    #[test]
+    fn window_holds_no_chunk_the_run_no_longer_needs() {
+        // A ring of 0 slots: every frame is dropped at the NIC, so no
+        // position stays live past its arrival and no interrupt fires.
+        struct NoRing;
+        impl MachineFaults for NoRing {
+            fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
+                0
+            }
+        }
+        /// Hands out 1-packet chunks and checks, at every pull, how
+        /// many of them are still alive.
+        struct Watched {
+            packets: Arc<Vec<TimedPacket>>,
+            handed: Vec<std::sync::Weak<[TimedPacket]>>,
+        }
+        impl PacketSource for Watched {
+            fn next_chunk(&mut self) -> Option<Chunk> {
+                let alive = self.handed.iter().filter(|c| c.strong_count() > 0).count();
+                assert!(
+                    alive <= 2,
+                    "{alive} chunks alive at pull {}",
+                    self.handed.len()
+                );
+                let chunk = Chunk::from(vec![self.packets.get(self.handed.len())?.clone()]);
+                self.handed.push(Arc::downgrade(&chunk));
+                Some(chunk)
+            }
+        }
+
+        for batching in [true, false] {
+            let source = Watched {
+                packets: timed(2_000, 3),
+                handed: Vec::new(),
+            };
+            let r = MachineSim::new(pcs_hw::MachineSpec::swan(), SimConfig::default())
+                .with_batching(batching)
+                .with_faults(Some(Box::new(NoRing)))
+                .run_source(source);
+            // Every chunk was pulled, each past the check above.
+            assert_eq!((r.offered, r.nic_ring_drops), (2_000, 2_000));
+            assert_eq!(r.final_acct[0].irq, 0, "no interrupt fires");
+        }
     }
 
     #[test]

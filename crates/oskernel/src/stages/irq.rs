@@ -8,7 +8,6 @@ use crate::sim::{MachineSim, Stack};
 use crate::stack::DropKind;
 use pcs_des::{SimDuration, SimTime};
 use pcs_hw::InterruptScheme;
-use pcs_pktgen::PacketRef;
 use pcs_trace::{Stage, WorkKind, APP_NONE, SEQ_NONE};
 
 /// Map one consumer's [`crate::stack::DeliverOutcome`] to its trace
@@ -71,16 +70,19 @@ impl MachineSim {
         }
         self.irq_pending = true;
         let n = self.ring.len().min(MAX_IRQ_BATCH);
-        // Pooled batch scratch: the same buffer circulates between
-        // interrupts, so draining the ring allocates nothing in steady
-        // state.
+        // Pooled batch scratch of stream positions: the same buffer
+        // circulates between interrupts, so draining the ring allocates
+        // nothing in steady state.
         let mut batch = self.sched.pool.views.get();
         batch.reserve(n);
         for _ in 0..n {
             batch.push(self.ring.pop_front().expect("len checked"));
         }
         if self.trace.is_on() {
-            let bytes: u64 = batch.iter().map(|p| p.packet().frame_len as u64).sum();
+            let bytes: u64 = batch
+                .iter()
+                .map(|&pos| self.window.get(pos).packet.frame_len as u64)
+                .sum();
             self.trace.emit(
                 now.as_nanos(),
                 Stage::BusTransfer,
@@ -108,7 +110,9 @@ impl MachineSim {
         self.submit(now, 0, work, true);
     }
 
-    pub(crate) fn kernel_batch_work(&mut self, now: SimTime, batch: &[PacketRef]) -> Work {
+    /// Deliver the batch of stream positions `batch` to every consumer
+    /// and price it as one kernel work item.
+    pub(crate) fn kernel_batch_work(&mut self, now: SimTime, batch: &[u64]) -> Work {
         let c = &self.costs;
         let consumer_cost = |insns: u32| c.tap_pkt_ns + (insns as f64 * c.filter_insn_ns) as u64;
         let freebsd = self.spec.os.is_freebsd();
@@ -121,8 +125,8 @@ impl MachineSim {
         let recv_ns = now.as_nanos();
         let mut copy_total = 0u64;
         let tracing = self.trace.is_on();
-        for r in batch {
-            let pkt = r.packet();
+        for &pos in batch {
+            let pkt = &self.window.get(pos).packet;
             let per_pkt = c.rx_pkt_ns;
             let mut consumer_ns = 0u64;
             match &mut self.stack {

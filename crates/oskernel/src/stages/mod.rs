@@ -19,8 +19,9 @@
 //! schedule further events at times `>= now`, but must not pop the
 //! queue itself. Only the arrival handler pulls the next packet from
 //! the run's [`ArrivalSource`] — one pull per arrival keeps chunked
-//! injection order-equivalent to flat injection — and no stage owns or
-//! copies packet bytes.
+//! injection order-equivalent to flat injection. Stages pass packets
+//! by stream position and read them in place through the sim's
+//! [`crate::sim::StreamWindow`]; none owns or copies packet bytes.
 
 pub(crate) mod app;
 pub(crate) mod cpu;
@@ -32,7 +33,7 @@ pub(crate) mod sample;
 use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::SimTime;
-use pcs_pktgen::PacketRef;
+use pcs_pktgen::PacketSource;
 
 /// Maximum packets picked up by one interrupt batch.
 pub(crate) const MAX_IRQ_BATCH: usize = 64;
@@ -46,14 +47,14 @@ pub(crate) const DIRTY_LIMIT: u64 = 32 << 20;
 /// Disk write-back granule.
 pub(crate) const WRITEBACK_CHUNK: u64 = 1 << 20;
 
-/// The timed packet source a stage may pull the next arrival from: the
-/// run's [`pcs_pktgen::PacketSource`] flattened into shared references.
-pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = PacketRef>;
+/// The run's chunked packet source, which the arrival stage pulls into
+/// the sim's [`crate::sim::StreamWindow`].
+pub(crate) type ArrivalSource<'a> = &'a mut dyn PacketSource;
 
 /// Route one admitted event to its stage's handler.
 pub(crate) fn dispatch(sim: &mut MachineSim, now: SimTime, ev: SimEvent, src: ArrivalSource) {
     match ev {
-        SimEvent::Arrival(pkt) => sim.on_arrival(now, pkt, src),
+        SimEvent::Arrival(pos) => sim.on_arrival(now, pos, src),
         SimEvent::IrqGate => sim.try_fire_irq(now),
         SimEvent::CpuFree(cpu) => sim.cpu_free(now, cpu),
         SimEvent::AppResume(app) => sim.app_resume(now, app),

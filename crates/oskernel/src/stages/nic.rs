@@ -5,16 +5,16 @@ use super::ArrivalSource;
 use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::{SimDuration, SimTime};
-use pcs_pktgen::PacketRef;
 use pcs_trace::{Stage, APP_NONE};
 
 impl MachineSim {
-    /// Handle [`SimEvent::Arrival`]: PCI credit, ring entry, the next
-    /// source pull, and the IRQ gate. One call per packet.
-    pub(super) fn on_arrival(&mut self, now: SimTime, pkt: PacketRef, src: ArrivalSource) {
+    /// Handle [`SimEvent::Arrival`] of the packet at stream position
+    /// `pos`: PCI credit, ring entry, the next source pull, and the IRQ
+    /// gate. One call per packet.
+    pub(super) fn on_arrival(&mut self, now: SimTime, pos: u64, src: ArrivalSource) {
         self.offered += 1;
         let (seq, frame_len) = {
-            let p = pkt.packet();
+            let p = &self.window.get(pos).packet;
             (p.seq, p.frame_len as u64)
         };
         self.note_arrival(now, frame_len as u32);
@@ -45,7 +45,7 @@ impl MachineSim {
         } else {
             self.pci_credit -= 1.0;
             if self.ring.len() < ring_slots {
-                self.ring.push_back(pkt);
+                self.ring.push_back(pos);
                 self.trace.emit(
                     now.as_nanos(),
                     Stage::NicEnqueue,
@@ -69,7 +69,9 @@ impl MachineSim {
                 );
             }
         }
-        match src.next() {
+        // The ring holds the only live positions now: this arrival is
+        // handled and the next one not yet pulled.
+        match self.window.pull(src, self.ring.front().copied()) {
             Some(next) => self.schedule_arrival(next),
             None => {
                 self.source_done = true;
@@ -80,18 +82,18 @@ impl MachineSim {
         self.try_fire_irq(now);
     }
 
-    /// Schedule one pulled packet as the next arrival. It waits in the
-    /// admission cursor under a reserved heap sequence number
-    /// (tie-breaking identical to the heap), or, in the
+    /// Schedule the pulled packet at stream position `pos` as the next
+    /// arrival. It waits in the admission cursor under a reserved heap
+    /// sequence number (tie-breaking identical to the heap), or, in the
     /// `with_batching(false)` oracle, is scheduled through the heap.
-    pub(crate) fn schedule_arrival(&mut self, pkt: PacketRef) {
-        let t = pkt.time();
+    pub(crate) fn schedule_arrival(&mut self, pos: u64) {
+        let t = self.window.get(pos).time;
         if self.batching {
             let seq = self.sched.queue.reserve_seq();
             let key = pcs_des::EventQueue::<SimEvent>::admission_key(t, seq);
-            self.pending_arrival.stash(key, pkt);
+            self.pending_arrival.stash(key, pos);
         } else {
-            self.sched.queue.schedule(t, SimEvent::Arrival(pkt));
+            self.sched.queue.schedule(t, SimEvent::Arrival(pos));
         }
     }
 

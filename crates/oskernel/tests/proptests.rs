@@ -10,6 +10,16 @@ use pcs_trace::{CellTrace, SutTrace, TraceSink, TraceSpec};
 use proptest::prelude::*;
 
 fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
+    source_in_chunks(count, rate, burst, seed, DEFAULT_CHUNK_PACKETS)
+}
+
+fn source_in_chunks(
+    count: u64,
+    rate: f64,
+    burst: u32,
+    seed: u64,
+    chunk_packets: usize,
+) -> ChunkedGenerator {
     let cfg = PktgenConfig {
         count,
         size: SizeSource::Fixed(659),
@@ -18,7 +28,7 @@ fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
     let mut g = Generator::new(cfg, TxModel::syskonnect(), seed);
     g.set_target_rate(rate, 659.0);
     g.set_burstiness(burst);
-    ChunkedGenerator::new(g, DEFAULT_CHUNK_PACKETS)
+    ChunkedGenerator::new(g, chunk_packets)
 }
 
 fn arb_machine() -> impl Strategy<Value = MachineSpec> {
@@ -151,9 +161,44 @@ impl MachineFaults for Kshrink {
     }
 }
 
+/// The trace spec a property draws by index: off, every stage, drops
+/// only, or every stage plus `sched` (whose dispatch order pins the
+/// exact event interleaving).
+fn trace_spec(filter: u8) -> Option<TraceSpec> {
+    match filter {
+        1 => Some(TraceSpec::default()),
+        2 => Some(TraceSpec {
+            filter: pcs_trace::StageFilter::drops(),
+            ..TraceSpec::default()
+        }),
+        3 => {
+            let mut f = pcs_trace::StageFilter::sched();
+            for s in pcs_trace::Stage::ALL {
+                f.insert(s);
+            }
+            Some(TraceSpec {
+                filter: f,
+                ..TraceSpec::default()
+            })
+        }
+        _ => None,
+    }
+}
+
+/// The fault hooks a property draws by index: none, [`Stall`],
+/// [`Preempt`] or [`Kshrink`].
+fn hooks(fault: u8) -> Option<Box<dyn MachineFaults>> {
+    match fault {
+        1 => Some(Box::new(Stall)),
+        2 => Some(Box::new(Preempt)),
+        3 => Some(Box::new(Kshrink)),
+        _ => None,
+    }
+}
+
 /// Render a traced report's exports exactly as the sweep exporter
-/// would: the batched engine and its per-packet oracle must agree on
-/// every exported byte, not just on the report struct.
+/// would: two runs a property compares must agree on every exported
+/// byte, not just on the report struct.
 fn rendered_exports(r: &RunReport) -> (String, String) {
     let cell = CellTrace {
         label: format!("prop {}", r.machine),
@@ -204,28 +249,10 @@ proptest! {
             let mut sim = MachineSim::new(spec, cfg.clone())
                 .with_batching(batched)
                 .with_stage_times(true);
-            let spec = match filter {
-                1 => Some(TraceSpec::default()),
-                2 => Some(TraceSpec { filter: pcs_trace::StageFilter::drops(), ..TraceSpec::default() }),
-                3 => {
-                    let mut f = pcs_trace::StageFilter::sched();
-                    for s in pcs_trace::Stage::ALL {
-                        f.insert(s);
-                    }
-                    Some(TraceSpec { filter: f, ..TraceSpec::default() })
-                }
-                _ => None,
-            };
-            if let Some(spec) = spec {
+            if let Some(spec) = trace_spec(filter) {
                 sim = sim.with_trace(TraceSink::bounded(spec));
             }
-            let hooks: Option<Box<dyn MachineFaults>> = match fault {
-                1 => Some(Box::new(Stall)),
-                2 => Some(Box::new(Preempt)),
-                3 => Some(Box::new(Kshrink)),
-                _ => None,
-            };
-            sim.with_faults(hooks).run_source(source(count, rate, burst, seed))
+            sim.with_faults(hooks(fault)).run_source(source(count, rate, burst, seed))
         };
         let batched = run(true);
         let legacy = run(false);
@@ -240,9 +267,55 @@ proptest! {
     }
 }
 
+proptest! {
+    // The default config: 256 cases, or `PROPTEST_CASES`.
+
+    /// Chunk boundaries are invisible: a stream cut into chunks of 1,
+    /// 2–64 or 4096 packets gives the report of the 4096-packet run —
+    /// and, when traced, the same trace exports and ledger — on any
+    /// machine, under any fault hook, with the admission cursor or its
+    /// per-packet oracle. Streams of 200–1,500 packets cross a chunk
+    /// boundary at every chunk size below 4096.
+    #[test]
+    fn chunk_size_is_invisible(
+        spec in arb_machine(),
+        count in 200u64..1_500,
+        rate in 100f64..900.0,
+        burst in 1u32..64,
+        napps in 1usize..3,
+        chunk_packets in prop_oneof![Just(1usize), 2usize..65, Just(4096usize)],
+        filter in 0u8..4,
+        fault in 0u8..4,
+        batched in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let cfg = SimConfig {
+            apps: vec![AppConfig::plain(); napps],
+            ..SimConfig::default()
+        };
+        let run = |chunk_packets: usize| {
+            let mut sim = MachineSim::new(spec, cfg.clone())
+                .with_batching(batched)
+                .with_stage_times(true);
+            if let Some(spec) = trace_spec(filter) {
+                sim = sim.with_trace(TraceSink::bounded(spec));
+            }
+            sim.with_faults(hooks(fault))
+                .run_source(source_in_chunks(count, rate, burst, seed, chunk_packets))
+        };
+        let reference = run(DEFAULT_CHUNK_PACKETS);
+        let chunked = run(chunk_packets);
+        prop_assert_eq!(format!("{chunked:?}"), format!("{reference:?}"), "chunk={}", chunk_packets);
+        if filter != 0 {
+            prop_assert_eq!(rendered_exports(&chunked), rendered_exports(&reference));
+            prop_assert_eq!(rendered_ledger(&chunked), rendered_ledger(&reference));
+        }
+    }
+}
+
 /// Render a traced report as the full `--ledger` document, exactly as
-/// the experiments CLI would: the batched and per-packet engines must
-/// agree on every ledger byte, not just on the report struct.
+/// the experiments CLI would: two runs a property compares must agree
+/// on every ledger byte, not just on the report struct.
 fn rendered_ledger(r: &RunReport) -> String {
     let cell = CellTrace {
         label: format!("prop {}", r.machine),

@@ -16,8 +16,8 @@
 //! * [`createdist`] — the `createDist` conversion pipeline between
 //!   sizes/dist/trace/procfs representations;
 //! * [`source`] — the chunked [`PacketSource`] streaming interface
-//!   through which every sniffer reads its cell's stream, and the shared
-//!   [`PacketRef`] packet references of the clone-free injection path;
+//!   through which every sniffer reads its cell's stream, one shared
+//!   [`Chunk`] at a time;
 //! * [`streamcache`] — the process-global, content-addressed
 //!   [`StreamCache`] that generates each distinct stream at most once
 //!   and publishes its chunks to every sniffer of every measurement cell
@@ -43,8 +43,7 @@ pub use mwn::{mwn_counts, mwn_mean};
 pub use procfs::{CmdError, PktgenConfig, PktgenControl, SizeSource};
 pub use replay::{replay_pcap, replay_rate_mbps, TraceReplay};
 pub use source::{
-    Chunk, ChunkedGenerator, MaterializedSource, PacketRef, PacketSource, SourceRefs,
-    DEFAULT_CHUNK_PACKETS,
+    Chunk, ChunkedGenerator, MaterializedSource, PacketSource, DEFAULT_CHUNK_PACKETS,
 };
 pub use streamcache::{
     chunk_bytes, PublishingSource, StreamCache, StreamKey, StreamPublisher, StreamRole,

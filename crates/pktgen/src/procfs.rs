@@ -11,6 +11,8 @@
 use crate::dist::{DistError, TwoStageDist};
 use pcs_wire::MacAddr;
 use std::net::Ipv4Addr;
+use std::num::ParseIntError;
+use std::str::FromStr;
 
 /// How packet sizes are chosen.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +81,24 @@ struct PendingDist {
     hist: Vec<(u32, u32)>,
 }
 
+/// Argument `i` of `command`, called `name` in its errors, parsed at the
+/// width of the field it sets: a number the field cannot hold is an
+/// error, never truncated.
+fn arg<T: FromStr<Err = ParseIntError>>(
+    command: &str,
+    args: &[&str],
+    i: usize,
+    name: &str,
+) -> Result<T, CmdError> {
+    let err = |message: String| CmdError {
+        command: command.to_string(),
+        message,
+    };
+    let s = args.get(i).ok_or_else(|| err(format!("missing {name}")))?;
+    s.parse()
+        .map_err(|e| err(format!("bad number '{s}' for {name}: {e}")))
+}
+
 /// The procfs-style control endpoint: feed it `pgset` command strings.
 #[derive(Debug, Clone, Default)]
 pub struct PktgenControl {
@@ -142,18 +162,11 @@ impl PktgenControl {
         let mut parts = command.split_whitespace();
         let verb = parts.next().ok_or_else(|| err("empty command"))?;
         let args: Vec<&str> = parts.collect();
-        let num = |s: &str| -> Result<u64, CmdError> {
-            s.parse().map_err(|_| err(&format!("bad number '{s}'")))
-        };
         match verb {
-            "count" => {
-                self.config.count = num(args.first().ok_or_else(|| err("missing count"))?)?;
-            }
-            "delay" => {
-                self.config.delay_ns = num(args.first().ok_or_else(|| err("missing delay"))?)?;
-            }
+            "count" => self.config.count = arg(command, &args, 0, "count")?,
+            "delay" => self.config.delay_ns = arg(command, &args, 0, "delay")?,
             "pkt_size" => {
-                let n = num(args.first().ok_or_else(|| err("missing size"))?)? as u32;
+                let n: u32 = arg(command, &args, 0, "size")?;
                 if !(42..=1514).contains(&n) {
                     return Err(err("pkt_size out of range (42..=1514)"));
                 }
@@ -185,17 +198,10 @@ impl PktgenControl {
                     .ok_or_else(|| err("bad source MAC"))?;
             }
             "src_mac_count" => {
-                self.config.src_mac_count =
-                    num(args.first().ok_or_else(|| err("missing count"))?)?.max(1);
+                self.config.src_mac_count = arg::<u64>(command, &args, 0, "count")?.max(1);
             }
-            "udp_src_port" => {
-                self.config.udp_src_port =
-                    num(args.first().ok_or_else(|| err("missing port"))?)? as u16;
-            }
-            "udp_dst_port" => {
-                self.config.udp_dst_port =
-                    num(args.first().ok_or_else(|| err("missing port"))?)? as u16;
-            }
+            "udp_src_port" => self.config.udp_src_port = arg(command, &args, 0, "port")?,
+            "udp_dst_port" => self.config.udp_dst_port = arg(command, &args, 0, "port")?,
             // --- the thesis' enhancement (Appendix A.2.2) ---
             "dist" => {
                 if args.len() != 5 {
@@ -203,11 +209,11 @@ impl PktgenControl {
                         "usage: dist <precision> <hist_width> <max_size> <num_outl> <num_hist>",
                     ));
                 }
-                let precision = num(args[0])? as u32;
-                let binsize = num(args[1])? as u32;
-                let max_size = num(args[2])? as u32;
-                let want_outl = num(args[3])? as usize;
-                let want_hist = num(args[4])? as usize;
+                let precision: u32 = arg(command, &args, 0, "precision")?;
+                let binsize: u32 = arg(command, &args, 1, "hist_width")?;
+                let max_size: u32 = arg(command, &args, 2, "max_size")?;
+                let want_outl: usize = arg(command, &args, 3, "num_outl")?;
+                let want_hist: usize = arg(command, &args, 4, "num_hist")?;
                 if precision == 0 || binsize == 0 || max_size == 0 {
                     return Err(err("dist parameters must be positive"));
                 }
@@ -227,8 +233,8 @@ impl PktgenControl {
                 if args.len() != 2 {
                     return Err(err("usage: outl|hist <size> <cells>"));
                 }
-                let size = num(args[0])? as u32;
-                let cells = num(args[1])? as u32;
+                let size: u32 = arg(command, &args, 0, "size")?;
+                let cells: u32 = arg(command, &args, 1, "cells")?;
                 let pending = self
                     .pending
                     .as_mut()
@@ -346,6 +352,67 @@ mod tests {
         assert!(c.pgset("frobnicate 1").is_err());
         assert!(c.pgset("").is_err());
         assert!(c.pgset("dst not.an.ip").is_err());
+    }
+
+    #[test]
+    fn numbers_are_parsed_at_their_fields_width() {
+        // Each field takes its type's maximum where its range allows it,
+        // and refuses maximum + 1 by name instead of truncating it.
+        let mut c = PktgenControl::new();
+        for (field, max) in [("udp_src_port", 65535), ("udp_dst_port", 65535)] {
+            c.pgset(&format!("{field} {max}")).unwrap();
+            let e = c.pgset(&format!("{field} {}", max + 1)).unwrap_err();
+            assert!(e.message.contains("for port"), "{e}");
+        }
+        assert_eq!(
+            (c.config.udp_src_port, c.config.udp_dst_port),
+            (65535, 65535)
+        );
+        c.pgset("count 18446744073709551615").unwrap();
+        assert!(c.pgset("count 18446744073709551616").is_err());
+        c.pgset("src_mac_count 18446744073709551615").unwrap();
+        assert_eq!(c.config.count, u64::MAX);
+        // pkt_size is a u32 whose range stops at 1514.
+        let e = c.pgset("pkt_size 4294967295").unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+        let e = c.pgset("pkt_size 4294967338").unwrap_err();
+        assert!(e.message.contains("for size"), "{e}");
+        assert_eq!(c.config.size, SizeSource::Fixed(1500));
+
+        let (max, count_max) = (u32::MAX as u128, usize::MAX as u128);
+        let dist_args = [
+            ("precision", max),
+            ("hist_width", max),
+            ("max_size", max),
+            ("num_outl", count_max),
+            ("num_hist", count_max),
+        ];
+        for (i, (name, max)) in dist_args.into_iter().enumerate() {
+            let mut args = ["1000", "20", "1500", "1", "1"].map(String::from);
+            args[i] = max.to_string();
+            c.pgset(&format!("dist {}", args.join(" "))).unwrap();
+            args[i] = (max + 1).to_string();
+            let e = c.pgset(&format!("dist {}", args.join(" "))).unwrap_err();
+            assert!(e.message.contains(&format!("for {name}")), "{e}");
+        }
+        for verb in ["outl", "hist"] {
+            c.pgset("dist 1000 20 1500 2 2").unwrap();
+            c.pgset(&format!("{verb} {max} 1")).unwrap();
+            c.pgset(&format!("{verb} 40 {max}")).unwrap();
+            let e = c.pgset(&format!("{verb} {} 1", max + 1)).unwrap_err();
+            assert!(e.message.contains("for size"), "{e}");
+            let e = c.pgset(&format!("{verb} 40 {}", max + 1)).unwrap_err();
+            assert!(e.message.contains("for cells"), "{e}");
+        }
+        // The truncations that used to start and complete a precision-1
+        // distribution are refused.
+        let mut c = PktgenControl::new();
+        let e = c.pgset("dist 4294967297 1 1500 0 1").unwrap_err();
+        assert!(e.message.contains("for precision"), "{e}");
+        c.pgset("dist 1 1 1500 0 1").unwrap();
+        let e = c.pgset("hist 4294967396 4294967297").unwrap_err();
+        assert!(e.message.contains("for size"), "{e}");
+        assert!(!c.dist_ready());
     }
 
     #[test]

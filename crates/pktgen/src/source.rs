@@ -7,11 +7,11 @@
 //! fixed-size chunks (`Arc<[TimedPacket]>`), shared by pointer with every
 //! consumer, small enough (~4k packets) that the generator and the
 //! machine simulations reading its published stream overlap instead of
-//! serializing behind a fully generated run.
+//! serializing behind a fully generated run. A machine simulation keeps
+//! the few chunks it still needs and reads each packet in place by its
+//! position in the stream, so no consumer copies or refcounts a packet.
 
 use crate::generator::{Generator, TimedPacket};
-use pcs_des::SimTime;
-use pcs_wire::SimPacket;
 use std::sync::Arc;
 
 /// One immutable chunk of consecutively generated packets. `Arc`-shared:
@@ -33,68 +33,6 @@ pub trait PacketSource {
     /// The next chunk, or `None` once the stream is exhausted.
     fn next_chunk(&mut self) -> Option<Chunk>;
 }
-
-/// A shared reference to one packet inside a [`Chunk`]: the zero-copy
-/// currency of the pipeline's hot path.
-///
-/// Cloning a `PacketRef` bumps the chunk's refcount and copies an index —
-/// it never copies packet bytes. The machine simulations inject arrivals
-/// as `PacketRef`s, so a chunk broadcast to N sniffers is read in place
-/// by all of them and freed once the last one is done with it.
-#[derive(Clone)]
-pub struct PacketRef {
-    chunk: Chunk,
-    idx: usize,
-}
-
-impl PacketRef {
-    /// A reference to packet `idx` of `chunk`, or `None` when `idx` is
-    /// out of bounds — a `PacketRef` always points at a real packet.
-    pub fn new(chunk: Chunk, idx: usize) -> Option<PacketRef> {
-        (idx < chunk.len()).then_some(PacketRef { chunk, idx })
-    }
-
-    /// The referenced timed packet.
-    pub fn get(&self) -> &TimedPacket {
-        &self.chunk[self.idx]
-    }
-
-    /// Transmit timestamp of the referenced packet.
-    pub fn time(&self) -> SimTime {
-        self.get().time
-    }
-
-    /// The referenced packet itself.
-    pub fn packet(&self) -> &SimPacket {
-        &self.get().packet
-    }
-}
-
-impl std::ops::Deref for PacketRef {
-    type Target = TimedPacket;
-
-    fn deref(&self) -> &TimedPacket {
-        self.get()
-    }
-}
-
-impl std::fmt::Debug for PacketRef {
-    // A derived Debug would print the whole backing chunk.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PacketRef")
-            .field("seq", &self.get().packet.seq)
-            .field("idx", &self.idx)
-            .finish()
-    }
-}
-
-impl PartialEq for PacketRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.get() == other.get()
-    }
-}
-
-impl Eq for PacketRef {}
 
 /// A [`Generator`] cut into fixed-size chunks.
 ///
@@ -180,49 +118,6 @@ impl PacketSource for MaterializedSource {
     }
 }
 
-/// Flatten any [`PacketSource`] into per-packet [`PacketRef`]s. Each
-/// item costs one refcount bump on the current chunk; packet bytes are
-/// never copied.
-pub struct SourceRefs<S: PacketSource> {
-    source: S,
-    /// Invariant between calls: `idx <= chunk.len()`, and `idx ==
-    /// chunk.len()` exactly when the current chunk is exhausted. Starts
-    /// on an empty sentinel chunk so the first `next` refills.
-    chunk: Chunk,
-    idx: usize,
-}
-
-impl<S: PacketSource> SourceRefs<S> {
-    /// Iterate `source` packet by packet, by shared reference.
-    pub fn new(source: S) -> SourceRefs<S> {
-        SourceRefs {
-            source,
-            chunk: Arc::from(Vec::new()),
-            idx: 0,
-        }
-    }
-}
-
-impl<S: PacketSource> Iterator for SourceRefs<S> {
-    type Item = PacketRef;
-
-    fn next(&mut self) -> Option<PacketRef> {
-        // The refill loop only runs once the previous chunk is fully
-        // consumed (sources yield non-empty chunks, so it iterates once
-        // in practice).
-        while self.idx == self.chunk.len() {
-            self.chunk = self.source.next_chunk()?;
-            self.idx = 0;
-        }
-        let r = PacketRef {
-            chunk: Arc::clone(&self.chunk),
-            idx: self.idx,
-        };
-        self.idx += 1;
-        Some(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,51 +163,30 @@ mod tests {
         assert_eq!(n, 3);
     }
 
+    /// Every packet of `source`, in stream order.
+    fn flatten(mut source: impl PacketSource) -> Vec<TimedPacket> {
+        let mut packets = Vec::new();
+        while let Some(chunk) = source.next_chunk() {
+            packets.extend_from_slice(&chunk);
+        }
+        packets
+    }
+
     #[test]
     fn chunked_generator_preserves_the_exact_stream() {
         let direct: Vec<TimedPacket> = gen(5_000).collect();
         for chunk_packets in [1usize, 1009, 4096, 100_000] {
-            let refs: Vec<PacketRef> =
-                SourceRefs::new(ChunkedGenerator::new(gen(5_000), chunk_packets)).collect();
-            assert_eq!(refs.len(), direct.len(), "chunk={chunk_packets}");
-            for (r, tp) in refs.iter().zip(&direct) {
-                assert_eq!(r.get(), tp, "chunk={chunk_packets}");
-                assert_eq!(r.time(), tp.time);
-                assert_eq!(r.packet(), &tp.packet);
-            }
+            let chunked = flatten(ChunkedGenerator::new(gen(5_000), chunk_packets));
+            assert_eq!(chunked, direct, "chunk={chunk_packets}");
         }
-    }
-
-    #[test]
-    fn packet_refs_share_their_chunk() {
-        let mut source = ChunkedGenerator::new(gen(100), 64);
-        let chunk = source.next_chunk().unwrap();
-        let a = PacketRef::new(Arc::clone(&chunk), 0).expect("index in bounds");
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&a.chunk, &b.chunk), "clone must share storage");
-        assert_eq!(a.packet().seq, 0);
-        assert_eq!(format!("{a:?}"), "PacketRef { seq: 0, idx: 0 }");
-    }
-
-    #[test]
-    fn packet_ref_rejects_out_of_bounds_index() {
-        let mut source = ChunkedGenerator::new(gen(4), 4);
-        let chunk = source.next_chunk().unwrap();
-        assert!(PacketRef::new(Arc::clone(&chunk), 3).is_some());
-        assert!(PacketRef::new(chunk, 4).is_none());
     }
 
     #[test]
     fn materialized_source_replays_identically() {
         let all: Arc<Vec<TimedPacket>> = Arc::new(gen(5_000).collect());
         for chunk_packets in [1usize, 1009, 4096] {
-            let replayed: Vec<PacketRef> =
-                SourceRefs::new(MaterializedSource::new(Arc::clone(&all), chunk_packets)).collect();
-            assert_eq!(replayed.len(), all.len(), "chunk={chunk_packets}");
-            for (r, tp) in replayed.iter().zip(all.iter()) {
-                assert_eq!(r.get(), tp, "chunk={chunk_packets}");
-            }
+            let replayed = flatten(MaterializedSource::new(Arc::clone(&all), chunk_packets));
+            assert_eq!(replayed, *all, "chunk={chunk_packets}");
         }
     }
 }

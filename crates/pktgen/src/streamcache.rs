@@ -409,7 +409,7 @@ mod tests {
     use super::*;
     use crate::generator::{Generator, TxModel};
     use crate::procfs::PktgenConfig;
-    use crate::source::{ChunkedGenerator, SourceRefs};
+    use crate::source::ChunkedGenerator;
 
     fn gen(count: u64, seed: u64) -> ChunkedGenerator {
         ChunkedGenerator::new(
@@ -503,16 +503,14 @@ mod tests {
             StreamRole::Produce(_) => unreachable!(),
             StreamRole::Subscribe(s) => s,
         };
-        let reference: Vec<_> = SourceRefs::new(gen(2_000, 9)).collect();
+        let packets = |chunks: Vec<Chunk>| -> Vec<TimedPacket> { chunks.concat() };
+        let reference = packets(drain(gen(2_000, 9)));
         std::thread::scope(|scope| {
-            let consumer = scope.spawn(move || SourceRefs::new(subscriber).collect::<Vec<_>>());
+            let consumer = scope.spawn(move || drain(subscriber));
             let produced = drain(PublishingSource::new(gen(2_000, 9), publisher));
             assert!(!produced.is_empty());
-            let consumed = consumer.join().expect("subscriber thread");
-            assert_eq!(consumed.len(), reference.len());
-            for (r, expected) in consumed.iter().zip(&reference) {
-                assert_eq!(r.get(), expected.get());
-            }
+            let consumed = packets(consumer.join().expect("subscriber thread"));
+            assert_eq!(consumed, reference);
         });
     }
 
