@@ -123,11 +123,6 @@ impl<E> EventQueue<E> {
         Some((time, entry.event))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time())
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

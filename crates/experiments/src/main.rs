@@ -74,6 +74,7 @@ use pcs_obs::{
     diff_ledgers, render_ledger, render_profile, ExperimentProfile, HostProfile, Ledger, LedgerMeta,
 };
 use pcs_testbed::{available_parallelism, parallel_ordered};
+use pcs_trace::json::validate;
 use pcs_trace::{export, DropAttribution, StageFilter, TraceCollector, TraceSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -463,7 +464,7 @@ fn main() {
                 let collector = collector.as_ref().expect("trace implies a collector");
                 let cells = collector.cells();
                 let json = export::chrome_trace_json(&cells);
-                export::validate_json(&json).expect("generated trace JSON must be valid");
+                validate(&json).expect("generated trace JSON must be valid");
                 output(path, std::fs::write(path, &json));
                 eprintln!(
                     "== wrote {path} ({} traced cells; load in Perfetto)",
@@ -542,7 +543,7 @@ fn main() {
                 // bare --ledger stays fully deterministic (cmp-able).
                 let embedded = if profile { host_profile.as_ref() } else { None };
                 let json = render_ledger(&meta, &cells, embedded);
-                export::validate_json(&json).expect("generated ledger JSON must be valid");
+                validate(&json).expect("generated ledger JSON must be valid");
                 output(path, std::fs::write(path, &json));
                 eprintln!(
                     "== wrote {path} ({} cells; compare runs with `experiments obs diff`)",
@@ -554,7 +555,7 @@ fn main() {
                     .as_ref()
                     .expect("profile-json implies profiling");
                 let json = render_profile(p);
-                export::validate_json(&json).expect("generated profile JSON must be valid");
+                validate(&json).expect("generated profile JSON must be valid");
                 output(path, std::fs::write(path, &json));
                 eprintln!("== wrote {path} (host-side profile; varies run to run)");
             }

@@ -1,9 +1,9 @@
-//! The CLI's exit-code contract for output paths: a path that cannot be
-//! created or written exits 1 with one line naming it, never a panic;
-//! argument errors exit 2.
+//! The CLI's exit-code contract: a path that cannot be created or
+//! written exits 1 with one line naming it, never a panic; argument
+//! errors and files that are not ledgers exit 2.
 //!
-//! Every probe runs `experiments run fig4.2 --scale quick`, which
-//! simulates no cells, so each spawn takes milliseconds.
+//! Every output-path probe runs `experiments run fig4.2 --scale quick`,
+//! which simulates no cells, so each spawn takes milliseconds.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -75,4 +75,34 @@ fn oracle_flag_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("usage:"), "{stderr}");
+}
+
+/// `obs diff` refuses a ledger that is valid JSON but carries an
+/// infinite leaf or a fractional version marker; diffing it would rank
+/// a NaN drift or read version 1.5 as 1.
+#[test]
+fn obs_diff_refuses_non_finite_numbers_and_a_fractional_version() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/fig6.4a_quick.ledger.json"
+    );
+    let text = std::fs::read_to_string(golden).expect("read the golden ledger");
+    let dir = scratch("cli-obs-diff");
+    for (name, from, to) in [
+        ("inf.json", "\"irq_fires\":2230", "\"irq_fires\":1e400"),
+        ("frac.json", "{\"pcs_ledger\":1,", "{\"pcs_ledger\":1.5,"),
+    ] {
+        assert!(text.contains(from), "{from}");
+        let edited = dir.join(name);
+        std::fs::write(&edited, text.replacen(from, to, 1)).expect("write edited ledger");
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["obs", "diff", golden])
+            .arg(&edited)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("is not a ledger"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
 }

@@ -22,9 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pcs_trace::export::escape_json;
+use pcs_trace::json::Json;
 use pcs_trace::{CellTrace, DropAttribution, WorkKind};
-
-use crate::json::Json;
 
 /// Schema version stamped into (and checked out of) every ledger.
 pub const LEDGER_VERSION: u64 = 1;
@@ -340,14 +339,17 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Parse a ledger document, checking the schema marker.
+    /// Parse a ledger document, checking the schema marker. The marker
+    /// must be exactly the integer [`LEDGER_VERSION`], and every number
+    /// the diff reads must be finite (`1e400` is valid JSON, but reads as
+    /// infinity).
     pub fn parse(text: &str) -> Result<Ledger, String> {
         let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
         let version = doc
             .get("pcs_ledger")
             .and_then(Json::as_f64)
-            .ok_or("missing pcs_ledger version marker")? as u64;
-        if version != LEDGER_VERSION {
+            .ok_or("missing pcs_ledger version marker")?;
+        if version != LEDGER_VERSION as f64 {
             return Err(format!(
                 "ledger version {version} unsupported (expected {LEDGER_VERSION})"
             ));
@@ -384,9 +386,12 @@ impl Ledger {
                 .get("achieved_mbps")
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0);
+            if !achieved_mbps.is_finite() {
+                return Err(format!("cell '{label}': achieved_mbps is not finite"));
+            }
             let mut suts = Vec::new();
             for sut in cell.get("suts").and_then(Json::as_arr).unwrap_or(&[]) {
-                let label = sut
+                let sut_label = sut
                     .get("label")
                     .and_then(Json::as_str)
                     .unwrap_or_default()
@@ -394,7 +399,15 @@ impl Ledger {
                 let mut observables = BTreeMap::new();
                 flatten("", sut, &mut observables);
                 observables.remove("label");
-                suts.push(LedgerSut { label, observables });
+                if let Some((path, _)) = observables.iter().find(|(_, v)| !v.is_finite()) {
+                    return Err(format!(
+                        "cell '{label}', SUT '{sut_label}': {path} is not finite"
+                    ));
+                }
+                suts.push(LedgerSut {
+                    label: sut_label,
+                    observables,
+                });
             }
             cells.push(LedgerCell {
                 label,
@@ -404,7 +417,7 @@ impl Ledger {
             });
         }
         Ok(Ledger {
-            version,
+            version: LEDGER_VERSION,
             scale,
             experiments,
             faults,
@@ -459,7 +472,7 @@ fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_trace::export::validate_json;
+    use pcs_trace::json::validate;
     use pcs_trace::{MetricsRegistry, StageTimes, SutTrace, TraceReport};
 
     fn sample_cells() -> Vec<CellTrace> {
@@ -511,7 +524,7 @@ mod tests {
         let a = render_ledger(&meta(), &cells, None);
         let b = render_ledger(&meta(), &cells, None);
         assert_eq!(a, b, "rendering must be deterministic");
-        validate_json(&a).expect("ledger must be well-formed JSON");
+        validate(&a).expect("ledger must be well-formed JSON");
         assert!(a.contains("\"pcs_ledger\":1"));
         assert!(a.contains("\"fingerprint\":\"000000000000000000000000feedf00d\""));
         assert!(a.contains("\"kernel_buffer_drops\":2"));
@@ -561,12 +574,12 @@ mod tests {
             }],
         };
         let standalone = render_profile(&profile);
-        validate_json(&standalone).expect("profile JSON must be well-formed");
+        validate(&standalone).expect("profile JSON must be well-formed");
         assert!(standalone.contains("\"host_side\":true"));
         assert!(standalone.contains("\"wall_s\":1.500"));
         assert!(standalone.contains("\"pool_gets\":123"));
         let embedded = render_ledger(&meta(), &sample_cells(), Some(&profile));
-        validate_json(&embedded).expect("ledger with profile must be well-formed");
+        validate(&embedded).expect("ledger with profile must be well-formed");
         assert!(embedded.contains("\"profile\":{\"host_side\":true"));
     }
 
@@ -576,5 +589,46 @@ mod tests {
         assert!(Ledger::parse("[1,2]").is_err());
         assert!(Ledger::parse("{\"pcs_ledger\":99,\"cells\":[]}").is_err());
         assert!(Ledger::parse("not json").is_err());
+    }
+
+    /// `sample_cells`' ledger with its first `from` replaced by `to`.
+    fn edited_ledger(from: &str, to: &str) -> String {
+        let text = render_ledger(&meta(), &sample_cells(), None);
+        assert!(text.contains(from), "{from}");
+        text.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn parse_refuses_infinite_leaves() {
+        for inf in ["1e400", "-1e400"] {
+            let text = edited_ledger("\"irq_fires\":7", &format!("\"irq_fires\":{inf}"));
+            assert_eq!(
+                Ledger::parse(&text),
+                Err(
+                    "cell 'rate=100.0 rep=0', SUT 'FreeBSD \"tcpdump\"': counters/irq_fires \
+                     is not finite"
+                        .to_string()
+                )
+            );
+            let text = edited_ledger(
+                "\"achieved_mbps\":99.500000",
+                &format!("\"achieved_mbps\":{inf}"),
+            );
+            assert_eq!(
+                Ledger::parse(&text),
+                Err("cell 'rate=100.0 rep=0': achieved_mbps is not finite".to_string())
+            );
+        }
+    }
+
+    #[test]
+    fn parse_refuses_a_fractional_version() {
+        let text = edited_ledger("\"pcs_ledger\":1,", "\"pcs_ledger\":1.5,");
+        assert_eq!(
+            Ledger::parse(&text),
+            Err("ledger version 1.5 unsupported (expected 1)".to_string())
+        );
+        let text = edited_ledger("\"pcs_ledger\":1,", "\"pcs_ledger\":1.0,");
+        assert_eq!(Ledger::parse(&text).map(|l| l.version), Ok(LEDGER_VERSION));
     }
 }

@@ -14,9 +14,6 @@
 //!   were generated or shared. The host-side `profile` block is the
 //!   one documented exception (it reads the host clock) and is ignored
 //!   by the diff engine.
-//! * **JSON reader** ([`json`]) — a minimal recursive-descent RFC 8259
-//!   parser (the build has no serde_json), just enough to load ledgers
-//!   back.
 //! * **Diff engine** ([`diff`]) — matches two ledgers cell by cell and
 //!   ranks every numeric observable that moved: which cells drifted,
 //!   which attribution bucket or stage time moved, and by how much.
@@ -26,12 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod json;
 pub mod ledger;
 
 pub use diff::{diff_ledgers, CellDiff, DiffReport, Drift};
-pub use json::Json;
 pub use ledger::{
     render_ledger, render_profile, ExperimentProfile, HostProfile, Ledger, LedgerCell, LedgerMeta,
     LedgerSut, LEDGER_VERSION,
 };
+pub use pcs_trace::json::Json;

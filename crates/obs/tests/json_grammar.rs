@@ -1,27 +1,29 @@
-//! Differential test of the workspace's two JSON grammars.
+//! The workspace's one JSON reader, instantiated twice.
 //!
-//! `pcs_trace::export::validate_json` checks every trace and ledger the
-//! program writes; `pcs_obs::Json::parse` reads ledgers back, including
-//! whatever file `obs diff` is pointed at. Both claim RFC 8259 with the
-//! same nesting bound, so they must accept exactly the same documents.
-//! The one documented exception, a lone surrogate escape, needs a `d` or
-//! `D` after `\u`; every input here is built without either letter.
+//! `pcs_trace::json` has one grammar and two instantiations that skip
+//! different work: `validate` checks every trace and ledger the program
+//! writes without decoding a string, converting a number or building a
+//! value, and `Json::parse` builds the tree that reads ledgers back,
+//! including whatever file `obs diff` is pointed at. They must accept
+//! exactly the same documents, lone and paired surrogate escapes
+//! included. `Ledger::parse`, which walks that tree, must refuse a
+//! broken ledger with an error and never panic.
 
 use std::sync::{Arc, OnceLock};
 
 use pcs_core::{figures, ExecConfig, Scale};
-use pcs_obs::{render_ledger, Json, LedgerMeta};
-use pcs_trace::export::validate_json;
+use pcs_obs::{render_ledger, Ledger, LedgerMeta};
+use pcs_trace::json::{validate, Json};
 use pcs_trace::{StageFilter, TraceCollector, TraceSpec};
 use proptest::prelude::*;
 
 fn agree(doc: &str) -> Result<(), TestCaseError> {
-    let checked = validate_json(doc);
+    let checked = validate(doc);
     let parsed = Json::parse(doc).map(drop);
     prop_assert_eq!(
         checked.is_ok(),
         parsed.is_ok(),
-        "{:?}: validate_json {:?}, Json::parse {:?}",
+        "{:?}: validate {:?}, Json::parse {:?}",
         doc,
         checked,
         parsed
@@ -90,37 +92,40 @@ impl Walk<'_> {
     fn string(&mut self) {
         self.out.push('"');
         for _ in 0..self.pick(5) {
-            if self.pick(3) == 0 {
-                // `\u` takes exactly four hex digits: no sign, no fewer.
-                self.out.push_str("\\u");
-                for _ in 0..4 {
-                    self.push(HEX_DIGITS, &["+", "-", " ", "g", "\""], 4);
+            match self.pick(6) {
+                0 | 1 => {
+                    // `\u` takes exactly four hex digits: no sign, no fewer.
+                    self.out.push_str("\\u");
+                    for _ in 0..4 {
+                        self.push(HEX_DIGITS, &["+", "-", " ", "g", "\""], 4);
+                    }
                 }
-            } else {
-                self.push(
+                // A surrogate pair, or one half of it alone.
+                2 => self.push(&["\\ud83d\\ude00"], &["\\ud83d", "\\ude00"], 4),
+                _ => self.push(
                     &[
                         "a", "Z", " ", "'", "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r",
                         "\\t", "\u{e9}", "\u{20ac}",
                     ],
                     &["\\q", "\\", "\u{1}"],
                     16,
-                );
+                ),
             }
         }
         self.out.push('"');
     }
 }
 
-/// Hex digits without `d`/`D`.
+/// Hex digits; a `d`/`D` first digit makes a surrogate escape.
 const HEX_DIGITS: &[&str] = &[
-    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "a", "b", "c", "e", "f", "A", "B", "C", "E",
-    "F",
+    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "a", "b", "c", "d", "e", "f", "A", "B", "C",
+    "D", "E", "F",
 ];
 
 /// Characters a corruption writes over the document.
 const CORRUPTIONS: &[char] = &[
     '{', '}', '[', ']', ':', ',', '"', '\\', 'u', '+', '-', '.', '0', '1', 'e', 'E', ' ', '\n',
-    '\u{0}', 'n', 't', 'f',
+    '\u{0}', 'n', 't', 'f', 'd', 'D',
 ];
 
 fn walk(choices: &[u8]) -> String {
@@ -157,12 +162,6 @@ fn ledger() -> &'static str {
         };
         let text = render_ledger(&meta, &collector.cells(), None);
         assert!(text.is_ascii(), "byte mutations below assume ASCII");
-        // A surrogate escape needs `\u` then `d`/`D`; one mutated byte
-        // (never `d`/`D`) supplies at most one of the other two.
-        assert!(
-            !text.contains('\\') && !text.contains("ud") && !text.contains("uD"),
-            "a single-byte mutation could form a surrogate escape"
-        );
         text
     })
 }
@@ -191,7 +190,7 @@ proptest! {
     fn grammars_agree_on_cut_and_mutated_ledgers(
         cut in any::<usize>(),
         at in any::<usize>(),
-        byte in (0u8..0x80).prop_filter("no surrogate escape", |b| !matches!(b, b'd' | b'D')),
+        byte in 0u8..0x80,
     ) {
         let ledger = ledger();
         agree(ledger)?;
@@ -199,5 +198,24 @@ proptest! {
         let mut mutated = ledger.as_bytes().to_vec();
         mutated[at % ledger.len()] = byte;
         agree(&String::from_utf8(mutated).expect("ASCII stays UTF-8"))?;
+    }
+
+    #[test]
+    fn ledger_parse_refuses_cut_and_mutated_ledgers_without_panicking(
+        cut in any::<usize>(),
+        at in any::<usize>(),
+        byte in 0u8..0x80,
+    ) {
+        let ledger = ledger();
+        prop_assert!(Ledger::parse(ledger).is_ok());
+        let mut mutated = ledger.as_bytes().to_vec();
+        mutated[at % ledger.len()] = byte;
+        let mutated = String::from_utf8(mutated).expect("ASCII stays UTF-8");
+        for doc in [&ledger[..cut % (ledger.len() + 1)], &mutated] {
+            let parsed = Ledger::parse(doc);
+            if validate(doc).is_err() {
+                prop_assert!(parsed.is_err(), "{:?} is not JSON but parsed", doc);
+            }
+        }
     }
 }

@@ -285,18 +285,10 @@ impl BpfDevice {
         }
     }
 
-    /// Application `read()`: returns the HOLD buffer contents (rotating
-    /// first if HOLD is empty and STORE has data, per §2.1.1) along with
-    /// the byte count copied to user space.
-    pub fn read(&mut self) -> (Vec<CapturedPacket>, u64) {
-        let mut pkts = VecDeque::new();
-        let (_, bytes) = self.read_into(&mut pkts);
-        (pkts.into(), bytes)
-    }
-
-    /// Allocation-free `read()`: appends the HOLD buffer contents to
-    /// `out` (the application's pending queue) instead of building a
-    /// fresh vector. Returns `(packets, bytes)` delivered.
+    /// Application `read()`: appends the HOLD buffer contents (rotating
+    /// first if HOLD is empty and STORE has data, per §2.1.1) to `out`,
+    /// the application's pending queue. Returns `(packets, bytes)`
+    /// delivered, the bytes being what is copied to user space.
     pub fn read_into(&mut self, out: &mut VecDeque<CapturedPacket>) -> (u64, u64) {
         if self.hold.is_empty() && !self.store.is_empty() {
             std::mem::swap(&mut self.store, &mut self.hold);
@@ -314,11 +306,6 @@ impl BpfDevice {
     /// True when a read would return data.
     pub fn readable(&self) -> bool {
         !self.hold.is_empty() || !self.store.is_empty()
-    }
-
-    /// Bytes currently buffered (both halves).
-    pub fn buffered_bytes(&self) -> u64 {
-        self.store_bytes + self.hold_bytes
     }
 
     /// Packets currently buffered (both halves).
@@ -409,17 +396,9 @@ impl LsfSocket {
     }
 
     /// Dequeue up to `max` packets (the application's recvfrom loop /
-    /// ring scan). Returns packets and the bytes that will be copied to
-    /// user space (0 for mmap: the copy happened on the kernel side).
-    pub fn dequeue(&mut self, max: usize) -> (Vec<CapturedPacket>, u64) {
-        let mut out = Vec::with_capacity(self.queue.len().min(max));
-        let copy_bytes = self.dequeue_into(max, &mut out);
-        (out, copy_bytes)
-    }
-
-    /// Allocation-free `dequeue`: appends up to `max` packets to `out`
-    /// (a pooled buffer) and returns the bytes that will be copied to
-    /// user space.
+    /// ring scan), appending them to `out` (a pooled buffer). Returns the
+    /// bytes that will be copied to user space (0 for mmap: the copy
+    /// happened on the kernel side).
     pub fn dequeue_into(&mut self, max: usize, out: &mut Vec<CapturedPacket>) -> u64 {
         let n = self.queue.len().min(max);
         let mut copy_bytes = 0u64;
@@ -590,15 +569,8 @@ impl LsfState {
         &self.outcomes
     }
 
-    /// Release one reference per packet dequeued by a (non-mmap) socket.
-    pub fn release(&mut self, seqs: &[u64]) {
-        for &seq in seqs {
-            self.release_seq(seq);
-        }
-    }
-
-    /// Release a single packet reference (the allocation-free variant of
-    /// [`LsfState::release`] — no seq vector needed).
+    /// Release one reference to a packet dequeued by a (non-mmap) socket
+    /// with [`LsfSocket::dequeue_into`].
     pub fn release_seq(&mut self, seq: u64) {
         if let Some((refs, truesize)) = self.refs.get_mut(&seq) {
             *refs -= 1;
@@ -646,8 +618,9 @@ mod tests {
             assert_eq!(o.copied_bytes, 100);
         }
         assert!(d.readable());
-        let (pkts, bytes) = d.read();
-        assert_eq!(pkts.len(), 5);
+        let mut pkts = VecDeque::new();
+        let (n, bytes) = d.read_into(&mut pkts);
+        assert_eq!((n, pkts.len()), (5, 5));
         assert_eq!(bytes, 5 * bpf_slot_bytes(100));
         assert_eq!(d.stats.delivered, 5);
         assert!(!d.readable());
@@ -668,9 +641,10 @@ mod tests {
         assert_eq!(d.stats.dropped_buffer, 1);
         // Read returns the HOLD half (packets 0,1), then the next read
         // rotates and returns 2,3.
-        let (a, _) = d.read();
+        let (mut a, mut b) = (VecDeque::new(), VecDeque::new());
+        d.read_into(&mut a);
         assert_eq!(a.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![0, 1]);
-        let (b, _) = d.read();
+        d.read_into(&mut b);
         assert_eq!(b.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![2, 3]);
     }
 
@@ -679,7 +653,8 @@ mod tests {
         let mut d = BpfDevice::new(100_000, 76, None);
         let o = d.deliver(&pkt(0, 1500), 0);
         assert_eq!(o.copied_bytes, 76);
-        let (pkts, _) = d.read();
+        let mut pkts = VecDeque::new();
+        d.read_into(&mut pkts);
         assert_eq!(pkts[0].caplen, 76);
         assert_eq!(pkts[0].frame_len, 1500);
     }
@@ -719,6 +694,18 @@ mod tests {
         LsfState::new(sockets, pool)
     }
 
+    /// What the Linux app stage does per chunk on a non-mmap socket:
+    /// dequeue up to `max` packets and release each one's reference.
+    /// Returns `(packets, bytes copied)`.
+    fn dequeue_and_release(l: &mut LsfState, socket: usize, max: usize) -> (usize, u64) {
+        let mut pkts = Vec::new();
+        let bytes = l.sockets[socket].dequeue_into(max, &mut pkts);
+        for p in &pkts {
+            l.release_seq(p.seq);
+        }
+        (pkts.len(), bytes)
+    }
+
     #[test]
     fn lsf_delivers_to_all_sockets() {
         let mut l = lsf(3, 1 << 20, 1 << 20);
@@ -742,14 +729,12 @@ mod tests {
         assert_eq!(l.sockets[0].stats.dropped_pool, 1);
         assert_eq!(l.sockets[1].stats.dropped_pool, 1);
         // One socket dequeues: pool still held by the other's reference.
-        let (pkts, _) = l.sockets[0].dequeue(10);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
+        dequeue_and_release(&mut l, 0, 10);
         assert_eq!(l.pool_bytes(), skb_truesize(500));
         let o = l.deliver(&pkt(2, 500), 0);
         assert!(o.iter().all(|x| !x.stored));
         // Second socket dequeues: pool frees, delivery works again.
-        let (pkts, _) = l.sockets[1].dequeue(10);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
+        dequeue_and_release(&mut l, 1, 10);
         assert_eq!(l.pool_bytes(), 0);
         assert!(l.deliver(&pkt(3, 500), 0).iter().all(|x| x.stored));
     }
@@ -775,10 +760,7 @@ mod tests {
         for i in 0..4 {
             l.deliver(&pkt(i, 200), 0);
         }
-        let (pkts, bytes) = l.sockets[0].dequeue(2);
-        assert_eq!(pkts.len(), 2);
-        assert_eq!(bytes, 400);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
+        assert_eq!(dequeue_and_release(&mut l, 0, 2), (2, 400));
         assert_eq!(l.pool_bytes(), 2 * skb_truesize(200));
     }
 
@@ -791,7 +773,8 @@ mod tests {
         assert!(o[0].stored);
         assert_eq!(o[0].copied_bytes, 500);
         assert_eq!(l.pool_bytes(), 0);
-        let (pkts, user_copy) = l.sockets[0].dequeue(10);
+        let mut pkts = Vec::new();
+        let user_copy = l.sockets[0].dequeue_into(10, &mut pkts);
         assert_eq!(pkts.len(), 1);
         assert_eq!(user_copy, 0, "mmap read copies nothing");
     }

@@ -10,6 +10,9 @@ use std::fmt::Write as _;
 use crate::collect::CellTrace;
 use crate::event::{APP_NONE, SEQ_NONE};
 
+// Code outside the workspace names the checker by these paths.
+pub use crate::json::{validate as validate_json, MAX_JSON_DEPTH};
+
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -321,194 +324,12 @@ fn csv_field(s: &str, out: &mut String) {
     }
 }
 
-/// Deepest array/object nesting [`validate_json`] and the ledger reader
-/// (`pcs_obs::Json::parse`) accept. Both recurse once per level, so an
-/// unbounded document could overflow the stack; the deepest document this
-/// workspace renders nests 9 levels.
-pub const MAX_JSON_DEPTH: usize = 128;
-
-/// Minimal JSON well-formedness checker (the build has no serde_json).
-///
-/// Accepts exactly the RFC 8259 grammar, with nesting bounded by
-/// [`MAX_JSON_DEPTH`]; used by tests and smoke checks to prove emitted
-/// traces parse before they ever reach Perfetto.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos, 0)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-/// `depth` counts the arrays and objects enclosing the value at `pos`.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
-            *pos
-        )),
-        Some(b'{') => parse_object(b, pos, depth + 1),
-        Some(b'[') => parse_array(b, pos, depth + 1),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos:?}")),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos, depth)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos, depth)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at byte {}", *pos)),
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control char at byte {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b[int_start] == b'0' && *pos > int_start + 1 {
-        return Err(format!("leading zero at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collect::SutTrace;
     use crate::event::{SchedEvent, Stage, TraceEvent, WorkKind};
+    use crate::json::validate;
     use crate::sink::TraceReport;
     use crate::DropAttribution;
     use proptest::prelude::*;
@@ -784,7 +605,7 @@ mod tests {
         let a = chrome_trace_json(&cells);
         let b = chrome_trace_json(&cells);
         assert_eq!(a, b);
-        validate_json(&a).expect("emitted trace JSON must be well-formed");
+        validate(&a).expect("emitted trace JSON must be well-formed");
         assert!(a.contains("\"process_name\""));
         assert!(a.contains("\"app_deliver\""));
         assert!(a.contains("drop_attribution/app0"));
@@ -815,7 +636,7 @@ mod tests {
         ];
         let with = chrome_trace_json(&cells);
         assert_ne!(without, with);
-        validate_json(&with).expect("sched spans must keep the JSON well-formed");
+        validate(&with).expect("sched spans must keep the JSON well-formed");
         assert!(with.contains("\"ph\":\"X\""));
         assert!(with.contains("\"kernel_batch\""));
         assert!(with.contains("\"app_chunk\""));
@@ -836,7 +657,7 @@ mod tests {
             .metrics
             .set_gauge("worse", f64::INFINITY);
         let json = chrome_trace_json(&cells);
-        validate_json(&json).expect("non-finite gauges must not corrupt the JSON");
+        validate(&json).expect("non-finite gauges must not corrupt the JSON");
         assert!(json.contains("\"gauge/bad\":null"));
         assert!(json.contains("\"gauge/worse\":null"));
         assert!(json.contains("\"gauge/final_depth\":1.250000"));
@@ -853,48 +674,6 @@ mod tests {
         );
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.contains("app_deliver"));
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e3",
-            "[1,2,3]",
-            "{\"a\":{\"b\":[true,false,null,\"x\\n\\u0041\"]}}",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-        for bad in [
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "01",
-            "\"\\q\"",
-            "\"\\u+041\"",
-            "[] []",
-            "{'a':1}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted bad JSON: {bad}");
-        }
-    }
-
-    #[test]
-    fn nesting_is_bounded_without_overflowing_the_stack() {
-        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
-        validate_json(&nested(MAX_JSON_DEPTH)).expect("depth 128 is accepted");
-        let mixed = "{\"a\":[".repeat(MAX_JSON_DEPTH / 2) + &"]}".repeat(MAX_JSON_DEPTH / 2);
-        validate_json(&mixed).expect("128 mixed levels are accepted");
-        assert_eq!(
-            validate_json(&nested(MAX_JSON_DEPTH + 1)),
-            Err("nesting deeper than 128 at byte 128".to_string())
-        );
-        assert_eq!(
-            validate_json(&"[".repeat(1_000_000)),
-            Err("nesting deeper than 128 at byte 128".to_string())
-        );
     }
 
     /// Every sub-µs remainder and the integer extremes, against the

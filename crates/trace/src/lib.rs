@@ -1,7 +1,7 @@
 //! # pcs-trace — deterministic tracing and metrics for the capture sims
 //!
 //! A zero-cost-when-disabled observability layer for the `pcapbench`
-//! reproduction of Schneider 2005. Three pieces:
+//! reproduction of Schneider 2005. Four pieces:
 //!
 //! * **Packet-lifecycle events** ([`Stage`], [`TraceEvent`], [`TraceSink`])
 //!   — wire arrival, NIC ring enqueue/drop, bus transfer, filter
@@ -17,6 +17,10 @@
 //!   paper's loss-localization tables.
 //! * **Export** ([`export`]) — Chrome trace-event JSON (Perfetto-loadable)
 //!   and CSV, with a deterministic cross-cell [`TraceCollector`].
+//! * **JSON reader** ([`json`]) — one RFC 8259 recursive-descent reader
+//!   with two instantiations: [`json::validate`] checks every emitted
+//!   trace, ledger and profile without allocating, and [`json::Json`]
+//!   reads ledgers back.
 //!
 //! The disabled path is one enum-discriminant branch per event site
 //! ([`TraceSink::Off`]); `--trace off` runs are byte-identical to an
@@ -29,6 +33,7 @@ pub mod attr;
 pub mod collect;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod stagetime;

@@ -8,6 +8,7 @@
 //! test in this binary uses (the stream cache is process-global).
 
 use pcapbench::core::{figures, ExecConfig, Scale};
+use pcapbench::trace::json::validate;
 use pcapbench::trace::{export, StageFilter, TraceCollector, TraceSpec};
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ fn trace_exports_are_byte_identical_at_any_jobs() {
     assert!(!ref_cells.is_empty(), "tracing must record cells");
     let ref_json = export::chrome_trace_json(&ref_cells);
     let ref_csv = export::events_csv(&ref_cells);
-    export::validate_json(&ref_json).expect("trace JSON must be RFC 8259 valid");
+    validate(&ref_json).expect("trace JSON must be RFC 8259 valid");
 
     for jobs in [2, 4] {
         let (exec, collector) = traced_exec(jobs);
@@ -118,7 +119,7 @@ fn sched_trace_export_matches_golden() {
     let (exec, collector) = sched_exec(1, 64);
     figures::fig6_2_default_buffers(&scale, true, &exec);
     let json = export::chrome_trace_json(&collector.cells());
-    export::validate_json(&json).expect("sched trace JSON must be RFC 8259 valid");
+    validate(&json).expect("sched trace JSON must be RFC 8259 valid");
     for needle in ["\"cat\":\"sched\"", "kernel_batch", "thread_name", "cpu0"] {
         assert!(json.contains(needle), "sched export must contain {needle}");
     }
@@ -212,6 +213,6 @@ fn traced_buffer_sweep_attributions_partition_exactly() {
     );
     // And the whole collection must export as loadable JSON.
     let json = export::chrome_trace_json(&cells);
-    export::validate_json(&json).expect("trace JSON must be valid");
+    validate(&json).expect("trace JSON must be valid");
     assert!(json.contains("drop_attribution/app0"));
 }
