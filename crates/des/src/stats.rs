@@ -1,78 +1,6 @@
-//! Small statistics helpers shared by the measurement crates.
-
-/// Streaming accumulator for min / max / mean / variance (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct Accumulator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sample standard deviation (0 with fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-}
+//! The fixed-bucket summaries a simulation records (power-of-two
+//! histograms and quantile digests), and the median that aggregates a
+//! measurement point's repeats.
 
 /// Histogram over `u64` values with power-of-two (log2) buckets.
 ///
@@ -197,17 +125,6 @@ impl LogHistogram {
                 (lo, hi, c)
             })
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Number of linear sub-buckets per power-of-two range in a
@@ -222,20 +139,19 @@ const DIGEST_SUBS: usize = 1 << DIGEST_SUB_BITS;
 /// each of the 59 power-of-two ranges `[2^5, 2^6) .. [2^63, 2^64)`.
 const DIGEST_BUCKETS: usize = DIGEST_SUBS + (64 - DIGEST_SUB_BITS as usize) * DIGEST_SUBS;
 
-/// A mergeable, order-independent quantile digest over `u64` values.
+/// A fixed-bucket quantile digest over `u64` values: the per-SUT
+/// latency summary the run ledger renders.
 ///
 /// An HDR-histogram-style refinement of [`LogHistogram`]: each
 /// power-of-two range is split into [`DIGEST_SUBS`] linear sub-buckets,
 /// so any reported quantile is within one sub-bucket (≤ ~3% relative
 /// error) of the exact order statistic — while the digest stays a fixed
-/// array of integer counters. That buys the two properties a cross-run
-/// ledger needs:
+/// array of integer counters. One simulation records each digest, and
+/// the digest adds two properties of its own:
 ///
 /// * **Exactly order-independent**: recording the same multiset of
-///   values in any order — or recording disjoint parts into separate
-///   digests and [`QuantileDigest::merge`]-ing them in any order —
-///   produces identical bucket counts, so rendered quantiles are
-///   byte-identical at any worker count or chunking.
+///   values in any order produces identical bucket counts, so the
+///   rendered quantiles depend on what was recorded, never on when.
 /// * **Deterministically rendered**: quantiles are integer bucket lower
 ///   bounds selected by integer rank (no float interpolation), clamped
 ///   to the observed `[min, max]`, so no platform float variance can
@@ -342,8 +258,7 @@ impl QuantileDigest {
     /// The `q`-quantile as an integer: the lower bound of the sub-bucket
     /// holding the rank-`ceil(q·count)` order statistic, clamped to the
     /// observed `[min, max]`. Returns 0 when empty. A pure function of
-    /// the bucket counts, so merged digests report identical quantiles
-    /// regardless of recording or merge order.
+    /// the bucket counts, so it does not depend on recording order.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -374,18 +289,6 @@ impl QuantileDigest {
             self.quantile(0.999),
         ]
     }
-
-    /// Merge another digest into this one (bucket-wise sum — exactly
-    /// associative and commutative).
-    pub fn merge(&mut self, other: &QuantileDigest) {
-        for (b, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Median of a slice (averaging the middle pair for even lengths).
@@ -404,86 +307,9 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// The `q`-quantile (0 ≤ q ≤ 1) using linear interpolation between order
-/// statistics. Returns 0 for an empty slice.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = pos - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_basic() {
-        let mut a = Accumulator::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            a.add(x);
-        }
-        assert_eq!(a.count(), 8);
-        assert!((a.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(a.min(), 2.0);
-        assert_eq!(a.max(), 9.0);
-        // population stddev is 2; sample stddev = sqrt(32/7)
-        assert!((a.stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_empty() {
-        let a = Accumulator::new();
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 0.0);
-        assert_eq!(a.stddev(), 0.0);
-    }
-
-    #[test]
-    fn accumulator_single_observation() {
-        // n = 1: mean/min/max echo the observation, variance is undefined
-        // so stddev must report 0 (not NaN).
-        let mut a = Accumulator::new();
-        a.add(42.5);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 42.5);
-        assert_eq!(a.min(), 42.5);
-        assert_eq!(a.max(), 42.5);
-        assert_eq!(a.stddev(), 0.0);
-        assert!(!a.stddev().is_nan());
-    }
-
-    #[test]
-    fn accumulator_zero_observations_have_no_nan() {
-        let a = Accumulator::new();
-        assert_eq!(a.count(), 0);
-        for v in [a.mean(), a.min(), a.max(), a.stddev()] {
-            assert_eq!(v, 0.0);
-            assert!(!v.is_nan());
-        }
-    }
-
-    #[test]
-    fn accumulator_two_observations_variance() {
-        // First n where the sample variance becomes defined.
-        let mut a = Accumulator::new();
-        a.add(1.0);
-        a.add(3.0);
-        // sample variance = ((1-2)^2 + (3-2)^2) / (2-1) = 2
-        assert!((a.stddev() - 2.0f64.sqrt()).abs() < 1e-12);
-    }
 
     #[test]
     fn log_histogram_bucket_edges() {
@@ -546,20 +372,6 @@ mod tests {
             buckets,
             vec![(0, 0, 1), (1, 1, 1), (4, 7, 2), (1024, 2047, 1)]
         );
-    }
-
-    #[test]
-    fn log_histogram_merge() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(3);
-        b.record(300);
-        b.record(0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 303);
-        assert_eq!(a.min(), 0);
-        assert_eq!(a.max(), 300);
     }
 
     #[test]
@@ -632,9 +444,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_merge_is_order_independent() {
-        // The same multiset recorded in any order, or split across
-        // digests merged in any order, is bit-identical.
+    fn digest_is_recording_order_independent() {
+        // The same multiset recorded in either order is bit-identical.
         let values: Vec<u64> = (0..500u64)
             .map(|i| i.wrapping_mul(2654435761) >> 16)
             .collect();
@@ -647,17 +458,7 @@ mod tests {
             reversed.record(v);
         }
         assert_eq!(all, reversed);
-        let (lo, hi) = values.split_at(137);
-        let (mut a, mut b) = (QuantileDigest::new(), QuantileDigest::new());
-        lo.iter().for_each(|&v| a.record(v));
-        hi.iter().for_each(|&v| b.record(v));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab, all);
-        assert_eq!(ab.percentiles(), all.percentiles());
+        assert_eq!(all.percentiles(), reversed.percentiles());
     }
 
     #[test]
@@ -667,50 +468,11 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
     }
 
-    #[test]
-    fn quantiles() {
-        let xs: Vec<f64> = (0..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile(&xs, 0.0), 0.0);
-        assert_eq!(quantile(&xs, 1.0), 100.0);
-        assert_eq!(quantile(&xs, 0.5), 50.0);
-        assert!((quantile(&xs, 0.25) - 25.0).abs() < 1e-9);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            // Any multiset, split at any points into up to four shards
-            // merged in any of two orders, is bit-identical to recording
-            // it straight — the property the cross-run ledger relies on
-            // to stay byte-stable however cells are split across workers.
-            #[test]
-            fn digest_merge_is_partition_and_order_independent(
-                values in proptest::collection::vec(any::<u64>(), 0..300),
-                cut_a in 0usize..=300,
-                cut_b in 0usize..=300,
-                forward in any::<bool>(),
-            ) {
-                let mut whole = QuantileDigest::new();
-                values.iter().for_each(|&v| whole.record(v));
-                let (a, b) = (cut_a.min(values.len()), cut_b.min(values.len()));
-                let (lo, hi) = (a.min(b), a.max(b));
-                let mut shards =
-                    [QuantileDigest::new(), QuantileDigest::new(), QuantileDigest::new()];
-                values[..lo].iter().for_each(|&v| shards[0].record(v));
-                values[lo..hi].iter().for_each(|&v| shards[1].record(v));
-                values[hi..].iter().for_each(|&v| shards[2].record(v));
-                let mut merged = QuantileDigest::new();
-                if forward {
-                    shards.iter().for_each(|s| merged.merge(s));
-                } else {
-                    shards.iter().rev().for_each(|s| merged.merge(s));
-                }
-                prop_assert_eq!(&merged, &whole);
-                prop_assert_eq!(merged.percentiles(), whole.percentiles());
-            }
-
             // Percentiles are ordered and bounded by the exact extremes.
             #[test]
             fn digest_percentiles_are_monotone_and_bounded(

@@ -1,6 +1,6 @@
 //! Property tests for the DES kernel: ordering, determinism, statistics.
 
-use pcs_des::stats::{median, quantile, Accumulator};
+use pcs_des::stats::median;
 use pcs_des::{EventQueue, Pcg32, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -60,32 +60,14 @@ proptest! {
         }
     }
 
-    /// Accumulator mean matches the naive mean.
+    /// The median is an order statistic: bounded by the input's min and
+    /// max.
     #[test]
-    fn accumulator_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((acc.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        prop_assert_eq!(acc.count(), xs.len() as u64);
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(acc.min(), min);
-        prop_assert_eq!(acc.max(), max);
-    }
-
-    /// Median and quantiles are order statistics: bounded by min/max and
-    /// monotone in q.
-    #[test]
-    fn quantiles_are_monotone(xs in proptest::collection::vec(-1e6f64..1e6, 1..100), q1 in 0f64..=1.0, q2 in 0f64..=1.0) {
-        let (lo, hi) = (q1.min(q2), q1.max(q2));
-        let a = quantile(&xs, lo);
-        let b = quantile(&xs, hi);
-        prop_assert!(a <= b + 1e-9);
+    fn median_is_bounded_by_min_and_max(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
+        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let m = median(&xs);
-        prop_assert!(m >= quantile(&xs, 0.0) - 1e-9 && m <= quantile(&xs, 1.0) + 1e-9);
+        prop_assert!(m >= min && m <= max);
     }
 
     /// Duration arithmetic: for_bits never undershoots the exact value.

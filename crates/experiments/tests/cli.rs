@@ -106,3 +106,39 @@ fn obs_diff_refuses_non_finite_numbers_and_a_fractional_version() {
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
 }
+
+/// `obs diff` refuses JSON that only looks like a ledger: a `cells`
+/// object, no `cells` at all, and a cell with a `suts` object and no
+/// achieved rate. Each used to read as an empty or SUT-less ledger, so
+/// the diff exited 0.
+#[test]
+fn obs_diff_refuses_documents_without_cells_suts_or_rates() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/fig6.4a_quick.ledger.json"
+    );
+    let dir = scratch("cli-obs-diff-shape");
+    for (name, doc) in [
+        (
+            "cells-object.json",
+            r#"{"pcs_ledger":1,"cells":{"label":"x"}}"#,
+        ),
+        ("no-cells.json", r#"{"pcs_ledger":1}"#),
+        (
+            "suts-object.json",
+            r#"{"pcs_ledger":1,"cells":[{"label":"x","fingerprint":"aa","suts":{"x":1}}]}"#,
+        ),
+    ] {
+        let probe = dir.join(name);
+        std::fs::write(&probe, doc).expect("write probe");
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["obs", "diff", golden])
+            .arg(&probe)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("is not a ledger"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}

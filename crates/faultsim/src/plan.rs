@@ -87,6 +87,12 @@ impl FaultKind {
         }
     }
 
+    /// Whether this kind only stresses the execution machinery
+    /// (`hiccup`, `squeeze`) and so leaves results unchanged.
+    fn is_host_side(self) -> bool {
+        matches!(self, FaultKind::SplitterHiccup | FaultKind::CacheSqueeze)
+    }
+
     fn from_name(name: &str) -> Option<FaultKind> {
         FaultKind::ALL.iter().copied().find(|k| k.name() == name)
     }
@@ -162,6 +168,12 @@ impl FaultPlan {
         self.seed
     }
 
+    /// Whether any machine-side kind is armed, i.e. whether the plan
+    /// can change results at all.
+    pub fn has_machine_side(&self) -> bool {
+        self.kinds.iter().any(|k| !k.is_host_side())
+    }
+
     /// Build the machine-side hook implementation for one simulated
     /// machine. Each machine gets its own (identical) instance; all
     /// answers are closed-form in (plan, sim clock), so sharing state
@@ -204,10 +216,14 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
+/// Only the machine-side kinds enter the fingerprint: host-side kinds
+/// never change what a cell computes, so `ringstall+hiccup` names the
+/// same configuration as `ringstall`.
 impl Fingerprintable for FaultPlan {
     fn fingerprint(&self, fp: &mut Fingerprint) {
-        fp.len(self.kinds.len());
-        for k in &self.kinds {
+        let machine = self.kinds.iter().filter(|k| !k.is_host_side());
+        fp.len(machine.clone().count());
+        for k in machine {
             fp.tag(k.tag());
         }
         fp.u64(self.seed);

@@ -1,18 +1,19 @@
 //! The ledger diff engine: rank what moved between two runs.
 //!
-//! Cells are matched by label (duplicate labels pair up in ledger
-//! order, which is the collector's deterministic order). Within a
-//! matched pair every numeric observable — achieved rate, attribution
-//! buckets, counters, gauges, histogram summaries, latency percentiles,
-//! stage times — is compared exactly: the sims are deterministic, so
-//! *any* difference is real drift, not noise. Drifts are ranked by
-//! relative magnitude `|a-b| / max(|a|, |b|, 1)` so a 2% shift in a
-//! million-packet bucket outranks an absolute wobble in a tiny one.
+//! Cells are matched by label. A label names only the rate and repeat,
+//! so one label can hold many cells; those pair by equal fingerprint
+//! first, and the rest in ledger order. Within a matched pair every
+//! numeric observable — achieved rate, attribution buckets, counters,
+//! gauges, histogram summaries, latency percentiles, stage times — is
+//! compared exactly: the sims are deterministic, so *any* difference is
+//! real drift, not noise. Drifts are ranked by relative magnitude
+//! `|a-b| / max(|a|, |b|, 1)` so a 2% shift in a million-packet bucket
+//! outranks an absolute wobble in a tiny one.
 //!
 //! A changed cell *fingerprint* is reported before any value drift: it
 //! means the two runs did not even execute the same configuration
-//! (different fault plan, workload or SUT set), so value deltas for
-//! that cell explain a config change, not a regression.
+//! (different machine-side fault plan, workload or SUT set), so value
+//! deltas for that cell explain a config change, not a regression.
 //!
 //! The host-side `profile` block is never compared.
 
@@ -206,47 +207,52 @@ fn diff_cell(a: &LedgerCell, b: &LedgerCell) -> CellDiff {
 }
 
 /// Compare two parsed ledgers cell by cell.
+///
+/// Within a label, each A cell first pairs with the first unpaired B
+/// cell of the same fingerprint; the cells left over pair in ledger
+/// order. The collector orders a label's cells by fingerprint, so one
+/// cell whose configuration changed moves within its label, and pairing
+/// by position alone would misalign every cell after it.
 pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> DiffReport {
-    // Group each side's cells by label, preserving ledger order within
-    // a label so duplicate labels (repeats across experiments) pair
-    // deterministically.
-    let mut by_label_b: BTreeMap<&str, Vec<&LedgerCell>> = BTreeMap::new();
-    for cell in &b.cells {
-        by_label_b.entry(&cell.label).or_default().push(cell);
+    type Sides<'l> = (Vec<&'l LedgerCell>, Vec<&'l LedgerCell>);
+    let mut by_label: BTreeMap<&str, Sides> = BTreeMap::new();
+    for cell in &a.cells {
+        by_label.entry(&cell.label).or_default().0.push(cell);
     }
-    let mut used: BTreeMap<&str, usize> = BTreeMap::new();
+    for cell in &b.cells {
+        by_label.entry(&cell.label).or_default().1.push(cell);
+    }
+    let only = |cell: &LedgerCell, side| CellDiff {
+        label: cell.label.clone(),
+        only_in: Some(side),
+        fingerprint_changed: false,
+        drifts: Vec::new(),
+    };
     let mut cells = Vec::new();
     let mut compared = 0usize;
-    for cell in &a.cells {
-        let peers = by_label_b.get(cell.label.as_str());
-        let idx = used.entry(&cell.label).or_insert(0);
-        match peers.and_then(|p| p.get(*idx)) {
-            Some(peer) => {
-                *idx += 1;
-                compared += 1;
-                let d = diff_cell(cell, peer);
-                if d.fingerprint_changed || !d.drifts.is_empty() {
-                    cells.push(d);
-                }
+    for (xs, ys) in by_label.values() {
+        let mut peer = vec![None; xs.len()];
+        let mut taken = vec![false; ys.len()];
+        for (x, peer) in xs.iter().zip(&mut peer) {
+            *peer = (0..ys.len()).find(|&j| !taken[j] && ys[j].fingerprint == x.fingerprint);
+            if let Some(j) = *peer {
+                taken[j] = true;
             }
-            None => cells.push(CellDiff {
-                label: cell.label.clone(),
-                only_in: Some("A"),
-                fingerprint_changed: false,
-                drifts: Vec::new(),
-            }),
         }
-    }
-    for (label, peers) in &by_label_b {
-        let taken = used.get(label).copied().unwrap_or(0);
-        for _ in taken..peers.len() {
-            cells.push(CellDiff {
-                label: (*label).to_owned(),
-                only_in: Some("B"),
-                fingerprint_changed: false,
-                drifts: Vec::new(),
-            });
+        let mut rest = (0..ys.len()).filter(|&j| !taken[j]);
+        for (x, peer) in xs.iter().zip(peer) {
+            match peer.or_else(|| rest.next()) {
+                Some(j) => {
+                    compared += 1;
+                    let d = diff_cell(x, ys[j]);
+                    if d.fingerprint_changed || !d.drifts.is_empty() {
+                        cells.push(d);
+                    }
+                }
+                None => cells.push(only(x, "A")),
+            }
         }
+        cells.extend(rest.map(|j| only(ys[j], "B")));
     }
     cells.sort_by(|p, q| {
         q.severity()
@@ -369,6 +375,32 @@ mod tests {
         let text = report.render(8);
         assert!(text.contains("only in ledger A"), "{text}");
         assert!(text.contains("absent"), "{text}");
+    }
+
+    #[test]
+    fn same_label_cells_pair_by_fingerprint_first() {
+        let a = ledger(vec![
+            cell("r=full", "aa", &[("counters/x", 1.0)]),
+            cell("r=full", "bb", &[("counters/x", 2.0)]),
+            cell("r=full", "cc", &[("counters/x", 3.0)]),
+        ]);
+        // "aa" changed its configuration (and so its results) and sorts
+        // after the label's other cells, as the collector would place it.
+        let b = ledger(vec![
+            cell("r=full", "bb", &[("counters/x", 2.0)]),
+            cell("r=full", "cc", &[("counters/x", 3.0)]),
+            cell("r=full", "ff", &[("counters/x", 9.0)]),
+        ]);
+        let report = diff_ledgers(&a, &b);
+        assert_eq!(report.cells_compared, 3);
+        assert_eq!(report.cells.len(), 1, "{}", report.render(8));
+        let moved = &report.cells[0];
+        assert!(moved.fingerprint_changed);
+        assert_eq!(moved.drifts.len(), 1);
+        assert_eq!(
+            (moved.drifts[0].a, moved.drifts[0].b),
+            (Some(1.0), Some(9.0))
+        );
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! sweep invocation.
 //!
 //! One ledger records every cell the sweep executed: the cell's 128-bit
-//! configuration fingerprint (SUT set + workload + rate + repeat + fault
-//! plan), its achieved rate, and per SUT the exact
-//! [`DropAttribution`], the full metrics-registry dump, exact latency
-//! percentiles from the mergeable quantile digests, and — when
+//! configuration fingerprint (SUT set + workload + rate + repeat + the
+//! fault plan's machine-side kinds), its achieved rate, and per SUT
+//! the exact [`DropAttribution`], the full metrics-registry dump, latency
+//! percentiles from its fixed-bucket quantile digests, and — when
 //! stage-time attribution was armed — the per-CPU per-work-kind time
 //! account.
 //!
-//! Everything simulation-derived renders integer-based or at fixed
-//! precision, in the collector's deterministic (label, key) cell order,
-//! so two invocations of the same configuration produce byte-identical
+//! Every cell's simulations are deterministic, and everything
+//! simulation-derived renders integer-based or at fixed precision, in
+//! the collector's deterministic (label, key) cell order, so two
+//! invocations of the same configuration produce byte-identical
 //! ledgers at any `--jobs` setting — `cmp A.json B.json` is a valid
 //! determinism check. The one exception is the optional host-side
 //! `profile` block (`--profile`), which reads the host clock and varies
@@ -342,7 +343,10 @@ impl Ledger {
     /// Parse a ledger document, checking the schema marker. The marker
     /// must be exactly the integer [`LEDGER_VERSION`], and every number
     /// the diff reads must be finite (`1e400` is valid JSON, but reads as
-    /// infinity).
+    /// infinity). `cells` and each cell's `suts` must be arrays, each
+    /// cell must carry a numeric `achieved_mbps`, and each SUT a string
+    /// `label`: the diff keys a SUT's observables by its label, so two
+    /// unlabelled SUTs would overwrite each other.
     pub fn parse(text: &str) -> Result<Ledger, String> {
         let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
         let version = doc
@@ -371,7 +375,11 @@ impl Ledger {
             .unwrap_or_default();
         let faults = doc.get("faults").and_then(Json::as_str).map(str::to_owned);
         let mut cells = Vec::new();
-        for cell in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
+        for cell in doc
+            .get("cells")
+            .and_then(Json::as_arr)
+            .ok_or("missing cells array")?
+        {
             let label = cell
                 .get("label")
                 .and_then(Json::as_str)
@@ -385,16 +393,20 @@ impl Ledger {
             let achieved_mbps = cell
                 .get("achieved_mbps")
                 .and_then(Json::as_f64)
-                .unwrap_or(0.0);
+                .ok_or_else(|| format!("cell '{label}' without a numeric achieved_mbps"))?;
             if !achieved_mbps.is_finite() {
                 return Err(format!("cell '{label}': achieved_mbps is not finite"));
             }
             let mut suts = Vec::new();
-            for sut in cell.get("suts").and_then(Json::as_arr).unwrap_or(&[]) {
+            for sut in cell
+                .get("suts")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| format!("cell '{label}' without a suts array"))?
+            {
                 let sut_label = sut
                     .get("label")
                     .and_then(Json::as_str)
-                    .unwrap_or_default()
+                    .ok_or_else(|| format!("cell '{label}': SUT without a label"))?
                     .to_owned();
                 let mut observables = BTreeMap::new();
                 flatten("", sut, &mut observables);
@@ -618,6 +630,44 @@ mod tests {
                 Ledger::parse(&text),
                 Err("cell 'rate=100.0 rep=0': achieved_mbps is not finite".to_string())
             );
+        }
+    }
+
+    #[test]
+    fn parse_refuses_a_missing_or_non_array_cells_member() {
+        for doc in [
+            "{\"pcs_ledger\":1}",
+            "{\"pcs_ledger\":1,\"cells\":{\"label\":\"x\"}}",
+        ] {
+            assert_eq!(Ledger::parse(doc), Err("missing cells array".to_string()));
+        }
+    }
+
+    #[test]
+    fn parse_refuses_a_missing_or_non_array_suts_member() {
+        let refusal = Err("cell 'rate=100.0 rep=0' without a suts array".to_string());
+        let text = edited_ledger(",\"suts\":[", ",\"no_suts\":[");
+        assert_eq!(Ledger::parse(&text), refusal);
+        let doc = "{\"pcs_ledger\":1,\"cells\":[{\"label\":\"rate=100.0 rep=0\",\
+                   \"fingerprint\":\"aa\",\"achieved_mbps\":1,\"suts\":{\"x\":1}}]}";
+        assert_eq!(Ledger::parse(doc), refusal);
+    }
+
+    #[test]
+    fn parse_refuses_a_missing_or_non_numeric_achieved_rate() {
+        let refusal = Err("cell 'rate=100.0 rep=0' without a numeric achieved_mbps".to_string());
+        for to in ["\"achieved_rate\":99.5", "\"achieved_mbps\":\"99.5\""] {
+            let text = edited_ledger("\"achieved_mbps\":99.500000", to);
+            assert_eq!(Ledger::parse(&text), refusal);
+        }
+    }
+
+    #[test]
+    fn parse_refuses_a_sut_without_a_string_label() {
+        let refusal = Err("cell 'rate=100.0 rep=0': SUT without a label".to_string());
+        for to in ["{\"name\":", "{\"label\":7,\"name\":"] {
+            let text = edited_ledger("{\"label\":\"FreeBSD", &format!("{to}\"FreeBSD"));
+            assert_eq!(Ledger::parse(&text), refusal);
         }
     }
 

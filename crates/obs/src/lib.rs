@@ -6,16 +6,18 @@
 //! * **Run ledger** ([`ledger`]) — one fingerprinted JSON manifest per
 //!   sweep: every cell's 128-bit config fingerprint, achieved rate,
 //!   exact per-stage [`pcs_trace::DropAttribution`], metrics-registry
-//!   dump, exact latency percentiles from the mergeable
+//!   dump, latency percentiles from each SUT's fixed-bucket
 //!   [`pcs_des::stats::QuantileDigest`], and (when armed) the per-CPU
-//!   per-work-kind stage-time account. Rendering is integer-based or
-//!   fixed-precision over the collector's deterministic cell order, so
-//!   a ledger is byte-identical at any `--jobs` and whether its streams
-//!   were generated or shared. The host-side `profile` block is the
+//!   per-work-kind stage-time account. Each cell's simulations are
+//!   deterministic and rendering is integer-based or fixed-precision
+//!   over the collector's `(label, key)` cell order, so a ledger is
+//!   byte-identical at any `--jobs` and whether its streams were
+//!   generated or shared. The host-side `profile` block is the
 //!   one documented exception (it reads the host clock) and is ignored
 //!   by the diff engine.
-//! * **Diff engine** ([`diff`]) — matches two ledgers cell by cell and
-//!   ranks every numeric observable that moved: which cells drifted,
+//! * **Diff engine** ([`diff`]) — matches two ledgers cell by cell
+//!   (by label, equal fingerprints first) and ranks every numeric
+//!   observable that moved: which cells drifted,
 //!   which attribution bucket or stage time moved, and by how much.
 //!   Backs `pcs-experiments obs diff A.json B.json [--fail-on-drift]`.
 

@@ -90,16 +90,6 @@ impl CpuAccounting {
             self.busy() as f64 / total as f64
         }
     }
-
-    /// Kernel-side fraction (system+irq+softirq) of the interval.
-    pub fn kernel_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.system + self.irq + self.softirq) as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +105,6 @@ mod tests {
         assert_eq!(a.total(), 1000);
         assert_eq!(a.busy(), 150);
         assert!((a.utilisation() - 0.15).abs() < 1e-12);
-        assert!((a.kernel_fraction() - 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -134,6 +123,5 @@ mod tests {
     #[test]
     fn empty_accounting_is_zero_utilisation() {
         assert_eq!(CpuAccounting::default().utilisation(), 0.0);
-        assert_eq!(CpuAccounting::default().kernel_fraction(), 0.0);
     }
 }

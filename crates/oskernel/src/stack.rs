@@ -134,14 +134,6 @@ pub struct StackStats {
     pub app_residue: u64,
 }
 
-impl StackStats {
-    /// All kernel-level losses (buffer + pool), the uniform counterpart to
-    /// the NIC-level `nic_ring_drops`.
-    pub fn kernel_drops(&self) -> u64 {
-        self.dropped_buffer + self.dropped_pool
-    }
-}
-
 /// Which buffer killed a packet, when one did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DropKind {

@@ -52,8 +52,8 @@ impl MachineSim {
                     // One histogram lookup per chunk, not per packet; the
                     // recorded values and counts are identical. The
                     // quantile digest sees the same values: it is the
-                    // mergeable (order-independent) summary the run
-                    // ledger renders exact percentiles from.
+                    // fixed-bucket summary the run ledger renders
+                    // percentiles from.
                     if let Some(m) = self.trace.metrics_mut() {
                         let h = m.histogram_entry("wire_to_app_latency_ns");
                         for &(_, gen_ns, _) in &traced {

@@ -9,7 +9,6 @@
 //! Here the tick counters come from the simulator's cumulative
 //! [`CpuAccounting`] samples.
 
-use pcs_des::stats::Accumulator;
 use pcs_oskernel::{CpuAccounting, CpuSample};
 
 /// One output row: percentages per state, summed over all CPUs, for one
@@ -117,7 +116,7 @@ pub fn usage_rows(samples: &[CpuSample]) -> Vec<UsageRow> {
 /// `-l` option): recording starts when idle < limit and stops when idle
 /// returns above it. `limit = 100` averages everything (the `-a` flag).
 pub fn summarize(rows: &[UsageRow], limit: f64) -> UsageSummary {
-    let mut acc = Accumulator::new();
+    let mut avg_busy = 0.0;
     let mut min_busy = f64::INFINITY;
     let mut max_busy = f64::NEG_INFINITY;
     let mut recording = false;
@@ -132,14 +131,14 @@ pub fn summarize(rows: &[UsageRow], limit: f64) -> UsageSummary {
             recording = false;
         }
         if recording {
-            acc.add(busy);
             recorded += 1;
+            avg_busy += (busy - avg_busy) / recorded as f64;
         }
     }
     UsageSummary {
         min_busy: if min_busy.is_finite() { min_busy } else { 0.0 },
         max_busy: if max_busy.is_finite() { max_busy } else { 0.0 },
-        avg_busy: acc.mean(),
+        avg_busy,
         recorded_rows: recorded,
     }
 }

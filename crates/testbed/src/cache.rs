@@ -76,10 +76,11 @@ pub fn cell_key(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>, repeat: u32)
     cell_key_faulted(suts, cfg, rate, repeat, None)
 }
 
-/// [`cell_key`] with the armed fault plan folded in. An armed plan
-/// deterministically changes a cell's results, so it must change the
-/// fingerprint; `None` writes nothing extra, keeping unfaulted keys
-/// byte-identical to what they were before fault injection existed.
+/// [`cell_key`] with the armed fault plan folded in. A machine-side
+/// fault deterministically changes a cell's results, so it must change
+/// the fingerprint. `None`, or a plan of host-side kinds only, writes
+/// nothing extra: host-side faults leave results unchanged, and
+/// unfaulted keys stay what they were before fault injection existed.
 pub fn cell_key_faulted(
     suts: &[Sut],
     cfg: &CycleConfig,
@@ -97,7 +98,7 @@ pub fn cell_key_faulted(
     cfg.tx.fingerprint(&mut fp);
     fp.option(&rate);
     fp.u32(repeat);
-    if let Some(plan) = faults {
+    if let Some(plan) = faults.filter(|plan| plan.has_machine_side()) {
         plan.fingerprint(&mut fp);
     }
     fp.finish()
@@ -256,6 +257,18 @@ mod tests {
             armed,
             cell_key_faulted(&suts(), &cfg, Some(100.0), 0, Some(&reseeded))
         );
+    }
+
+    #[test]
+    fn host_side_faults_leave_the_fingerprint_alone() {
+        let cfg = CycleConfig::fixed(1_000, 512, 42);
+        let key = |spec: &str| {
+            let plan = FaultPlan::parse(spec).unwrap();
+            cell_key_faulted(&suts(), &cfg, Some(100.0), 0, plan.as_ref())
+        };
+        assert_eq!(key("hiccup+squeeze:7"), key("off"));
+        assert_eq!(key("ringstall+hiccup:7"), key("ringstall:7"));
+        assert_ne!(key("ringstall:7"), key("off"));
     }
 
     #[test]

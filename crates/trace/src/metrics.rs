@@ -67,8 +67,8 @@ impl MetricsRegistry {
     }
 
     /// Mutable access to the named quantile digest, creating it (empty)
-    /// the first time the name is seen. Digests are the mergeable,
-    /// order-independent latency summaries the run ledger renders
+    /// the first time the name is seen. Digests are the fixed-bucket,
+    /// per-SUT latency summaries the run ledger renders
     /// (p50/p90/p99/p99.9); like [`MetricsRegistry::histogram_entry`],
     /// hot-path callers hoist the map lookup out of per-packet loops.
     pub fn digest_entry(&mut self, name: &str) -> &mut QuantileDigest {
@@ -125,33 +125,6 @@ impl MetricsRegistry {
             && self.histograms.is_empty()
             && self.digests.is_empty()
     }
-
-    /// Fold another registry into this one (counters add, gauges take the
-    /// other's value, histograms and digests merge).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in other.counters() {
-            self.inc(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.set_gauge(name, v);
-        }
-        for (name, h) in other.histograms() {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.to_owned(), h.clone());
-                }
-            }
-        }
-        for (name, d) in other.digests() {
-            match self.digests.get_mut(name) {
-                Some(mine) => mine.merge(d),
-                None => {
-                    self.digests.insert(name.to_owned(), d.clone());
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,34 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge() {
+    fn registry_digests_record() {
         let mut a = MetricsRegistry::new();
-        a.inc("n", 1);
-        a.observe("h", 4);
-        let mut b = MetricsRegistry::new();
-        b.inc("n", 2);
-        b.observe("h", 8);
-        b.set_gauge("g", 7.0);
-        a.merge(&b);
-        assert_eq!(a.counter("n"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.gauge("g"), Some(7.0));
-    }
-
-    #[test]
-    fn registry_digests_record_and_merge() {
-        let mut a = MetricsRegistry::new();
+        a.digest_entry("other").record(1);
         a.digest_entry("lat").record(100);
         a.digest_entry("lat").record(900);
         assert_eq!(a.digest("lat").unwrap().count(), 2);
         assert!(a.digest("missing").is_none());
         assert!(!a.is_empty());
-        let mut b = MetricsRegistry::new();
-        b.digest_entry("lat").record(500);
-        b.digest_entry("other").record(1);
-        a.merge(&b);
-        assert_eq!(a.digest("lat").unwrap().count(), 3);
-        assert_eq!(a.digest("other").unwrap().count(), 1);
         let names: Vec<&str> = a.digests().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["lat", "other"]);
     }

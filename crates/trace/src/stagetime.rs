@@ -87,21 +87,6 @@ impl StageTimes {
     pub fn add_idle(&mut self, cpu: usize, ns: u64) {
         self.cpus[cpu].idle_ns += ns;
     }
-
-    /// Fold another run's account into this one (element-wise sum; both
-    /// sides must describe the same CPU topology or the wider wins).
-    pub fn merge(&mut self, other: &StageTimes) {
-        if self.cpus.len() < other.cpus.len() {
-            self.cpus.resize(other.cpus.len(), CpuStageTimes::default());
-        }
-        for (mine, theirs) in self.cpus.iter_mut().zip(other.cpus.iter()) {
-            for k in 0..WORK_KINDS {
-                mine.busy_ns[k] += theirs.busy_ns[k];
-                mine.stretch_ns[k] += theirs.stretch_ns[k];
-            }
-            mine.idle_ns += theirs.idle_ns;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,18 +108,5 @@ mod tests {
         assert_eq!(st.cpus[0].total(), 1000);
         assert_eq!(st.cpus[1].busy_total(), 30);
         assert_eq!(st.cpus[1].idle_ns, 0);
-    }
-
-    #[test]
-    fn merge_sums_elementwise_and_widens() {
-        let mut a = StageTimes::new(1);
-        a.add_busy(0, WorkKind::Gzip, 5);
-        let mut b = StageTimes::new(2);
-        b.add_busy(0, WorkKind::Gzip, 7);
-        b.add_idle(1, 11);
-        a.merge(&b);
-        assert_eq!(a.cpus.len(), 2);
-        assert_eq!(a.cpus[0].busy_ns[WorkKind::Gzip as usize], 12);
-        assert_eq!(a.cpus[1].idle_ns, 11);
     }
 }

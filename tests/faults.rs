@@ -14,6 +14,7 @@ use pcapbench::faultsim::FaultPlan;
 use pcapbench::hw::MachineSpec;
 use pcapbench::oskernel::{MachineSim, SimConfig};
 use pcapbench::pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
+use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
 use pcapbench::wire::{MacAddr, SimPacket};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -107,15 +108,29 @@ fn host_side_faults_do_not_change_results() {
         repeats: 2,
         rates: vec![Some(220.0), None],
     };
-    let base = figures::fig6_2_default_buffers(&scale, true, &ExecConfig::with_jobs(4));
+    // Collected as `--ledger` collects: no events, but every cell's key,
+    // attribution, metrics and stage times.
+    let ledgered = || {
+        let cells = Arc::new(TraceCollector::new(TraceSpec {
+            filter: StageFilter::none(),
+            ..TraceSpec::default()
+        }));
+        let exec = ExecConfig::with_jobs(4)
+            .with_stage_times(true)
+            .with_trace(Arc::clone(&cells));
+        (exec, cells)
+    };
+    let (exec, base_cells) = ledgered();
+    let base = figures::fig6_2_default_buffers(&scale, true, &exec);
     // Hiccups stall each cell's stream reader (a generating cell's
     // sniffers catch up and wait) and the cache squeeze shrinks the
     // stream budget: both reshape execution only, so the rendered bytes
     // must equal the unfaulted run's.
+    let (exec, hiccuped_cells) = ledgered();
     let hiccuped = figures::fig6_2_default_buffers(
         &scale,
         true,
-        &ExecConfig::with_jobs(4).with_faults(Arc::new(plan("hiccup+squeeze:7"))),
+        &exec.with_faults(Arc::new(plan("hiccup+squeeze:7"))),
     );
     assert_eq!(
         base.to_csv(),
@@ -123,6 +138,11 @@ fn host_side_faults_do_not_change_results() {
         "host-side faults must be invisible in the results"
     );
     assert_eq!(base.to_table(), hiccuped.to_table());
+    // The traced cells, fingerprints included, are the unfaulted ones:
+    // a plan without a machine-side fault names the same configuration.
+    let cells = base_cells.cells();
+    assert!(!cells.is_empty(), "tracing must record cells");
+    assert_eq!(cells, hiccuped_cells.cells());
 }
 
 #[test]

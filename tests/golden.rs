@@ -204,3 +204,30 @@ fn ledger_with_a_batching_profile_block_still_diffs_clean() {
     assert!(!report.has_drift(), "{}", report.render(8));
     assert_eq!(report.cells_compared, 12);
 }
+
+#[test]
+fn one_changed_fingerprint_drifts_one_cell_of_the_quick_ledger() {
+    // A label names only the rate and repeat: the quick suite holds
+    // dozens of `rate=full rep=0` cells, ordered by fingerprint. Give
+    // the first a new fingerprint and move it after the label's last
+    // cell, where the collector would sort a changed configuration.
+    let text = std::fs::read_to_string(golden_path("quick.ledger.json")).expect("golden present");
+    let golden = Ledger::parse(&text).expect("the golden parses");
+    let label = "rate=full rep=0";
+    let same_label = |l: &Ledger| l.cells.iter().filter(|c| c.label == label).count();
+    assert!(
+        same_label(&golden) > 2,
+        "the golden holds many {label} cells"
+    );
+    let mut edited = golden.clone();
+    let first = edited.cells.iter().position(|c| c.label == label).unwrap();
+    let mut moved = edited.cells.remove(first);
+    moved.fingerprint = "f".repeat(32);
+    let end = first + same_label(&edited);
+    edited.cells.insert(end, moved);
+    let report = diff_ledgers(&golden, &edited);
+    assert_eq!(report.cells_compared, golden.cells.len());
+    assert_eq!(report.cells.len(), 1, "{}", report.render(2));
+    assert!(report.cells[0].fingerprint_changed);
+    assert_eq!(report.drift_count(), 0, "{}", report.render(2));
+}
