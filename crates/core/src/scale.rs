@@ -55,16 +55,6 @@ impl Scale {
             _ => None,
         }
     }
-
-    /// A single-point variant of this scale (for experiments that sweep
-    /// something other than the data rate and measure at full speed).
-    pub fn at_full_speed(&self) -> Scale {
-        Scale {
-            count: self.count,
-            repeats: self.repeats,
-            rates: vec![None],
-        }
-    }
 }
 
 /// `start, start+step, …` for `n` points, then the full-speed point.
@@ -95,12 +85,5 @@ mod tests {
         assert_eq!(Scale::full().rates.len(), 19);
         assert_eq!(Scale::full().rates[0], Some(50.0));
         assert_eq!(Scale::full().rates[17], Some(900.0));
-    }
-
-    #[test]
-    fn full_speed_variant() {
-        let s = Scale::standard().at_full_speed();
-        assert_eq!(s.rates, vec![None]);
-        assert_eq!(s.count, Scale::standard().count);
     }
 }

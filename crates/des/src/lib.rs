@@ -20,8 +20,8 @@
 //!   waits outside the event heap under its reserved `(time, seq)` key;
 //! * [`FastHash`] — a deterministic, seed-free hasher for hot maps whose
 //!   iteration order is never observed;
-//! * [`stats`] — the fixed-bucket histogram and quantile digest each
-//!   simulation records once, and the median over a point's repeats;
+//! * [`stats`] — the fixed-bucket quantile digest each simulation
+//!   records once, and the median over a point's repeats;
 //! * [`fingerprint`] — explicit field-by-field configuration digests for
 //!   memoization keys (no reliance on `Debug` renderings).
 //!

@@ -102,51 +102,9 @@ impl Pcg32 {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn gen_range_inclusive(&mut self, lo: u32, hi: u32) -> u32 {
-        assert!(lo <= hi, "empty range");
-        if lo == 0 && hi == u32::MAX {
-            return self.next_u32();
-        }
-        lo + self.gen_below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.gen_f64() < p
-        }
-    }
-
-    /// Exponentially distributed value with the given mean.
-    ///
-    /// Used for Poisson inter-arrival processes (the paper contrasts these
-    /// with self-similar traffic in §2.5).
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.gen_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_below(i as u32 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -188,22 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_inclusive_covers_endpoints() {
-        let mut rng = Pcg32::new(9, 3);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..1000 {
-            match rng.gen_range_inclusive(5, 8) {
-                5 => seen_lo = true,
-                8 => seen_hi = true,
-                6 | 7 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(seen_lo && seen_hi);
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut rng = Pcg32::new(3, 14);
         for _ in 0..1000 {
@@ -222,15 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_close() {
-        let mut rng = Pcg32::new(11, 13);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| rng.gen_exp(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "exp mean {mean} too far from 3.0");
-    }
-
-    #[test]
     fn derive_produces_independent_streams() {
         let base = Pcg32::new(5, 5);
         let mut a = base.derive(1);
@@ -241,15 +174,5 @@ mod tests {
         let avals: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
         let bvals: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
         assert_ne!(avals, bvals);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Pcg32::new(77, 8);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -1,131 +1,5 @@
-//! The fixed-bucket summaries a simulation records (power-of-two
-//! histograms and quantile digests), and the median that aggregates a
-//! measurement point's repeats.
-
-/// Histogram over `u64` values with power-of-two (log2) buckets.
-///
-/// Bucket 0 holds the value 0; bucket `i` (1 ≤ i ≤ 64) holds values in
-/// `[2^(i-1), 2^i - 1]` (bucket 64's upper bound saturates at `u64::MAX`).
-/// Recording is branch-free apart from the zero check, making it cheap
-/// enough for per-packet instrumentation, and the fixed bucket layout keeps
-/// rendered output byte-identical across runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHistogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The bucket index a value lands in: 0 for 0, `floor(log2(v)) + 1`
-    /// otherwise.
-    pub fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// The inclusive `[lo, hi]` value range covered by bucket `index`.
-    pub fn bucket_bounds(index: usize) -> (u64, u64) {
-        assert!(index <= 64, "log histogram has buckets 0..=64");
-        if index == 0 {
-            (0, 0)
-        } else {
-            let lo = 1u64 << (index - 1);
-            let hi = if index == 64 {
-                u64::MAX
-            } else {
-                (1u64 << index) - 1
-            };
-            (lo, hi)
-        }
-    }
-
-    /// Add one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Count in one bucket.
-    pub fn bucket_count(&self, index: usize) -> u64 {
-        self.buckets[index]
-    }
-
-    /// `(bucket_lo, bucket_hi, count)` for every non-empty bucket, in
-    /// ascending value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = Self::bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
-}
+//! The fixed-bucket quantile digest a simulation records, and the
+//! median that aggregates a measurement point's repeats.
 
 /// Number of linear sub-buckets per power-of-two range in a
 /// [`QuantileDigest`] (as a power of two: 2^5 = 32 sub-buckets, bounding
@@ -139,15 +13,16 @@ const DIGEST_SUBS: usize = 1 << DIGEST_SUB_BITS;
 /// each of the 59 power-of-two ranges `[2^5, 2^6) .. [2^63, 2^64)`.
 const DIGEST_BUCKETS: usize = DIGEST_SUBS + (64 - DIGEST_SUB_BITS as usize) * DIGEST_SUBS;
 
-/// A fixed-bucket quantile digest over `u64` values: the per-SUT
-/// latency summary the run ledger renders.
+/// A fixed-bucket quantile digest over `u64` values: the one summary
+/// of every named observation a simulation records (latencies, queue
+/// depths, batch sizes).
 ///
-/// An HDR-histogram-style refinement of [`LogHistogram`]: each
-/// power-of-two range is split into [`DIGEST_SUBS`] linear sub-buckets,
-/// so any reported quantile is within one sub-bucket (≤ ~3% relative
-/// error) of the exact order statistic — while the digest stays a fixed
-/// array of integer counters. One simulation records each digest, and
-/// the digest adds two properties of its own:
+/// HDR-histogram style: each power-of-two range is split into
+/// [`DIGEST_SUBS`] linear sub-buckets, so any reported quantile is
+/// within one sub-bucket (≤ ~3% relative error) of the exact order
+/// statistic, while the digest stays a fixed array of integer counters
+/// beside an exact count, saturating sum, min and max. One simulation
+/// records each digest, and the digest has two properties:
 ///
 /// * **Exactly order-independent**: recording the same multiset of
 ///   values in any order produces identical bucket counts, so the
@@ -255,6 +130,25 @@ impl QuantileDigest {
         }
     }
 
+    /// Arithmetic mean of the (saturating) sum (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// `(lower bound, count)` of every non-empty bucket, in ascending
+    /// value order.
+    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (Self::bucket_lo(i), c))
+    }
+
     /// The `q`-quantile as an integer: the lower bound of the sub-bucket
     /// holding the rank-`ceil(q·count)` order statistic, clamped to the
     /// observed `[min, max]`. Returns 0 when empty. A pure function of
@@ -310,69 +204,6 @@ pub fn median(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_histogram_bucket_edges() {
-        // 0 is its own bucket; each power of two starts a new bucket and
-        // the value just below it closes the previous one.
-        assert_eq!(LogHistogram::bucket_index(0), 0);
-        assert_eq!(LogHistogram::bucket_index(1), 1);
-        assert_eq!(LogHistogram::bucket_index(2), 2);
-        assert_eq!(LogHistogram::bucket_index(3), 2);
-        assert_eq!(LogHistogram::bucket_index(4), 3);
-        assert_eq!(LogHistogram::bucket_index(7), 3);
-        assert_eq!(LogHistogram::bucket_index(8), 4);
-        for i in 1..=63u32 {
-            let p = 1u64 << i;
-            assert_eq!(LogHistogram::bucket_index(p), i as usize + 1);
-            assert_eq!(LogHistogram::bucket_index(p - 1), i as usize);
-        }
-        assert_eq!(LogHistogram::bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn log_histogram_bucket_bounds_partition_u64() {
-        assert_eq!(LogHistogram::bucket_bounds(0), (0, 0));
-        assert_eq!(LogHistogram::bucket_bounds(1), (1, 1));
-        assert_eq!(LogHistogram::bucket_bounds(2), (2, 3));
-        assert_eq!(LogHistogram::bucket_bounds(64).1, u64::MAX);
-        // Consecutive buckets tile the value space with no gap or overlap.
-        for i in 1..=63usize {
-            let (_, hi) = LogHistogram::bucket_bounds(i);
-            let (lo_next, _) = LogHistogram::bucket_bounds(i + 1);
-            assert_eq!(hi + 1, lo_next);
-        }
-        // Every value's bucket actually contains it.
-        for v in [0u64, 1, 2, 3, 4, 255, 256, 257, u64::MAX - 1, u64::MAX] {
-            let (lo, hi) = LogHistogram::bucket_bounds(LogHistogram::bucket_index(v));
-            assert!(lo <= v && v <= hi, "value {v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn log_histogram_record_and_stats() {
-        let mut h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-        for v in [0u64, 1, 5, 5, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1035);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1024);
-        assert_eq!(h.bucket_count(0), 1); // the 0
-        assert_eq!(h.bucket_count(1), 1); // the 1
-        assert_eq!(h.bucket_count(3), 2); // both 5s in [4,7]
-        assert_eq!(h.bucket_count(11), 1); // 1024 in [1024,2047]
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(
-            buckets,
-            vec![(0, 0, 1), (1, 1, 1), (4, 7, 2), (1024, 2047, 1)]
-        );
-    }
 
     #[test]
     fn digest_buckets_partition_and_contain() {
@@ -484,8 +315,27 @@ mod tests {
                 prop_assert!(p50 <= p90 && p90 <= p99 && p99 <= p999);
                 prop_assert!(p999 <= d.max());
                 prop_assert_eq!(d.quantile(1.0), d.max());
-                prop_assert_eq!(d.count(), values.len() as u64);
-                prop_assert_eq!(d.sum(), values.iter().copied().fold(0u64, u64::saturating_add));
+            }
+
+            // The exact summary is a naive fold of the inputs; the empty
+            // digest reads 0 throughout.
+            #[test]
+            fn digest_summary_matches_a_naive_fold(
+                values in proptest::collection::vec(
+                    prop_oneof![any::<u64>(), 0u64..100_000],
+                    0..300,
+                ),
+            ) {
+                let mut d = QuantileDigest::new();
+                values.iter().for_each(|&v| d.record(v));
+                let count = values.len() as u64;
+                let sum = values.iter().copied().fold(0u64, u64::saturating_add);
+                let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+                prop_assert_eq!(d.count(), count);
+                prop_assert_eq!(d.sum(), sum);
+                prop_assert_eq!(d.min(), values.iter().copied().min().unwrap_or(0));
+                prop_assert_eq!(d.max(), values.iter().copied().max().unwrap_or(0));
+                prop_assert_eq!(d.mean(), mean);
             }
         }
     }

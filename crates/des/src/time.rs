@@ -109,11 +109,6 @@ impl SimDuration {
         SimDuration(num.div_ceil(per) as u64)
     }
 
-    /// The time needed to move `bytes` at a bandwidth of `bytes_per_sec`.
-    pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> Self {
-        Self::for_bits(bytes * 8, bytes_per_sec * 8)
-    }
-
     /// This duration expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -252,14 +247,6 @@ mod tests {
         assert_eq!(SimDuration::for_bits(1, 1_000_000_000), SimDuration(1));
         // 3 bits at 2 bit/s = 1.5s -> rounds up to 1.5e9 ns exactly
         assert_eq!(SimDuration::for_bits(3, 2), SimDuration(1_500_000_000));
-    }
-
-    #[test]
-    fn for_bytes_matches_bits() {
-        assert_eq!(
-            SimDuration::for_bytes(1000, 125_000_000),
-            SimDuration::for_bits(8000, 1_000_000_000)
-        );
     }
 
     #[test]

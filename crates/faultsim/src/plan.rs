@@ -1,7 +1,7 @@
 //! Fault plans: which faults are armed, under which seed.
 
 use crate::armed::ArmedMachineFaults;
-use pcs_des::{Fingerprint, Fingerprintable, SplitMix64};
+use pcs_des::SplitMix64;
 use pcs_oskernel::MachineFaults;
 
 /// Seed used when a `--faults` spec names no `:SEED` suffix.
@@ -73,7 +73,7 @@ impl FaultKind {
         }
     }
 
-    /// Stable discriminant for fingerprints and window phases.
+    /// Stable discriminant that seeds each kind's fault windows.
     pub fn tag(self) -> u8 {
         match self {
             FaultKind::RingStall => 1,
@@ -87,12 +87,6 @@ impl FaultKind {
         }
     }
 
-    /// Whether this kind only stresses the execution machinery
-    /// (`hiccup`, `squeeze`) and so leaves results unchanged.
-    fn is_host_side(self) -> bool {
-        matches!(self, FaultKind::SplitterHiccup | FaultKind::CacheSqueeze)
-    }
-
     fn from_name(name: &str) -> Option<FaultKind> {
         FaultKind::ALL.iter().copied().find(|k| k.name() == name)
     }
@@ -103,7 +97,7 @@ impl FaultKind {
 /// Parsed from `SPEC[:SEED]` where `SPEC` is `off`, `chaos`, or fault
 /// names joined with `+` (`ringstall+kshrink`). The kind set is
 /// canonicalised (sorted, deduplicated), so `a+b` and `b+a` are the
-/// same plan and fingerprint identically.
+/// same plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     kinds: Vec<FaultKind>,
@@ -168,12 +162,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether any machine-side kind is armed, i.e. whether the plan
-    /// can change results at all.
-    pub fn has_machine_side(&self) -> bool {
-        self.kinds.iter().any(|k| !k.is_host_side())
-    }
-
     /// Build the machine-side hook implementation for one simulated
     /// machine. Each machine gets its own (identical) instance; all
     /// answers are closed-form in (plan, sim clock), so sharing state
@@ -216,29 +204,9 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
-/// Only the machine-side kinds enter the fingerprint: host-side kinds
-/// never change what a cell computes, so `ringstall+hiccup` names the
-/// same configuration as `ringstall`.
-impl Fingerprintable for FaultPlan {
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        let machine = self.kinds.iter().filter(|k| !k.is_host_side());
-        fp.len(machine.clone().count());
-        for k in machine {
-            fp.tag(k.tag());
-        }
-        fp.u64(self.seed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn digest(plan: &FaultPlan) -> (u64, u64) {
-        let mut fp = Fingerprint::new();
-        plan.fingerprint(&mut fp);
-        fp.finish()
-    }
 
     #[test]
     fn off_parses_to_none() {
@@ -260,7 +228,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(a, b);
-        assert_eq!(digest(&a), digest(&b));
     }
 
     #[test]
@@ -269,15 +236,6 @@ mod tests {
         for k in FaultKind::ALL {
             assert!(p.has(k), "chaos should arm {}", k.name());
         }
-    }
-
-    #[test]
-    fn seed_and_kinds_change_the_fingerprint() {
-        let a = FaultPlan::parse("ringstall:1").unwrap().unwrap();
-        let b = FaultPlan::parse("ringstall:2").unwrap().unwrap();
-        let c = FaultPlan::parse("busburst:1").unwrap().unwrap();
-        assert_ne!(digest(&a), digest(&b));
-        assert_ne!(digest(&a), digest(&c));
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl PciBus {
             cap as f64 / demand_bytes_per_sec as f64
         }
     }
-
-    /// Time to move `bytes` across the bus assuming sole use.
-    pub fn transfer_ns(&self, bytes: u64) -> u64 {
-        (bytes as f64 / self.usable_bytes_per_sec() as f64 * 1e9).ceil() as u64
-    }
 }
 
 #[cfg(test)]
@@ -99,12 +94,5 @@ mod tests {
         let cap = bus.usable_bytes_per_sec();
         let f = bus.service_fraction(cap * 2);
         assert!((f - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn transfer_time() {
-        let bus = PciBus::new(PciKind::Pci64);
-        let ns = bus.transfer_ns(373_100); // ~1ms at 373.1 MB/s usable
-        assert!((900_000..1_100_000).contains(&ns), "{ns}");
     }
 }

@@ -68,13 +68,6 @@ impl CpuSpec {
         }
     }
 
-    /// Convert a cycle count into nanoseconds on this CPU at full speed.
-    pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        // ns = cycles * 1e9 / clock_hz, rounded up.
-        let num = cycles as u128 * 1_000_000_000u128;
-        num.div_ceil(self.clock_hz as u128) as u64
-    }
-
     /// Throughput factor of one *virtual* CPU when its Hyperthreading
     /// sibling is also busy. Netburst SMT yields ~1.1× combined throughput,
     /// i.e. each sibling runs at ~0.55× (§6.3.7 finds the net effect on
@@ -108,16 +101,6 @@ mod tests {
         assert_eq!(CpuSpec::xeon(2, true).logical_cpus(), 4);
         assert_eq!(CpuSpec::xeon(1, true).logical_cpus(), 2);
         assert_eq!(CpuSpec::xeon(2, false).logical_cpus(), 2);
-    }
-
-    #[test]
-    fn cycles_to_ns_rounds_up() {
-        let o = CpuSpec::opteron(1); // 1.8 GHz: 1 cycle = 0.55..ns
-        assert_eq!(o.cycles_to_ns(0), 0);
-        assert_eq!(o.cycles_to_ns(1800), 1000);
-        assert_eq!(o.cycles_to_ns(1), 1);
-        let x = CpuSpec::xeon(1, false);
-        assert_eq!(x.cycles_to_ns(3_060_000_000), 1_000_000_000);
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //!
 //! A changed cell *fingerprint* is reported before any value drift: it
 //! means the two runs did not even execute the same configuration
-//! (different machine-side fault plan, workload or SUT set), so value
-//! deltas for that cell explain a config change, not a regression.
+//! (different workload or SUT set), so value deltas for that cell
+//! explain a config change, not a regression.
+//!
+//! The fault plan is not part of a fingerprint: it is a run-wide input
+//! recorded once in each ledger's header, so a faulted run's cells pair
+//! with the unfaulted run's by fingerprint. When the two headers name
+//! different plans the report says so in one line before the cells;
+//! that line is context, not drift.
 //!
 //! The host-side `profile` block is never compared.
 
@@ -68,6 +74,10 @@ impl CellDiff {
 /// The full comparison of two ledgers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffReport {
+    /// Ledger A's fault plan, from its header.
+    pub faults_a: Option<String>,
+    /// Ledger B's fault plan, from its header.
+    pub faults_b: Option<String>,
     /// Cells present in ledger A.
     pub cells_a: usize,
     /// Cells present in ledger B.
@@ -80,7 +90,8 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// `true` when any cell differs in any way.
+    /// `true` when any cell differs in any way. Differing fault plans
+    /// alone are not drift.
     pub fn has_drift(&self) -> bool {
         !self.cells.is_empty()
     }
@@ -104,6 +115,14 @@ impl DiffReport {
             self.cells.len(),
             self.drift_count()
         );
+        if self.faults_a != self.faults_b {
+            let _ = writeln!(
+                out,
+                "fault plan differs: A {}, B {} (context, not drift)",
+                self.faults_a.as_deref().unwrap_or("off"),
+                self.faults_b.as_deref().unwrap_or("off")
+            );
+        }
         if self.cells.is_empty() {
             out.push_str("no drift: every compared observable is identical\n");
             return out;
@@ -149,13 +168,22 @@ fn rel(a: f64, b: f64) -> f64 {
 }
 
 /// Flatten one cell into `path -> value` over achieved rate and every
-/// SUT observable.
+/// SUT observable. A SUT's paths start `suts/{label}/`; a cell can hold
+/// two SUTs of one machine (stock vs mmap, HT off vs on), so the k-th
+/// SUT of a label, k ≥ 2, is keyed `{label}#k`.
 fn cell_values(cell: &LedgerCell) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     out.insert("achieved_mbps".to_owned(), cell.achieved_mbps);
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
     for sut in &cell.suts {
+        let k = seen.entry(&sut.label).or_default();
+        *k += 1;
+        let name = match *k {
+            1 => sut.label.clone(),
+            k => format!("{}#{k}", sut.label),
+        };
         for (path, &v) in &sut.observables {
-            out.insert(format!("suts/{}/{path}", sut.label), v);
+            out.insert(format!("suts/{name}/{path}"), v);
         }
     }
     out
@@ -261,6 +289,8 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> DiffReport {
             .then_with(|| p.label.cmp(&q.label))
     });
     DiffReport {
+        faults_a: a.faults.clone(),
+        faults_b: b.faults.clone(),
         cells_a: a.cells.len(),
         cells_b: b.cells.len(),
         cells_compared: compared,
@@ -401,6 +431,39 @@ mod tests {
             (moved.drifts[0].a, moved.drifts[0].b),
             (Some(1.0), Some(9.0))
         );
+    }
+
+    #[test]
+    fn every_sut_of_a_repeated_label_is_compared() {
+        let mut a = cell("r=200", "aa", &[("attribution/app0/delivered", 10.0)]);
+        a.suts.push(a.suts[0].clone());
+        for (sut, path) in [(0, "suts/sut/"), (1, "suts/sut#2/")] {
+            let mut b = a.clone();
+            b.suts[sut]
+                .observables
+                .insert("attribution/app0/delivered".to_owned(), 10.0 + 12_345.0);
+            let report = diff_ledgers(&ledger(vec![a.clone()]), &ledger(vec![b]));
+            assert_eq!(report.drift_count(), 1, "{}", report.render(8));
+            let drift = &report.cells[0].drifts[0];
+            assert_eq!(drift.path, format!("{path}attribution/app0/delivered"));
+            assert_eq!((drift.a, drift.b), (Some(10.0), Some(12_355.0)));
+        }
+    }
+
+    #[test]
+    fn differing_fault_plans_are_context_not_drift() {
+        let a = ledger(vec![cell("r=100", "aa", &[("counters/x", 5.0)])]);
+        let mut b = a.clone();
+        b.faults = Some("hiccup+squeeze:77".to_owned());
+        let report = diff_ledgers(&a, &b);
+        assert!(!report.has_drift());
+        let text = report.render(8);
+        assert!(
+            text.contains("fault plan differs: A off, B hiccup+squeeze:77"),
+            "{text}"
+        );
+        assert!(text.contains("no drift"), "{text}");
+        assert!(!diff_ledgers(&b, &b).render(8).contains("fault plan"));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! sweep invocation.
 //!
 //! One ledger records every cell the sweep executed: the cell's 128-bit
-//! configuration fingerprint (SUT set + workload + rate + repeat + the
-//! fault plan's machine-side kinds), its achieved rate, and per SUT
-//! the exact [`DropAttribution`], the full metrics-registry dump, latency
-//! percentiles from its fixed-bucket quantile digests, and — when
+//! configuration fingerprint (SUT set + workload + rate + repeat), its
+//! achieved rate, and per SUT the exact [`DropAttribution`], the
+//! metrics registry's counters, gauges and per-digest count/min/max/mean,
+//! latency percentiles from its `_latency_ns` digests, and — when
 //! stage-time attribution was armed — the per-CPU per-work-kind time
-//! account.
+//! account. The armed fault plan is recorded once, in the header; no
+//! fingerprint includes it.
 //!
 //! Every cell's simulations are deterministic, and everything
 //! simulation-derived renders integer-based or at fixed precision, in
@@ -230,7 +231,7 @@ fn render_sut(sut: &pcs_trace::SutTrace, out: &mut String) {
         f64_field(v, 6, out);
     }
     out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in sut.report.metrics.histograms().enumerate() {
+    for (i, (name, h)) in sut.report.metrics.digests().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -247,7 +248,7 @@ fn render_sut(sut: &pcs_trace::SutTrace, out: &mut String) {
         out.push('}');
     }
     out.push_str("},\"latency\":{");
-    for (i, (name, d)) in sut.report.metrics.digests().enumerate() {
+    for (i, (name, d)) in sut.report.metrics.latencies().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -345,8 +346,8 @@ impl Ledger {
     /// the diff reads must be finite (`1e400` is valid JSON, but reads as
     /// infinity). `cells` and each cell's `suts` must be arrays, each
     /// cell must carry a numeric `achieved_mbps`, and each SUT a string
-    /// `label`: the diff keys a SUT's observables by its label, so two
-    /// unlabelled SUTs would overwrite each other.
+    /// `label`: the diff names a SUT's observables by its label, and the
+    /// k-th SUT of a label within a cell (k ≥ 2) by `label#k`.
     pub fn parse(text: &str) -> Result<Ledger, String> {
         let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
         let version = doc

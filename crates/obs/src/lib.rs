@@ -4,10 +4,11 @@
 //! CSVs; this crate adds the *cross-run* layer on top:
 //!
 //! * **Run ledger** ([`ledger`]) — one fingerprinted JSON manifest per
-//!   sweep: every cell's 128-bit config fingerprint, achieved rate,
-//!   exact per-stage [`pcs_trace::DropAttribution`], metrics-registry
-//!   dump, latency percentiles from each SUT's fixed-bucket
-//!   [`pcs_des::stats::QuantileDigest`], and (when armed) the per-CPU
+//!   sweep: the armed fault plan, once, in the header; every cell's
+//!   128-bit config fingerprint, achieved rate, exact per-stage
+//!   [`pcs_trace::DropAttribution`], metrics-registry dump (one
+//!   fixed-bucket [`pcs_des::stats::QuantileDigest`] per recorded name,
+//!   with percentiles for the latencies), and (when armed) the per-CPU
 //!   per-work-kind stage-time account. Each cell's simulations are
 //!   deterministic and rendering is integer-based or fixed-precision
 //!   over the collector's `(label, key)` cell order, so a ledger is
@@ -18,7 +19,8 @@
 //! * **Diff engine** ([`diff`]) — matches two ledgers cell by cell
 //!   (by label, equal fingerprints first) and ranks every numeric
 //!   observable that moved: which cells drifted,
-//!   which attribution bucket or stage time moved, and by how much.
+//!   which attribution bucket or stage time moved, and by how much. A
+//!   difference in the headers' fault plans is printed as context.
 //!   Backs `pcs-experiments obs diff A.json B.json [--fail-on-drift]`.
 
 #![forbid(unsafe_code)]

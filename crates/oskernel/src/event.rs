@@ -87,7 +87,7 @@ pub(crate) enum Completion {
         /// are appended to the app's capture log.
         recorded: Vec<CapturedPacket>,
         /// (seq, gen_ns, caplen) per packet, captured only when tracing:
-        /// app-delivery events and the wire→app latency histogram are
+        /// app-delivery events and the wire→app latency digest are
         /// recorded when the chunk's processing completes. Pooled like
         /// `recorded`.
         traced: Vec<(u64, u64, u32)>,

@@ -742,10 +742,11 @@ mod tests {
         assert!(count_stage(Stage::BusTransfer) > 0);
         // Sim-clock timestamps, monotone within the log.
         assert!(trace.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
-        let lat = trace
+        let (_, lat) = trace
             .metrics
-            .histogram("wire_to_app_latency_ns")
-            .expect("latency histogram");
+            .latencies()
+            .find(|(name, _)| *name == "wire_to_app_latency_ns")
+            .expect("latency digest");
         assert_eq!(lat.count(), r.apps[0].received);
         for a in r.attributions() {
             assert!(a.balanced(), "unbalanced attribution: {a:?}");
@@ -852,7 +853,7 @@ mod tests {
             .sum();
         assert!(app_busy > 0);
         // Hyperthreaded and overloaded: SMT stretch must appear.
-        assert!(st.cpus.iter().map(|c| c.stretch_total()).sum::<u64>() > 0);
+        assert!(st.cpus.iter().flat_map(|c| c.stretch_ns).sum::<u64>() > 0);
     }
 
     #[test]

@@ -376,11 +376,6 @@ impl LsfSocket {
         !self.queue.is_empty()
     }
 
-    /// Packets queued.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// End-of-run accounting: record packets still queued as
     /// `kernel_residue` (see [`BpfDevice::finalize_residue`]).
     pub fn finalize_residue(&mut self) {
@@ -707,7 +702,7 @@ mod tests {
         // Pool charged once.
         assert_eq!(l.pool_bytes(), skb_truesize(500));
         for s in &l.sockets {
-            assert_eq!(s.queue_len(), 1);
+            assert_eq!(s.queue.len(), 1);
         }
     }
 

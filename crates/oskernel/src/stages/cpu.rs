@@ -49,16 +49,9 @@ impl MachineSim {
                             1,
                         );
                     }
-                    // One histogram lookup per chunk, not per packet; the
-                    // recorded values and counts are identical. The
-                    // quantile digest sees the same values: it is the
-                    // fixed-bucket summary the run ledger renders
-                    // percentiles from.
+                    // One digest lookup per chunk, not per packet; the
+                    // recorded values are identical.
                     if let Some(m) = self.trace.metrics_mut() {
-                        let h = m.histogram_entry("wire_to_app_latency_ns");
-                        for &(_, gen_ns, _) in &traced {
-                            h.record(now_ns.saturating_sub(gen_ns));
-                        }
                         let d = m.digest_entry("wire_to_app_latency_ns");
                         for &(_, gen_ns, _) in &traced {
                             d.record(now_ns.saturating_sub(gen_ns));

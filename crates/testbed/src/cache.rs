@@ -16,11 +16,13 @@
 //! `Debug` format tweak, a new execution-only setting) cannot silently
 //! change or collide fingerprints. Trace exports and the run ledger name
 //! cells by it. The worker count is deliberately *not* part of it: it
-//! never changes a cell's results, only how they are computed.
+//! never changes a cell's results, only how they are computed. Nor is
+//! an armed fault plan: it is one run-wide input, recorded once in the
+//! ledger header, so a faulted cell keeps its configuration's name and
+//! `obs diff` pairs it with the unfaulted run's.
 
 use crate::cycle::{CycleConfig, Sut};
 use pcs_des::{Fingerprint, Fingerprintable};
-use pcs_faultsim::FaultPlan;
 use pcs_pktgen::StreamKey;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -70,24 +72,9 @@ impl Fingerprintable for Sut {
 /// `repeat` participates because the generator derives a distinct seed
 /// per repeat; `cfg.repeats` deliberately does not — the number of
 /// repeats changes which cells exist, not what any one cell computes.
-/// The worker count and whether the cell's stream was generated or
-/// shared never participate: neither changes what the cell computes.
+/// The worker count, whether the cell's stream was generated or shared,
+/// and the armed fault plan never participate.
 pub fn cell_key(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> CellKey {
-    cell_key_faulted(suts, cfg, rate, repeat, None)
-}
-
-/// [`cell_key`] with the armed fault plan folded in. A machine-side
-/// fault deterministically changes a cell's results, so it must change
-/// the fingerprint. `None`, or a plan of host-side kinds only, writes
-/// nothing extra: host-side faults leave results unchanged, and
-/// unfaulted keys stay what they were before fault injection existed.
-pub fn cell_key_faulted(
-    suts: &[Sut],
-    cfg: &CycleConfig,
-    rate: Option<f64>,
-    repeat: u32,
-    faults: Option<&FaultPlan>,
-) -> CellKey {
     let mut fp = Fingerprint::new();
     fp.seq(suts);
     fp.u64(cfg.count);
@@ -98,9 +85,6 @@ pub fn cell_key_faulted(
     cfg.tx.fingerprint(&mut fp);
     fp.option(&rate);
     fp.u32(repeat);
-    if let Some(plan) = faults.filter(|plan| plan.has_machine_side()) {
-        plan.fingerprint(&mut fp);
-    }
     fp.finish()
 }
 
@@ -241,34 +225,6 @@ mod tests {
             stream_key(&cfg, Some(100.0), 1),
             stream_key(&shifted, Some(100.0), 0)
         );
-    }
-
-    #[test]
-    fn fault_plans_change_the_fingerprint() {
-        let cfg = CycleConfig::fixed(1_000, 512, 42);
-        let base = cell_key(&suts(), &cfg, Some(100.0), 0);
-        let none = cell_key_faulted(&suts(), &cfg, Some(100.0), 0, None);
-        assert_eq!(base, none, "no plan armed must not change the key");
-        let plan = FaultPlan::parse("ringstall:7").unwrap().unwrap();
-        let armed = cell_key_faulted(&suts(), &cfg, Some(100.0), 0, Some(&plan));
-        assert_ne!(base, armed);
-        let reseeded = FaultPlan::parse("ringstall:8").unwrap().unwrap();
-        assert_ne!(
-            armed,
-            cell_key_faulted(&suts(), &cfg, Some(100.0), 0, Some(&reseeded))
-        );
-    }
-
-    #[test]
-    fn host_side_faults_leave_the_fingerprint_alone() {
-        let cfg = CycleConfig::fixed(1_000, 512, 42);
-        let key = |spec: &str| {
-            let plan = FaultPlan::parse(spec).unwrap();
-            cell_key_faulted(&suts(), &cfg, Some(100.0), 0, plan.as_ref())
-        };
-        assert_eq!(key("hiccup+squeeze:7"), key("off"));
-        assert_eq!(key("ringstall+hiccup:7"), key("ringstall:7"));
-        assert_ne!(key("ringstall:7"), key("off"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! their SUT set subscribe to the published chunks. The pipeline shape
 //! is fixed at [`PipelineConfig::default`].
 
-use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut};
+use crate::cache::{cell_key, stream_key, wide_key, CellResult, CellSut};
 use crate::sched::{parallel_ordered, ExecConfig, PipelineConfig};
 use crate::splitter::OpticalSplitter;
 use crate::switch::MonitorSwitch;
@@ -258,13 +258,7 @@ fn run_cell(
                 stage_times: report.stage_times.take(),
             })
             .collect();
-        let key = wide_key(cell_key_faulted(
-            suts,
-            cfg,
-            rate,
-            repeat,
-            exec.faults.as_deref(),
-        ));
+        let key = wide_key(cell_key(suts, cfg, rate, repeat));
         collector.record_cell(label, key, achieved, traces);
     }
     exec.stats.record_run(started.elapsed().as_nanos() as u64);
@@ -784,6 +778,36 @@ mod tests {
         assert_eq!(retrace_exec.stats.cells_run(), 1);
         assert_eq!(format!("{traced:?}"), format!("{retraced:?}"));
         assert_eq!(fresh.cells(), collector.cells(), "traces are reproducible");
+    }
+
+    #[test]
+    fn an_armed_fault_plan_leaves_the_cell_key_alone() {
+        use pcs_trace::{StageFilter, TraceCollector};
+        // Unique packet count: the stream cache is process-global.
+        let mut cfg = CycleConfig::mwn(8_329, 77);
+        cfg.repeats = 1;
+        let suts = vec![Sut {
+            spec: MachineSpec::flamingo(),
+            sim: SimConfig::default(),
+        }];
+        let record = |faults: Option<&str>| {
+            let collector = Arc::new(TraceCollector::new(TraceSpec {
+                filter: StageFilter::none(),
+                ..TraceSpec::default()
+            }));
+            let mut exec = ExecConfig::serial().with_trace(Arc::clone(&collector));
+            if let Some(spec) = faults {
+                let plan = FaultPlan::parse(spec).unwrap().unwrap();
+                exec = exec.with_faults(Arc::new(plan));
+            }
+            run_cell(&suts, &cfg, None, 0, &exec);
+            collector.cells().remove(0)
+        };
+        let plain = record(None);
+        let stalled = record(Some("ringstall:7"));
+        assert_ne!(plain.suts, stalled.suts, "the ring stall must bite");
+        assert_eq!(plain.key, wide_key(cell_key(&suts, &cfg, None, 0)));
+        assert_eq!(stalled.key, plain.key);
     }
 
     #[test]

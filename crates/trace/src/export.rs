@@ -253,7 +253,7 @@ pub fn chrome_trace_json(cells: &[CellTrace]) -> String {
                     out.push_str("null");
                 }
             }
-            for (name, h) in sut.report.metrics.histograms() {
+            for (name, h) in sut.report.metrics.digests() {
                 key(&mut out, &mut first_arg, &format!("hist/{name}/count"));
                 let _ = write!(out, "{}", h.count());
                 key(&mut out, &mut first_arg, &format!("hist/{name}/min"));
@@ -506,7 +506,7 @@ mod tests {
                         out.push_str("null");
                     }
                 }
-                for (name, h) in sut.report.metrics.histograms() {
+                for (name, h) in sut.report.metrics.digests() {
                     key(&mut out, &mut first_arg, &format!("hist/{name}/count"));
                     let _ = write!(out, "{}", h.count());
                     key(&mut out, &mut first_arg, &format!("hist/{name}/min"));

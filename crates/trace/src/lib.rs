@@ -12,9 +12,9 @@
 //!   ([`SchedEvent`], [`WorkKind`]) — which work item ran on which CPU at
 //!   which sim-ns — rendered as Perfetto `ph:"X"` timelines.
 //! * **Metrics** ([`MetricsRegistry`]) — named counters, gauges, and
-//!   log-bucketed histograms (wire→app latency, queue depths, batch
-//!   sizes), plus exact per-stage [`DropAttribution`] reproducing the
-//!   paper's loss-localization tables.
+//!   fixed-bucket quantile digests (wire→app latency, queue depths,
+//!   batch sizes), plus exact per-stage [`DropAttribution`] reproducing
+//!   the paper's loss-localization tables.
 //! * **Export** ([`export`]) — Chrome trace-event JSON (Perfetto-loadable)
 //!   and CSV, with a deterministic cross-cell [`TraceCollector`].
 //! * **JSON reader** ([`json`]) — one RFC 8259 recursive-descent reader

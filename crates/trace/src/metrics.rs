@@ -1,19 +1,23 @@
-//! Named counters, gauges, and log-bucketed histograms for one machine sim.
+//! Named counters, gauges, and fixed-bucket quantile digests for one
+//! machine sim.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use pcs_des::stats::{LogHistogram, QuantileDigest};
+use pcs_des::stats::QuantileDigest;
 
 /// Per-sim metrics registry.
 ///
 /// Keys are `BTreeMap`s so iteration order — and therefore every rendered
 /// export — is deterministic. Lookups on the hot path are by `&str` and
-/// only allocate the first time a name is seen.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// only allocate the first time a name is seen. Each recorded name has
+/// one [`QuantileDigest`]: the exports render its count/min/max/mean,
+/// and the run ledger also renders the percentiles of the
+/// [`latencies`](MetricsRegistry::latencies).
+#[derive(Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LogHistogram>,
     digests: BTreeMap<String, QuantileDigest>,
 }
 
@@ -43,34 +47,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record one observation into the named log-bucketed histogram.
+    /// Record one observation into the named digest.
     pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = LogHistogram::new();
-                h.record(value);
-                self.histograms.insert(name.to_owned(), h);
-            }
-        }
+        self.digest_entry(name).record(value);
     }
 
-    /// Mutable access to the named histogram, creating it (empty) the
-    /// first time the name is seen. Lets hot-path callers hoist the map
-    /// lookup out of a per-packet loop: the recorded values and counts
-    /// are identical to calling [`MetricsRegistry::observe`] per value.
-    pub fn histogram_entry(&mut self, name: &str) -> &mut LogHistogram {
-        if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_owned(), LogHistogram::new());
-        }
-        self.histograms.get_mut(name).expect("just inserted")
-    }
-
-    /// Mutable access to the named quantile digest, creating it (empty)
-    /// the first time the name is seen. Digests are the fixed-bucket,
-    /// per-SUT latency summaries the run ledger renders
-    /// (p50/p90/p99/p99.9); like [`MetricsRegistry::histogram_entry`],
-    /// hot-path callers hoist the map lookup out of per-packet loops.
+    /// Mutable access to the named digest, creating it (empty) the first
+    /// time the name is seen. Lets hot-path callers hoist the map lookup
+    /// out of a per-packet loop: the recorded values are identical to
+    /// calling [`MetricsRegistry::observe`] per value.
     pub fn digest_entry(&mut self, name: &str) -> &mut QuantileDigest {
         if !self.digests.contains_key(name) {
             self.digests.insert(name.to_owned(), QuantileDigest::new());
@@ -88,16 +73,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// The named quantile digest, if it was ever created.
-    pub fn digest(&self, name: &str) -> Option<&QuantileDigest> {
-        self.digests.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -108,22 +83,58 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All quantile digests in name order.
+    /// All digests in name order.
     pub fn digests(&self) -> impl Iterator<Item = (&str, &QuantileDigest)> {
         self.digests.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// The digests whose name ends in `_latency_ns`, in name order: the
+    /// ones the run ledger summarizes as latency percentiles.
+    pub fn latencies(&self) -> impl Iterator<Item = (&str, &QuantileDigest)> {
+        self.digests()
+            .filter(|(name, _)| name.ends_with("_latency_ns"))
+    }
+
     /// True when nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.digests.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.digests.is_empty()
+    }
+}
+
+/// `Debug` keeps the text that the engine golden
+/// (`crates/oskernel/tests/golden/engine_reports.txt`) hashes: every
+/// digest renders under `histograms` as a `LogHistogram` of 65
+/// power-of-two buckets (bucket 0 holds 0, bucket `i` holds
+/// `[2^(i-1), 2^i)`), and the latencies once more under `digests`.
+impl fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct PowerOfTwo<'a>(&'a QuantileDigest);
+        impl fmt::Debug for PowerOfTwo<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut buckets = [0u64; 65];
+                for (lo, count) in self.0.nonzero_buckets() {
+                    buckets[64 - lo.leading_zeros() as usize] += count;
+                }
+                f.debug_struct("LogHistogram")
+                    .field("buckets", &buckets)
+                    .field("count", &self.0.count())
+                    .field("sum", &self.0.sum())
+                    .field("min", &self.0.min())
+                    .field("max", &self.0.max())
+                    .finish()
+            }
+        }
+        let histograms: BTreeMap<&str, PowerOfTwo> = self
+            .digests()
+            .map(|(name, d)| (name, PowerOfTwo(d)))
+            .collect();
+        let latencies: BTreeMap<&str, &QuantileDigest> = self.latencies().collect();
+        f.debug_struct("MetricsRegistry")
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("histograms", &histograms)
+            .field("digests", &latencies)
+            .finish()
     }
 }
 
@@ -144,20 +155,41 @@ mod tests {
         assert_eq!(m.counter("packets"), 5);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.gauge("depth"), Some(2.5));
-        assert_eq!(m.histogram("latency_ns").unwrap().count(), 2);
+        let (name, digest) = m.digests().next().unwrap();
+        assert_eq!((name, digest.count()), ("latency_ns", 2));
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn debug_folds_digests_into_power_of_two_buckets() {
+        let mut m = MetricsRegistry::new();
+        for v in [0u64, 1, 5, 5, 1024] {
+            m.observe("x", v);
+        }
+        let mut buckets = vec!["0"; 65];
+        buckets[0] = "1"; // the 0
+        buckets[1] = "1"; // the 1
+        buckets[3] = "2"; // both 5s, in [4, 7]
+        buckets[11] = "1"; // 1024, in [1024, 2047]
+        let expected = format!(
+            "MetricsRegistry {{ counters: {{}}, gauges: {{}}, histograms: {{\"x\": \
+             LogHistogram {{ buckets: [{}], count: 5, sum: 1035, min: 0, max: 1024 }}}}, \
+             digests: {{}} }}",
+            buckets.join(", ")
+        );
+        assert_eq!(format!("{m:?}"), expected);
     }
 
     #[test]
     fn registry_digests_record() {
         let mut a = MetricsRegistry::new();
-        a.digest_entry("other").record(1);
-        a.digest_entry("lat").record(100);
-        a.digest_entry("lat").record(900);
-        assert_eq!(a.digest("lat").unwrap().count(), 2);
-        assert!(a.digest("missing").is_none());
+        a.digest_entry("wire_to_app_latency_ns").record(100);
+        a.observe("other", 1);
+        a.observe("wire_to_app_latency_ns", 900);
         assert!(!a.is_empty());
-        let names: Vec<&str> = a.digests().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["lat", "other"]);
+        let counts: Vec<(&str, u64)> = a.digests().map(|(n, d)| (n, d.count())).collect();
+        assert_eq!(counts, vec![("other", 1), ("wire_to_app_latency_ns", 2)]);
+        let latencies: Vec<&str> = a.latencies().map(|(n, _)| n).collect();
+        assert_eq!(latencies, vec!["wire_to_app_latency_ns"]);
     }
 }

@@ -38,7 +38,7 @@ pub struct TraceReport {
     /// Events dropped after the buffer filled (deterministic for a given
     /// seed/config/cap).
     pub truncated: u64,
-    /// Counters, gauges, histograms recorded alongside the events.
+    /// Counters, gauges, digests recorded alongside the events.
     pub metrics: MetricsRegistry,
 }
 

@@ -43,11 +43,6 @@ impl CpuStageTimes {
         self.busy_ns.iter().sum()
     }
 
-    /// Total stretch nanoseconds over every work kind.
-    pub fn stretch_total(&self) -> u64 {
-        self.stretch_ns.iter().sum()
-    }
-
     /// Busy plus idle — must equal the CPU's accounted total.
     pub fn total(&self) -> u64 {
         self.busy_total() + self.idle_ns
@@ -104,7 +99,6 @@ mod tests {
         assert_eq!(st.cpus[0].busy_ns[WorkKind::KernelBatch as usize], 150);
         assert_eq!(st.cpus[0].stretch_ns[WorkKind::KernelBatch as usize], 20);
         assert_eq!(st.cpus[0].busy_total(), 150);
-        assert_eq!(st.cpus[0].stretch_total(), 20);
         assert_eq!(st.cpus[0].total(), 1000);
         assert_eq!(st.cpus[1].busy_total(), 30);
         assert_eq!(st.cpus[1].idle_ns, 0);

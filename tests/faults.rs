@@ -5,8 +5,8 @@
 //!
 //! Every cell simulates, and the invariant oracle checks every cell, so
 //! each faulted sweep below is also a conservation proof. Figure-level
-//! tests use packet counts no other test binary uses (41k/43k), so the
-//! process-global stream cache cannot share streams between them.
+//! tests use packet counts no other test binary uses (41k/43k/12k), so
+//! the process-global stream cache cannot share streams between them.
 
 use pcapbench::core::{figures, ExecConfig, Scale};
 use pcapbench::des::SimTime;
@@ -16,6 +16,7 @@ use pcapbench::oskernel::{MachineSim, SimConfig};
 use pcapbench::pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
 use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
 use pcapbench::wire::{MacAddr, SimPacket};
+use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerMeta};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -139,10 +140,61 @@ fn host_side_faults_do_not_change_results() {
     );
     assert_eq!(base.to_table(), hiccuped.to_table());
     // The traced cells, fingerprints included, are the unfaulted ones:
-    // a plan without a machine-side fault names the same configuration.
+    // no fault plan enters a cell fingerprint.
     let cells = base_cells.cells();
     assert!(!cells.is_empty(), "tracing must record cells");
     assert_eq!(cells, hiccuped_cells.cells());
+}
+
+#[test]
+fn a_machine_side_plan_leaves_every_cell_paired_with_its_configuration() {
+    // One rate, one repeat: the buffer sweep's twelve SUT sets all share
+    // the label `rate=full rep=0`.
+    let scale = Scale {
+        count: 12_000,
+        repeats: 1,
+        rates: vec![None],
+    };
+    let ledger = |faults: Option<&str>| {
+        let cells = Arc::new(TraceCollector::new(TraceSpec {
+            filter: StageFilter::none(),
+            ..TraceSpec::default()
+        }));
+        let mut exec = ExecConfig::with_jobs(2).with_trace(Arc::clone(&cells));
+        if let Some(spec) = faults {
+            exec = exec.with_faults(Arc::new(plan(spec)));
+        }
+        figures::fig6_4_buffer_sweep(&scale, false, &exec);
+        let meta = LedgerMeta {
+            scale: "test".into(),
+            experiments: vec!["fig6.4a".into()],
+            faults: faults.map(str::to_owned),
+        };
+        Ledger::parse(&render_ledger(&meta, &cells.cells(), None)).expect("the ledger parses")
+    };
+    let plain = ledger(None);
+    let shrunk = ledger(Some("kshrink:77"));
+    assert!(plain.cells.len() > 1);
+    assert!(plain.cells.iter().all(|c| c.label == "rate=full rep=0"));
+    let fingerprints =
+        |l: &Ledger| -> Vec<String> { l.cells.iter().map(|c| c.fingerprint.clone()).collect() };
+    assert_eq!(fingerprints(&plain), fingerprints(&shrunk));
+    let report = diff_ledgers(&plain, &shrunk);
+    let text = report.render(4);
+    assert_eq!(report.cells_compared, plain.cells.len());
+    assert!(report.has_drift(), "kshrink must move losses");
+    assert!(
+        report
+            .cells
+            .iter()
+            .all(|c| !c.fingerprint_changed && c.only_in.is_none()),
+        "{text}"
+    );
+    assert!(
+        text.contains("fault plan differs: A off, B kshrink:77"),
+        "{text}"
+    );
+    assert!(!text.contains("fingerprint changed"), "{text}");
 }
 
 #[test]

@@ -23,7 +23,7 @@ use pcapbench::core::{
     all_experiments, figures, ExecConfig, Experiment, Scale, Series, SeriesPoint,
 };
 use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
-use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerMeta};
+use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerCell, LedgerMeta};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -230,4 +230,33 @@ fn one_changed_fingerprint_drifts_one_cell_of_the_quick_ledger() {
     assert_eq!(report.cells.len(), 1, "{}", report.render(2));
     assert!(report.cells[0].fingerprint_changed);
     assert_eq!(report.drift_count(), 0, "{}", report.render(2));
+}
+
+#[test]
+fn either_of_two_same_machine_suts_drifts_in_the_quick_ledger() {
+    // Stock vs mmap (fig6.15a/b), HT off vs on (fig6.16) and single vs
+    // split (ext-split) put two SUTs of one machine into one cell.
+    let text = std::fs::read_to_string(golden_path("quick.ledger.json")).expect("golden present");
+    let golden = Ledger::parse(&text).expect("the golden parses");
+    let pair = |c: &LedgerCell| c.suts.len() > 1 && c.suts[0].label == c.suts[1].label;
+    let cell = golden
+        .cells
+        .iter()
+        .position(pair)
+        .expect("the quick suite holds cells with two SUTs of one machine");
+    let machine = golden.cells[cell].suts[0].label.clone();
+    let path = "attribution/app0/delivered";
+    for (sut, name) in [(0, machine.clone()), (1, format!("{machine}#2"))] {
+        let mut edited = golden.clone();
+        *edited.cells[cell].suts[sut]
+            .observables
+            .get_mut(path)
+            .expect("a delivered count") += 12_345.0;
+        let report = diff_ledgers(&golden, &edited);
+        assert_eq!(report.drift_count(), 1, "{}", report.render(2));
+        assert_eq!(
+            report.cells[0].drifts[0].path,
+            format!("suts/{name}/{path}")
+        );
+    }
 }
