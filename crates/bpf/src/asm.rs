@@ -1,9 +1,9 @@
-//! Textual assembler and disassembler for classic BPF.
+//! Textual disassembler for classic BPF.
 //!
 //! The format matches `tcpdump -d` output (the thesis inspects compiled
 //! filters this way when sizing the Fig. 6.5 expression at 50
-//! instructions): one instruction per line, optionally prefixed by its
-//! `(NNN)` index, with *absolute* jump targets.
+//! instructions): one instruction per line, prefixed by its `(NNN)`
+//! index, with *absolute* jump targets.
 //!
 //! ```text
 //! (000) ldh      [12]
@@ -110,222 +110,6 @@ pub fn disasm(prog: &[Insn]) -> String {
         .join("\n")
 }
 
-/// An error produced by [`assemble`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsmError {
-    /// 1-based source line.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for AsmError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for AsmError {}
-
-fn parse_number(s: &str) -> Option<u32> {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u32::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-fn parse_imm(s: &str) -> Option<u32> {
-    parse_number(s.strip_prefix('#')?)
-}
-
-fn parse_mem(s: &str) -> Option<u32> {
-    parse_number(s.strip_prefix("M[")?.strip_suffix(']')?)
-}
-
-/// `[k]` or `[x + k]`; returns (is_indexed, k).
-fn parse_pkt_ref(s: &str) -> Option<(bool, u32)> {
-    let inner = s.strip_prefix('[')?.strip_suffix(']')?.trim();
-    if let Some(rest) = inner.strip_prefix("x") {
-        let rest = rest.trim().strip_prefix('+')?.trim();
-        Some((true, parse_number(rest)?))
-    } else {
-        Some((false, parse_number(inner)?))
-    }
-}
-
-/// Assemble the `tcpdump -d` dialect back into instructions. Jump targets
-/// are absolute instruction indices. Blank lines and `;` comments are
-/// ignored; the `(NNN)` prefix is optional.
-pub fn assemble(text: &str) -> Result<Vec<Insn>, AsmError> {
-    // First pass: collect (lineno, mnemonic-and-operands) per instruction.
-    let mut raw: Vec<(usize, String)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let mut s = line.trim();
-        if let Some(i) = s.find(';') {
-            s = s[..i].trim();
-        }
-        if s.is_empty() {
-            continue;
-        }
-        // Strip "(NNN)" prefix if present.
-        if s.starts_with('(') {
-            match s.find(')') {
-                Some(i) => s = s[i + 1..].trim(),
-                None => {
-                    return Err(AsmError {
-                        line: lineno + 1,
-                        message: "unterminated index prefix".into(),
-                    })
-                }
-            }
-        }
-        raw.push((lineno + 1, s.to_string()));
-    }
-
-    let n = raw.len();
-    let mut out = Vec::with_capacity(n);
-    for (idx, (lineno, s)) in raw.iter().enumerate() {
-        let err = |message: &str| AsmError {
-            line: *lineno,
-            message: message.to_string(),
-        };
-        let mut parts = s.split_whitespace();
-        let mnemonic = parts.next().ok_or_else(|| err("empty"))?;
-        let rest: Vec<&str> = parts.collect();
-        let arg = rest.join(" ");
-
-        // Resolve an absolute jump target into a relative offset.
-        let rel = |target: u32, line: usize| -> Result<u8, AsmError> {
-            let target = target as usize;
-            // Jumps are forward-only and must land inside the program.
-            if target <= idx || target > n - 1 {
-                return Err(AsmError {
-                    line,
-                    message: format!("jump target {target} out of range"),
-                });
-            }
-            let off = target - (idx + 1);
-            u8::try_from(off).map_err(|_| AsmError {
-                line,
-                message: format!("jump offset {off} exceeds 255"),
-            })
-        };
-
-        let ins = match mnemonic {
-            "ld" | "ldh" | "ldb" => {
-                let size = match mnemonic {
-                    "ld" => insn::W,
-                    "ldh" => insn::H,
-                    _ => insn::B,
-                };
-                if arg == "#pktlen" {
-                    Insn::stmt(insn::LD | insn::W | insn::LEN, 0)
-                } else if let Some(k) = parse_imm(&arg) {
-                    Insn::stmt(insn::LD | insn::W | insn::IMM, k)
-                } else if let Some(k) = parse_mem(&arg) {
-                    Insn::stmt(insn::LD | insn::W | insn::MEM, k)
-                } else if let Some((indexed, k)) = parse_pkt_ref(&arg) {
-                    let mode = if indexed { insn::IND } else { insn::ABS };
-                    Insn::stmt(insn::LD | size | mode, k)
-                } else {
-                    return Err(err("bad ld operand"));
-                }
-            }
-            "ldx" => {
-                if arg == "#pktlen" {
-                    Insn::stmt(insn::LDX | insn::W | insn::LEN, 0)
-                } else if let Some(k) = parse_imm(&arg) {
-                    Insn::stmt(insn::LDX | insn::W | insn::IMM, k)
-                } else if let Some(k) = parse_mem(&arg) {
-                    Insn::stmt(insn::LDX | insn::W | insn::MEM, k)
-                } else if let Some(k) = arg
-                    .strip_prefix("4*([")
-                    .and_then(|r| r.strip_suffix("]&0xf)"))
-                    .and_then(parse_number)
-                {
-                    Insn::stmt(insn::LDX | insn::B | insn::MSH, k)
-                } else {
-                    return Err(err("bad ldx operand"));
-                }
-            }
-            "st" => Insn::stmt(insn::ST, parse_mem(&arg).ok_or_else(|| err("bad st"))?),
-            "stx" => Insn::stmt(insn::STX, parse_mem(&arg).ok_or_else(|| err("bad stx"))?),
-            "add" | "sub" | "mul" | "div" | "mod" | "or" | "and" | "xor" | "lsh" | "rsh" => {
-                let op = match mnemonic {
-                    "add" => insn::ADD,
-                    "sub" => insn::SUB,
-                    "mul" => insn::MUL,
-                    "div" => insn::DIV,
-                    "mod" => insn::MOD,
-                    "or" => insn::OR,
-                    "and" => insn::AND,
-                    "xor" => insn::XOR,
-                    "lsh" => insn::LSH,
-                    _ => insn::RSH,
-                };
-                if arg == "x" {
-                    Insn::stmt(insn::ALU | op | insn::X, 0)
-                } else if let Some(k) = parse_imm(&arg) {
-                    Insn::stmt(insn::ALU | op | insn::K, k)
-                } else {
-                    return Err(err("bad alu operand"));
-                }
-            }
-            "neg" => Insn::stmt(insn::ALU | insn::NEG, 0),
-            "ja" => {
-                let target = parse_number(&arg).ok_or_else(|| err("bad ja target"))?;
-                let target_usize = target as usize;
-                if target_usize <= idx || target_usize > n - 1 {
-                    return Err(err(&format!("jump target {target} out of range")));
-                }
-                Insn::stmt(insn::JMP | insn::JA, (target_usize - (idx + 1)) as u32)
-            }
-            "jeq" | "jgt" | "jge" | "jset" => {
-                let op = match mnemonic {
-                    "jeq" => insn::JEQ,
-                    "jgt" => insn::JGT,
-                    "jge" => insn::JGE,
-                    _ => insn::JSET,
-                };
-                // operand, then "jt N jf M"
-                let tokens: Vec<&str> = rest.clone();
-                if tokens.len() != 5 || tokens[1] != "jt" || tokens[3] != "jf" {
-                    return Err(err("expected: <operand> jt N jf M"));
-                }
-                let (src, k) = if tokens[0] == "x" {
-                    (insn::X, 0)
-                } else {
-                    (
-                        insn::K,
-                        parse_imm(tokens[0]).ok_or_else(|| err("bad jump operand"))?,
-                    )
-                };
-                let jt_abs = parse_number(tokens[2]).ok_or_else(|| err("bad jt"))?;
-                let jf_abs = parse_number(tokens[4]).ok_or_else(|| err("bad jf"))?;
-                let jt = rel(jt_abs, *lineno)?;
-                let jf = rel(jf_abs, *lineno)?;
-                Insn::jump(insn::JMP | op | src, k, jt, jf)
-            }
-            "ret" => {
-                if arg == "a" {
-                    Insn::stmt(insn::RET | insn::A, 0)
-                } else if let Some(k) = parse_imm(&arg) {
-                    Insn::stmt(insn::RET | insn::K, k)
-                } else {
-                    return Err(err("bad ret operand"));
-                }
-            }
-            "tax" => Insn::stmt(insn::MISC | insn::TAX, 0),
-            "txa" => Insn::stmt(insn::MISC | insn::TXA, 0),
-            other => return Err(err(&format!("unknown mnemonic '{other}'"))),
-        };
-        out.push(ins);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,14 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn disasm_asm_roundtrip() {
-        let prog = sample_program();
-        let text = disasm(&prog);
-        let back = assemble(&text).expect("assemble");
-        assert_eq!(back, prog);
-    }
-
-    #[test]
     fn disasm_format_matches_tcpdump_dialect() {
         let text = disasm(&sample_program());
         let lines: Vec<&str> = text.lines().collect();
@@ -362,71 +138,50 @@ mod tests {
         assert!(lines[1].contains("jt 2"));
         assert!(lines[1].contains("jf 8"));
         assert_eq!(lines[7], "(007) ret      #96");
-    }
 
-    #[test]
-    fn assemble_without_index_prefix_and_with_comments() {
-        let text = "
-            ; accept IPv4 only
-            ldh [12]
-            jeq #0x800 jt 2 jf 3
-            ret #65535
-            ret #0
-        ";
-        let prog = assemble(text).unwrap();
-        assert_eq!(prog.len(), 4);
-        assert_eq!(prog[0], ld_abs_h(12));
-        assert_eq!(prog[1], jeq_k(0x800, 0, 1));
-    }
-
-    #[test]
-    fn assemble_rejects_backward_jumps() {
-        let text = "
-            ldh [12]
-            jeq #0x800 jt 0 jf 2
-            ret #0
-        ";
-        assert!(assemble(text).is_err());
-    }
-
-    #[test]
-    fn assemble_rejects_unknown_mnemonic() {
-        let e = assemble("frobnicate #1").unwrap_err();
-        assert!(e.message.contains("unknown mnemonic"));
-    }
-
-    #[test]
-    fn assemble_all_alu_and_misc() {
-        let text = "
-            ld #10
-            add #2
-            sub #1
-            mul x
-            div #2
-            and #0xff
-            or #0x10
-            xor #0x3
-            lsh #1
-            rsh #1
-            neg
-            tax
-            txa
-            st M[2]
-            ldx M[2]
-            stx M[3]
-            ld #pktlen
-            ldx #pktlen
-            ret a
-        ";
-        let prog = assemble(text).unwrap();
-        assert_eq!(prog.len(), 19);
-        let round = assemble(&disasm(&prog)).unwrap();
-        assert_eq!(round, prog);
-    }
-
-    #[test]
-    fn roundtrip_of_indexed_and_msh_loads() {
-        let prog = vec![ldx_msh(14), ld_ind_w(2), ld_ind_b(0), ret_a()];
-        assert_eq!(assemble(&disasm(&prog)).unwrap(), prog);
+        // One line per instruction class and operand form, the ones the
+        // compiler never emits included.
+        let every_class = [
+            (ld_imm(10), "ld       #0xa"),
+            (ld_len(), "ld       #pktlen"),
+            (ld_mem(2), "ld       M[2]"),
+            (ld_abs_w(26), "ld       [26]"),
+            (ld_ind_w(2), "ld       [x + 2]"),
+            (ld_ind_b(0), "ldb      [x + 0]"),
+            (ldx_imm(4), "ldx      #0x4"),
+            (ldx_len(), "ldx      #pktlen"),
+            (ldx_mem(3), "ldx      M[3]"),
+            (st(1), "st       M[1]"),
+            (stx(3), "stx      M[3]"),
+            (alu_k(insn::ADD, 2), "add      #0x2"),
+            (alu_k(insn::SUB, 1), "sub      #0x1"),
+            (alu_x(insn::MUL), "mul      x"),
+            (alu_k(insn::DIV, 2), "div      #0x2"),
+            (alu_k(insn::MOD, 3), "mod      #0x3"),
+            (alu_k(insn::OR, 0x10), "or       #0x10"),
+            (alu_k(insn::AND, 0xff), "and      #0xff"),
+            (alu_x(insn::XOR), "xor      x"),
+            (alu_k(insn::LSH, 1), "lsh      #0x1"),
+            (alu_x(insn::RSH), "rsh      x"),
+            (alu_k(insn::NEG, 0), "neg"),
+            (tax(), "tax"),
+            (txa(), "txa"),
+            (ja(1), "ja       26"),
+            (jgt_k(100, 0, 1), "jgt      #0x64            jt 26\tjf 27"),
+            (
+                Insn::jump(insn::JMP | insn::JGE | insn::X, 0, 1, 0),
+                "jge      x                jt 28\tjf 27",
+            ),
+            (ret_a(), "ret      a"),
+            (ret_k(96), "ret      #96"),
+        ];
+        let prog: Vec<Insn> = every_class.iter().map(|&(ins, _)| ins).collect();
+        let text = disasm(&prog);
+        let expected: Vec<String> = every_class
+            .iter()
+            .enumerate()
+            .map(|(i, (_, body))| format!("({i:03}) {body}"))
+            .collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
     }
 }

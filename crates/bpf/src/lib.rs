@@ -10,7 +10,7 @@
 //!   reject, filters cannot trap) and executed-instruction accounting used
 //!   by the simulated kernels to charge CPU time;
 //! * [`validate()`](validate::validate) — the attach-time checker (`bpf_validate`);
-//! * [`asm`] — assembler/disassembler in the `tcpdump -d` dialect;
+//! * [`asm`] — disassembler in the `tcpdump -d` dialect;
 //! * [`compiler`] — a pcap-filter-expression compiler with libpcap-style
 //!   redundant-guard elimination, able to compile the thesis' Fig. 6.5
 //!   expression to the 50 instructions the thesis reports;

@@ -139,16 +139,6 @@ impl QuantileDigest {
         }
     }
 
-    /// `(lower bound, count)` of every non-empty bucket, in ascending
-    /// value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lo(i), c))
-    }
-
     /// The `q`-quantile as an integer: the lower bound of the sub-bucket
     /// holding the rank-`ceil(q·count)` order statistic, clamped to the
     /// observed `[min, max]`. Returns 0 when empty. A pure function of

@@ -295,7 +295,10 @@ fn main() {
                     usage();
                 }
                 let mut sel = Vec::new();
-                for id in &ids {
+                for (n, id) in ids.iter().enumerate() {
+                    if ids[..n].contains(id) {
+                        bail(format!("experiment '{id}' given more than once"));
+                    }
                     match registry.iter().find(|(rid, _, _)| rid == id) {
                         Some(e) => sel.push(*e),
                         None => {

@@ -77,6 +77,28 @@ fn oracle_flag_is_a_usage_error() {
     assert!(stderr.starts_with("usage:"), "{stderr}");
 }
 
+/// A repeated experiment id is refused, naming the id, before any cell
+/// runs or any output directory is made, with and without `--csv-dir`.
+#[test]
+fn a_repeated_experiment_id_exits_2_naming_it() {
+    let csv_dir = scratch("cli-repeated-id").join("out");
+    for extra in [vec![], vec![Path::new("--csv-dir"), &csv_dir]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["run", "fig6.2b", "fig6.2b", "--scale", "quick"])
+            .args(&extra)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(
+            stderr.contains("experiment 'fig6.2b' given more than once"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{stderr}");
+        assert!(!csv_dir.exists(), "{stderr}");
+    }
+}
+
 /// `obs diff` refuses a ledger that is valid JSON but carries an
 /// infinite leaf or a fractional version marker; diffing it would rank
 /// a NaN drift or read version 1.5 as 1.

@@ -73,9 +73,10 @@ impl KernelFilter {
         // For generator packets (identified by the pktgen payload magic)
         // the sequence-dependent bytes — IP ident (18..20), IP checksum
         // (24..26), seq+timestamp stamp (46..62) — are masked so the whole
-        // stream shares a handful of cache keys. Arbitrary (replayed)
-        // packets are cached under their exact bytes, which is always
-        // sound: distinct packets get distinct keys.
+        // stream shares a handful of cache keys. Any other packet (a frame
+        // too short to carry the magic, or one a test builds by hand) is
+        // cached under its exact bytes, which is always sound: distinct
+        // packets get distinct keys.
         let is_pktgen = pcs_wire::PacketBytes::word(pkt, 42) == Some(pcs_wire::PKTGEN_MAGIC);
         if is_pktgen {
             for b in key_hdr.iter_mut().take(20).skip(18) {

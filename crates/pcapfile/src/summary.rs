@@ -79,17 +79,6 @@ impl SizeHistogram {
         sum as f64 / self.total as f64
     }
 
-    /// The `n` most frequent sizes, descending by count (ties broken by
-    /// smaller size first), with their fractions of the total.
-    pub fn top_n(&self, n: usize) -> Vec<(u32, u64, f64)> {
-        let mut v: Vec<(u32, u64)> = self.counts.iter().map(|(&s, &c)| (s, c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v.into_iter()
-            .map(|(s, c)| (s, c, c as f64 / self.total as f64))
-            .collect()
-    }
-
     /// The serialized `dist` format of `createDist`:
     /// one `<size><sep><count>` line per size.
     pub fn to_dist_format(&self, sep: char) -> String {
@@ -191,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_top_n() {
+    fn mean_weights_sizes_by_count() {
         let mut h = SizeHistogram::new();
         for _ in 0..6 {
             h.add(40);
@@ -201,10 +190,6 @@ mod tests {
         }
         h.add(576);
         assert!((h.mean() - (6.0 * 40.0 + 3.0 * 1500.0 + 576.0) / 10.0).abs() < 1e-9);
-        let top = h.top_n(2);
-        assert_eq!(top[0].0, 40);
-        assert!((top[0].2 - 0.6).abs() < 1e-12);
-        assert_eq!(top[1].0, 1500);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::dist::TwoStageDist;
 use crate::generator::TxModel;
-use crate::procfs::{PktgenConfig, SizeSource};
+use crate::procfs::SizeSource;
 use pcs_des::{Fingerprint, Fingerprintable};
 
 impl Fingerprintable for TxModel {
@@ -39,21 +39,6 @@ impl Fingerprintable for SizeSource {
     }
 }
 
-impl Fingerprintable for PktgenConfig {
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        fp.u64(self.count);
-        fp.u64(self.delay_ns);
-        self.size.fingerprint(fp);
-        fp.raw(&self.src_ip.octets());
-        fp.raw(&self.dst_ip.octets());
-        fp.raw(&self.src_mac.0);
-        fp.raw(&self.dst_mac.0);
-        fp.u64(self.src_mac_count);
-        fp.u16(self.udp_src_port);
-        fp.u16(self.udp_dst_port);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,32 +61,6 @@ mod tests {
         let from_dist = SizeSource::Distribution(dist.clone());
         assert_ne!(key(&fixed), key(&from_dist));
         assert_eq!(key(&from_dist), key(&SizeSource::Distribution(dist)));
-    }
-
-    #[test]
-    fn config_fields_all_participate() {
-        let base = PktgenConfig::default();
-        let variants = [
-            PktgenConfig {
-                count: base.count + 1,
-                ..base.clone()
-            },
-            PktgenConfig {
-                delay_ns: base.delay_ns + 1,
-                ..base.clone()
-            },
-            PktgenConfig {
-                src_mac_count: base.src_mac_count + 1,
-                ..base.clone()
-            },
-            PktgenConfig {
-                udp_dst_port: base.udp_dst_port.wrapping_add(1),
-                ..base.clone()
-            },
-        ];
-        for v in &variants {
-            assert_ne!(key(&base), key(v));
-        }
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod fingerprint;
 pub mod generator;
 pub mod mwn;
 pub mod procfs;
-pub mod replay;
 pub mod source;
 pub mod streamcache;
 
@@ -41,7 +40,6 @@ pub use dist::{DistConfig, DistError, TwoStageDist};
 pub use generator::{GenStats, Generator, TimedPacket, TxModel};
 pub use mwn::{mwn_counts, mwn_mean};
 pub use procfs::{CmdError, PktgenConfig, PktgenControl, SizeSource};
-pub use replay::{replay_pcap, replay_rate_mbps, TraceReplay};
 pub use source::{
     Chunk, ChunkedGenerator, MaterializedSource, PacketSource, DEFAULT_CHUNK_PACKETS,
 };

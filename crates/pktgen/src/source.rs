@@ -86,7 +86,7 @@ impl PacketSource for ChunkedGenerator {
 }
 
 /// A materialized packet list replayed as a chunk stream (the adapter
-/// for pcap replays and test vectors).
+/// for test vectors).
 pub struct MaterializedSource {
     packets: Arc<Vec<TimedPacket>>,
     pos: usize,

@@ -1,10 +1,10 @@
 //! # pcs-profiling — cpusage and trimusage
 //!
 //! The thesis' CPU profiling pipeline (Chapter 5): `cpusage` samples the
-//! OS's CPU state tick counters every half second and reports per-state
-//! percentages with min/max/average; `trimusage` post-processes the rows,
-//! selecting the longest consecutive run below an idle limit — the loaded
-//! measurement window — and averaging over exactly that.
+//! OS's CPU state tick counters every half second into rows of per-state
+//! percentages; `trimusage` post-processes the rows, selecting the
+//! longest consecutive run below an idle limit — the loaded measurement
+//! window — and averaging over exactly that.
 //!
 //! Fed by the simulator's [`pcs_oskernel::CpuSample`] stream instead of
 //! `/proc/stat` / `sysctl kern.cp_time`, but otherwise the same
@@ -16,7 +16,7 @@
 pub mod cpusage;
 pub mod trimusage;
 
-pub use cpusage::{summarize, usage_rows, UsageRow, UsageSummary};
+pub use cpusage::{usage_rows, UsageRow};
 pub use trimusage::{trim, TrimResult};
 
 /// The full pipeline: simulator samples → interval rows → trimmed average

@@ -2,7 +2,6 @@
 //! machine sim.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use pcs_des::stats::QuantileDigest;
 
@@ -14,7 +13,7 @@ use pcs_des::stats::QuantileDigest;
 /// one [`QuantileDigest`]: the exports render its count/min/max/mean,
 /// and the run ledger also renders the percentiles of the
 /// [`latencies`](MetricsRegistry::latencies).
-#[derive(Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -101,43 +100,6 @@ impl MetricsRegistry {
     }
 }
 
-/// `Debug` keeps the text that the engine golden
-/// (`crates/oskernel/tests/golden/engine_reports.txt`) hashes: every
-/// digest renders under `histograms` as a `LogHistogram` of 65
-/// power-of-two buckets (bucket 0 holds 0, bucket `i` holds
-/// `[2^(i-1), 2^i)`), and the latencies once more under `digests`.
-impl fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct PowerOfTwo<'a>(&'a QuantileDigest);
-        impl fmt::Debug for PowerOfTwo<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                let mut buckets = [0u64; 65];
-                for (lo, count) in self.0.nonzero_buckets() {
-                    buckets[64 - lo.leading_zeros() as usize] += count;
-                }
-                f.debug_struct("LogHistogram")
-                    .field("buckets", &buckets)
-                    .field("count", &self.0.count())
-                    .field("sum", &self.0.sum())
-                    .field("min", &self.0.min())
-                    .field("max", &self.0.max())
-                    .finish()
-            }
-        }
-        let histograms: BTreeMap<&str, PowerOfTwo> = self
-            .digests()
-            .map(|(name, d)| (name, PowerOfTwo(d)))
-            .collect();
-        let latencies: BTreeMap<&str, &QuantileDigest> = self.latencies().collect();
-        f.debug_struct("MetricsRegistry")
-            .field("counters", &self.counters)
-            .field("gauges", &self.gauges)
-            .field("histograms", &histograms)
-            .field("digests", &latencies)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,26 +120,6 @@ mod tests {
         let (name, digest) = m.digests().next().unwrap();
         assert_eq!((name, digest.count()), ("latency_ns", 2));
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn debug_folds_digests_into_power_of_two_buckets() {
-        let mut m = MetricsRegistry::new();
-        for v in [0u64, 1, 5, 5, 1024] {
-            m.observe("x", v);
-        }
-        let mut buckets = vec!["0"; 65];
-        buckets[0] = "1"; // the 0
-        buckets[1] = "1"; // the 1
-        buckets[3] = "2"; // both 5s, in [4, 7]
-        buckets[11] = "1"; // 1024, in [1024, 2047]
-        let expected = format!(
-            "MetricsRegistry {{ counters: {{}}, gauges: {{}}, histograms: {{\"x\": \
-             LogHistogram {{ buckets: [{}], count: 5, sum: 1035, min: 0, max: 1024 }}}}, \
-             digests: {{}} }}",
-            buckets.join(", ")
-        );
-        assert_eq!(format!("{m:?}"), expected);
     }
 
     #[test]

@@ -19,16 +19,6 @@ impl MacAddr {
         MacAddr([a, b, c, d, e, f])
     }
 
-    /// True for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True when the group (multicast) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// The address obtained by adding `n` to the numeric value of this
     /// address (wrapping). pktgen uses this to cycle source MACs between a
     /// base address and base+count (the thesis cycles 00:...:00 through
@@ -112,13 +102,5 @@ mod tests {
         assert_eq!(base.offset(0x100), MacAddr::new(0, 0, 0, 0, 1, 0));
         // Wraps within 48 bits.
         assert_eq!(MacAddr::BROADCAST.offset(1), MacAddr::ZERO);
-    }
-
-    #[test]
-    fn multicast_and_broadcast() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::ZERO.is_multicast());
-        assert!(MacAddr::new(0x01, 0, 0x5e, 0, 0, 1).is_multicast());
     }
 }

@@ -155,23 +155,6 @@ impl SimPacket {
         }
     }
 
-    /// Build a simulation packet from captured frame bytes (e.g. a pcap
-    /// record): the first [`STORED_HEADER_LEN`] bytes are stored verbatim,
-    /// the rest of the frame stays virtual. `frame_len` is the original
-    /// wire length (`data` may be snaplen-truncated).
-    pub fn from_bytes(seq: u64, gen_ns: u64, frame_len: u32, data: &[u8]) -> SimPacket {
-        let mut header = [0u8; STORED_HEADER_LEN];
-        let n = data.len().min(STORED_HEADER_LEN).min(frame_len as usize);
-        header[..n].copy_from_slice(&data[..n]);
-        SimPacket {
-            seq,
-            gen_ns,
-            frame_len,
-            header,
-            header_len: n as u8,
-        }
-    }
-
     /// Parse the IPv4 header, if this is an IPv4 frame.
     pub fn ipv4(&self) -> Option<Ipv4Header> {
         let eth = ethernet::EthernetFrame::parse(self.stored_bytes()).ok()?;
@@ -299,26 +282,6 @@ mod tests {
         assert_eq!(&m[..p.header_len as usize], p.stored_bytes());
         let full = p.materialize(10_000);
         assert_eq!(full.len(), 1500);
-    }
-
-    #[test]
-    fn from_bytes_stores_prefix() {
-        let original = pkt(300);
-        let raw = original.materialize(300);
-        let rebuilt = SimPacket::from_bytes(9, 77, 300, &raw);
-        assert_eq!(rebuilt.frame_len, 300);
-        assert_eq!(rebuilt.header_len as usize, STORED_HEADER_LEN);
-        // The original stores only headers+stamp (62 bytes); the rebuilt
-        // packet keeps the full 64-byte prefix (trailing payload zeros).
-        let n = original.header_len as usize;
-        assert_eq!(&rebuilt.stored_bytes()[..n], original.stored_bytes());
-        assert!(rebuilt.stored_bytes()[n..].iter().all(|&b| b == 0));
-        assert!(rebuilt.ipv4().is_some());
-        // Snaplen-truncated input keeps only what it has.
-        let short = SimPacket::from_bytes(1, 0, 300, &raw[..20]);
-        assert_eq!(short.header_len, 20);
-        assert_eq!(short.frame_len, 300);
-        assert_eq!(short.byte(25), Some(0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! |---|---|
 //! | [`des`] | deterministic discrete-event kernel (time, events, PRNG) |
 //! | [`wire`] | Ethernet/IPv4/UDP wire formats, the simulation packet |
-//! | [`bpf`] | classic BPF: VM, validator, assembler, filter compiler + optimizer |
+//! | [`bpf`] | classic BPF: VM, validator, disassembler, filter compiler + optimizer |
 //! | [`zdeflate`] | DEFLATE/gzip codec (the simulation charges compression from `hw`'s cost table) |
 //! | [`pcapfile`] | pcap savefile I/O and trace summarization |
 //! | [`pktgen`] | the enhanced packet generator (two-stage size distributions) |

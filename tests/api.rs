@@ -2,8 +2,7 @@
 //! the façade crate's prelude.
 
 use pcapbench::prelude::*;
-use pcapbench::{bpf, pcapfile, pktgen, profiling, wire, zdeflate};
-use std::collections::HashMap;
+use pcapbench::{bpf, pcapfile, pktgen, profiling, zdeflate};
 
 /// The quickstart path: session → workload → machine → stats.
 #[test]
@@ -49,25 +48,23 @@ fn end_to_end_capture_session() {
     assert!((0.0..=100.0).contains(&busy));
 }
 
-/// The savefile round trip: capture → dump → re-read → summarize →
-/// two-stage distribution → pgset commands → generator.
+/// The savefile round trip: generator → savefile → re-read and
+/// summarize → two-stage distribution → pgset commands.
 #[test]
 fn trace_tooling_round_trip() {
     let cycle = CycleConfig::mwn(5_000, 3);
-    let make_gen = || {
-        Generator::new(
-            PktgenConfig {
-                count: cycle.count,
-                size: cycle.size.clone(),
-                ..PktgenConfig::default()
-            },
-            TxModel::syskonnect(),
-            cycle.seed,
-        )
-    };
+    let generator = Generator::new(
+        PktgenConfig {
+            count: cycle.count,
+            size: cycle.size,
+            ..PktgenConfig::default()
+        },
+        TxModel::syskonnect(),
+        cycle.seed,
+    );
     // Write a savefile straight from the generator.
     let mut w = pcapfile::PcapWriter::new(Vec::new(), 1514).unwrap();
-    for tp in make_gen() {
+    for tp in generator {
         w.write_packet(
             tp.time.as_nanos(),
             tp.packet.frame_len,
@@ -95,32 +92,23 @@ fn trace_tooling_round_trip() {
         ctl.pgset(line).unwrap();
     }
     assert!(ctl.pktsize_real());
-
-    // And replay the very same savefile as a packet source.
-    let replayed: Vec<_> = pktgen::replay_pcap(&file).unwrap().collect();
-    assert_eq!(replayed.len(), 5_000);
-    let index: HashMap<u64, wire::SimPacket> =
-        make_gen().map(|tp| (tp.packet.seq, tp.packet)).collect();
-    // Replayed packets store a fixed 64-byte prefix; the original stores
-    // only up to its header+stamp. The bytes agree wherever both exist.
-    assert_eq!(
-        replayed[42].packet.materialize(64),
-        index[&42].materialize(64),
-        "replayed packets carry the original bytes"
-    );
 }
 
-/// BPF toolchain round trip: expression → program → disassembly →
-/// assembly → same verdicts.
+/// BPF toolchain: expression → program → attach-time validation → the
+/// `tcpdump -d` listing the thesis counts Fig. 6.5's 50 instructions in.
 #[test]
 fn bpf_toolchain_round_trip() {
     let expr = bpf::programs::fig65_expression();
     let prog = bpf::compile(&expr, 96).unwrap();
     assert_eq!(prog.len(), 50);
+    bpf::validate(&prog).unwrap();
     let text = bpf::asm::disasm(&prog);
-    let back = bpf::asm::assemble(&text).unwrap();
-    assert_eq!(back, prog);
-    bpf::validate(&back).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 50);
+    for (i, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("({i:03}) ")), "{line}");
+    }
+    assert!(lines[49].starts_with("(049) ret "), "{}", lines[49]);
 }
 
 /// Compression round trip through the capture-load substrate.
