@@ -66,6 +66,6 @@ mod tests {
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(total as u64, super::HOTPATH_COUNT);
         let first_chunk = &chunks[0];
-        assert_eq!(first_chunk[0].packet.seq, packets[0].packet.seq);
+        assert_eq!(first_chunk[0], packets[0]);
     }
 }

@@ -73,7 +73,7 @@ use pcs_faultsim::FaultPlan;
 use pcs_obs::{
     diff_ledgers, render_ledger, render_profile, ExperimentProfile, HostProfile, Ledger, LedgerMeta,
 };
-use pcs_testbed::{available_parallelism, parallel_ordered};
+use pcs_testbed::{available_parallelism, parallel_ordered, peak_stream_bytes};
 use pcs_trace::json::validate;
 use pcs_trace::{export, DropAttribution, StageFilter, TraceCollector, TraceSpec};
 use std::collections::BTreeMap;
@@ -412,12 +412,10 @@ fn main() {
             let mut total_run = 0u64;
             let mut total_generated = 0u64;
             let mut total_shared = 0u64;
-            let mut peak_stream_bytes = 0u64;
             for (id, _desc, e, _wall, exec) in &results {
                 total_run += exec.stats.cells_run();
                 total_generated += exec.stats.streams_generated();
                 total_shared += exec.stats.streams_shared();
-                peak_stream_bytes = peak_stream_bytes.max(exec.stats.peak_stream_bytes());
                 println!("{}", e.to_table());
                 if let Some(dir) = &csv_dir {
                     let path = format!("{dir}/{}.csv", id.replace('/', "_"));
@@ -428,17 +426,16 @@ fn main() {
             eprintln!("== summary ({:.1}s wall):", t_all.elapsed().as_secs_f64());
             for (id, desc, _e, wall, exec) in &results {
                 eprintln!(
-                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>4} streams gen  {:>4} shared  {:>8.1} MiB peak  ({desc})",
+                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>4} streams gen  {:>4} shared  ({desc})",
                     exec.stats.cells_run(),
                     exec.stats.streams_generated(),
                     exec.stats.streams_shared(),
-                    exec.stats.peak_stream_bytes() as f64 / (1024.0 * 1024.0)
                 );
             }
             eprintln!(
                 "== total: {total_run} cells run; {total_generated} streams generated, {total_shared} shared ({:.1}% share rate), {:.1} MiB peak resident",
                 percent(total_shared, total_generated + total_shared),
-                peak_stream_bytes as f64 / (1024.0 * 1024.0)
+                peak_stream_bytes() as f64 / (1024.0 * 1024.0)
             );
             if profile {
                 eprintln!("== profile (host-side; varies run to run):");
@@ -511,6 +508,7 @@ fn main() {
             // block and --profile-json. Wall-clock numbers: never part of
             // the deterministic surface.
             let host_profile = (profile || profile_json.is_some()).then(|| HostProfile {
+                peak_stream_bytes: peak_stream_bytes(),
                 experiments: results
                     .iter()
                     .map(|(id, _desc, _e, wall, exec)| {
@@ -522,7 +520,6 @@ fn main() {
                             cells_run: s.cells_run(),
                             streams_generated: s.streams_generated(),
                             streams_shared: s.streams_shared(),
-                            peak_stream_bytes: s.peak_stream_bytes(),
                             cell_wall_ns: s.cell_wall_ns(),
                             cell_wall_ns_max: s.cell_wall_ns_max(),
                             stream_subscribe_ns: s.stream_subscribe_ns(),

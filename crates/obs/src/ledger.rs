@@ -57,8 +57,6 @@ pub struct ExperimentProfile {
     pub streams_generated: u64,
     /// Packet streams shared by subscription (stream-cache hits).
     pub streams_shared: u64,
-    /// High-water mark of resident cached stream bytes.
-    pub peak_stream_bytes: u64,
     /// Total wall nanoseconds spent simulating cells.
     pub cell_wall_ns: u64,
     /// Slowest single cell, wall nanoseconds.
@@ -80,6 +78,9 @@ pub struct ExperimentProfile {
 /// The `--profile` roll-up over every experiment in the invocation.
 #[derive(Debug, Clone, Default)]
 pub struct HostProfile {
+    /// High-water mark of resident cached stream bytes over the whole
+    /// invocation: the experiments share one stream cache.
+    pub peak_stream_bytes: u64,
     /// One entry per experiment, registry order.
     pub experiments: Vec<ExperimentProfile>,
 }
@@ -94,7 +95,11 @@ pub fn render_profile(profile: &HostProfile) -> String {
 }
 
 fn render_profile_into(profile: &HostProfile, out: &mut String) {
-    out.push_str("{\"host_side\":true,\"experiments\":[");
+    let _ = write!(
+        out,
+        "{{\"host_side\":true,\"peak_stream_bytes\":{},\"experiments\":[",
+        profile.peak_stream_bytes
+    );
     for (i, e) in profile.experiments.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -107,7 +112,6 @@ fn render_profile_into(profile: &HostProfile, out: &mut String) {
             ("cells_run", e.cells_run),
             ("streams_generated", e.streams_generated),
             ("streams_shared", e.streams_shared),
-            ("peak_stream_bytes", e.peak_stream_bytes),
             ("cell_wall_ns", e.cell_wall_ns),
             ("cell_wall_ns_max", e.cell_wall_ns_max),
             ("stream_subscribe_ns", e.stream_subscribe_ns),
@@ -578,6 +582,7 @@ mod tests {
     #[test]
     fn profile_block_renders_and_validates() {
         let profile = HostProfile {
+            peak_stream_bytes: 4096,
             experiments: vec![ExperimentProfile {
                 id: "fig6.4a".into(),
                 wall_s: 1.5,
@@ -588,7 +593,8 @@ mod tests {
         };
         let standalone = render_profile(&profile);
         validate(&standalone).expect("profile JSON must be well-formed");
-        assert!(standalone.contains("\"host_side\":true"));
+        assert!(standalone.starts_with("{\"host_side\":true,\"peak_stream_bytes\":4096,"));
+        assert_eq!(standalone.matches("peak_stream_bytes").count(), 1);
         assert!(standalone.contains("\"wall_s\":1.500"));
         assert!(standalone.contains("\"pool_gets\":123"));
         let embedded = render_ledger(&meta(), &sample_cells(), Some(&profile));

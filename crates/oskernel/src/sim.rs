@@ -580,14 +580,14 @@ mod tests {
         // ends at 7 and goes; [7, 14) holds 7 and stays.
         assert_eq!(pull(&mut w, Some(7)), 14);
         assert_eq!(window_firsts(&w), [7, 14]);
-        assert_eq!(w.get(7).packet.seq, 7);
+        assert_eq!(w.get(7).time, SimTime::from_micros(8));
         for pos in 15..21 {
             assert_eq!(pull(&mut w, Some(7)), pos);
         }
         // Nothing earlier live: only the entering chunk [21, 28) stays.
         assert_eq!(pull(&mut w, None), 21);
         assert_eq!(window_firsts(&w), [21]);
-        assert_eq!(w.get(21).packet.seq, 21);
+        assert_eq!(w.get(21).time, SimTime::from_micros(22));
     }
 
     #[test]

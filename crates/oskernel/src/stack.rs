@@ -10,6 +10,7 @@
 
 use pcs_bpf::{vm, Insn};
 use pcs_des::FastHash;
+use pcs_pktgen::TimedPacket;
 use pcs_wire::SimPacket;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -224,9 +225,10 @@ impl BpfDevice {
         self.capacity_permille = permille;
     }
 
-    /// Offer one packet (called from interrupt context in the real
-    /// kernel).
-    pub fn deliver(&mut self, pkt: &SimPacket, recv_ns: u64) -> DeliverOutcome {
+    /// Offer the packet `tp` with sequence number `seq` (called from
+    /// interrupt context in the real kernel).
+    pub fn deliver(&mut self, seq: u64, tp: &TimedPacket, recv_ns: u64) -> DeliverOutcome {
+        let pkt = &tp.packet;
         let (accept_len, insns) = match &mut self.filter {
             Some(f) => f.check(pkt),
             None => (u32::MAX, 0),
@@ -263,8 +265,8 @@ impl BpfDevice {
         }
         self.store_bytes += slot;
         self.store.push_back(CapturedPacket {
-            seq: pkt.seq,
-            gen_ns: pkt.gen_ns,
+            seq,
+            gen_ns: tp.time.as_nanos(),
             recv_ns,
             caplen,
             frame_len: pkt.frame_len,
@@ -462,10 +464,12 @@ impl LsfState {
         }
     }
 
-    /// Offer one packet to every socket (the softirq path). Returns one
-    /// outcome per socket, borrowed from internal scratch that the next
-    /// `deliver` call reuses — the per-packet path allocates nothing.
-    pub fn deliver(&mut self, pkt: &SimPacket, recv_ns: u64) -> &[DeliverOutcome] {
+    /// Offer the packet `tp` with sequence number `seq` to every socket
+    /// (the softirq path). Returns one outcome per socket, borrowed from
+    /// internal scratch that the next `deliver` call reuses — the
+    /// per-packet path allocates nothing.
+    pub fn deliver(&mut self, seq: u64, tp: &TimedPacket, recv_ns: u64) -> &[DeliverOutcome] {
+        let pkt = &tp.packet;
         let outcomes = &mut self.outcomes;
         outcomes.clear();
         // Pass 1: filters.
@@ -513,8 +517,8 @@ impl LsfState {
                 None => continue,
             };
             let cap = CapturedPacket {
-                seq: pkt.seq,
-                gen_ns: pkt.gen_ns,
+                seq,
+                gen_ns: tp.time.as_nanos(),
                 recv_ns,
                 caplen,
                 frame_len: pkt.frame_len,
@@ -552,7 +556,7 @@ impl LsfState {
         }
         if refs > 0 {
             self.pool_bytes += truesize;
-            self.refs.insert(pkt.seq, (refs, truesize));
+            self.refs.insert(seq, (refs, truesize));
         }
         &self.outcomes
     }
@@ -581,10 +585,11 @@ mod tests {
     use pcs_wire::MacAddr;
     use std::net::Ipv4Addr;
 
-    fn pkt(seq: u64, len: u32) -> SimPacket {
-        SimPacket::build_udp(
+    fn pkt(seq: u64, len: u32) -> TimedPacket {
+        let time = pcs_des::SimTime::from_nanos(seq * 1000);
+        let packet = SimPacket::build_udp(
             seq,
-            seq * 1000,
+            time.as_nanos(),
             len,
             MacAddr::ZERO.offset(seq % 3),
             MacAddr::new(0, 0xe, 0xc, 1, 2, 3),
@@ -592,7 +597,8 @@ mod tests {
             Ipv4Addr::new(192, 168, 10, 12),
             9,
             9,
-        )
+        );
+        TimedPacket { time, packet }
     }
 
     // ---- BPF device ----
@@ -601,7 +607,7 @@ mod tests {
     fn bpf_stores_and_reads() {
         let mut d = BpfDevice::new(10_000, 65_535, None);
         for i in 0..5 {
-            let o = d.deliver(&pkt(i, 100), i * 10);
+            let o = d.deliver(i, &pkt(i, 100), i * 10);
             assert!(o.accepted && o.stored);
             assert_eq!(o.copied_bytes, 100);
         }
@@ -618,13 +624,13 @@ mod tests {
     fn bpf_rotates_when_store_full_and_drops_when_both_full() {
         // Each 100-byte packet occupies 120 bytes; half holds 2.
         let mut d = BpfDevice::new(240, 65_535, None);
-        assert!(d.deliver(&pkt(0, 100), 0).stored);
-        assert!(d.deliver(&pkt(1, 100), 0).stored);
+        assert!(d.deliver(0, &pkt(0, 100), 0).stored);
+        assert!(d.deliver(1, &pkt(1, 100), 0).stored);
         // Third packet: store full, hold empty -> rotation, stored.
-        assert!(d.deliver(&pkt(2, 100), 0).stored);
-        assert!(d.deliver(&pkt(3, 100), 0).stored);
+        assert!(d.deliver(2, &pkt(2, 100), 0).stored);
+        assert!(d.deliver(3, &pkt(3, 100), 0).stored);
         // Fifth: store full, hold full -> drop.
-        let o = d.deliver(&pkt(4, 100), 0);
+        let o = d.deliver(4, &pkt(4, 100), 0);
         assert!(o.accepted && !o.stored);
         assert_eq!(d.stats.dropped_buffer, 1);
         // Read returns the HOLD half (packets 0,1), then the next read
@@ -639,7 +645,7 @@ mod tests {
     #[test]
     fn bpf_snaplen_truncates() {
         let mut d = BpfDevice::new(100_000, 76, None);
-        let o = d.deliver(&pkt(0, 1500), 0);
+        let o = d.deliver(0, &pkt(0, 1500), 0);
         assert_eq!(o.copied_bytes, 76);
         let mut pkts = VecDeque::new();
         d.read_into(&mut pkts);
@@ -651,7 +657,7 @@ mod tests {
     fn bpf_filter_rejects_and_counts() {
         let prog = pcs_bpf::compile("tcp", 65_535).unwrap();
         let mut d = BpfDevice::new(100_000, 65_535, Some(prog));
-        let o = d.deliver(&pkt(0, 100), 0);
+        let o = d.deliver(0, &pkt(0, 100), 0);
         assert!(!o.accepted);
         assert!(o.filter_insns > 0);
         assert_eq!(d.stats.rejected, 1);
@@ -664,12 +670,12 @@ mod tests {
         let mut f = KernelFilter::new(prog.clone());
         // Two packets with the same shape but different seq: one miss,
         // one hit, identical verdicts.
-        let a = f.check(&pkt(0, 750));
-        let b = f.check(&pkt(3, 750)); // same MAC (seq%3==0), same size
+        let a = f.check(&pkt(0, 750).packet);
+        let b = f.check(&pkt(3, 750).packet); // same MAC (seq%3==0), same size
         assert_eq!(a, b);
         assert_eq!(a.1 as usize, prog.len() - 1);
         // Different size is a different key but same verdict here.
-        let c = f.check(&pkt(1, 1000));
+        let c = f.check(&pkt(1, 1000).packet);
         assert!(c.0 > 0);
     }
 
@@ -697,7 +703,7 @@ mod tests {
     #[test]
     fn lsf_delivers_to_all_sockets() {
         let mut l = lsf(3, 1 << 20, 1 << 20);
-        let o = l.deliver(&pkt(0, 500), 7);
+        let o = l.deliver(0, &pkt(0, 500), 7);
         assert_eq!(o.len(), 3);
         assert!(o.iter().all(|x| x.accepted && x.stored));
         // Pool charged once.
@@ -711,20 +717,20 @@ mod tests {
     fn lsf_pool_exhaustion_blocks_everyone() {
         // Pool fits exactly one packet; socket rmem is large.
         let mut l = lsf(2, 1 << 20, skb_truesize(500));
-        assert!(l.deliver(&pkt(0, 500), 0).iter().all(|o| o.stored));
-        let o = l.deliver(&pkt(1, 500), 0);
+        assert!(l.deliver(0, &pkt(0, 500), 0).iter().all(|o| o.stored));
+        let o = l.deliver(1, &pkt(1, 500), 0);
         assert!(o.iter().all(|x| x.accepted && !x.stored));
         assert_eq!(l.sockets[0].stats.dropped_pool, 1);
         assert_eq!(l.sockets[1].stats.dropped_pool, 1);
         // One socket dequeues: pool still held by the other's reference.
         dequeue_and_release(&mut l, 0, 10);
         assert_eq!(l.pool_bytes(), skb_truesize(500));
-        let o = l.deliver(&pkt(2, 500), 0);
+        let o = l.deliver(2, &pkt(2, 500), 0);
         assert!(o.iter().all(|x| !x.stored));
         // Second socket dequeues: pool frees, delivery works again.
         dequeue_and_release(&mut l, 1, 10);
         assert_eq!(l.pool_bytes(), 0);
-        assert!(l.deliver(&pkt(3, 500), 0).iter().all(|x| x.stored));
+        assert!(l.deliver(3, &pkt(3, 500), 0).iter().all(|x| x.stored));
     }
 
     #[test]
@@ -735,8 +741,8 @@ mod tests {
             LsfSocket::new(1 << 20, 65_535, None, false),
         ];
         let mut l = LsfState::new(sockets, 1 << 20);
-        assert!(l.deliver(&pkt(0, 500), 0)[0].stored);
-        let o = l.deliver(&pkt(1, 500), 0);
+        assert!(l.deliver(0, &pkt(0, 500), 0)[0].stored);
+        let o = l.deliver(1, &pkt(1, 500), 0);
         assert!(!o[0].stored, "socket 0 rmem full");
         assert!(o[1].stored, "socket 1 unaffected");
         assert_eq!(l.sockets[0].stats.dropped_buffer, 1);
@@ -746,7 +752,7 @@ mod tests {
     fn lsf_dequeue_copies_bytes_and_releases() {
         let mut l = lsf(1, 1 << 20, 1 << 20);
         for i in 0..4 {
-            l.deliver(&pkt(i, 200), 0);
+            l.deliver(i, &pkt(i, 200), 0);
         }
         assert_eq!(dequeue_and_release(&mut l, 0, 2), (2, 400));
         assert_eq!(l.pool_bytes(), 2 * skb_truesize(200));
@@ -757,7 +763,7 @@ mod tests {
         let sockets = vec![LsfSocket::new(4096, 65_535, None, true)];
         // Pool of zero: mmap sockets must not need it.
         let mut l = LsfState::new(sockets, 0);
-        let o = l.deliver(&pkt(0, 500), 0);
+        let o = l.deliver(0, &pkt(0, 500), 0);
         assert!(o[0].stored);
         assert_eq!(o[0].copied_bytes, 500);
         assert_eq!(l.pool_bytes(), 0);
@@ -772,9 +778,9 @@ mod tests {
         let sockets = vec![LsfSocket::new(1100, 65_535, None, true)];
         let mut l = LsfState::new(sockets, 0);
         // Each 500-byte packet occupies align16(532) = 544 ring bytes.
-        assert!(l.deliver(&pkt(0, 500), 0)[0].stored);
-        assert!(l.deliver(&pkt(1, 500), 0)[0].stored);
-        assert!(!l.deliver(&pkt(2, 500), 0)[0].stored);
+        assert!(l.deliver(0, &pkt(0, 500), 0)[0].stored);
+        assert!(l.deliver(1, &pkt(1, 500), 0)[0].stored);
+        assert!(!l.deliver(2, &pkt(2, 500), 0)[0].stored);
         assert_eq!(l.sockets[0].stats.dropped_buffer, 1);
     }
 }

@@ -126,36 +126,35 @@ impl MachineSim {
         let mut copy_total = 0u64;
         let tracing = self.trace.is_on();
         for &pos in batch {
-            let pkt = &self.window.get(pos).packet;
+            let tp = self.window.get(pos);
+            let len = tp.packet.frame_len as u64;
             let per_pkt = c.rx_pkt_ns;
             let mut consumer_ns = 0u64;
             match &mut self.stack {
                 Stack::Bpf(devs) => {
                     for (i, d) in devs.iter_mut().enumerate() {
-                        let o = d.deliver(pkt, recv_ns);
+                        let o = d.deliver(pos, tp, recv_ns);
                         consumer_ns += consumer_cost(o.filter_insns);
                         copy_total += o.copied_bytes as u64;
                         if tracing {
                             let (verdict, kernel) = consumer_stages(&o);
-                            let len = pkt.frame_len as u64;
-                            self.trace.emit(recv_ns, verdict, pkt.seq, len, i as u16, 1);
+                            self.trace.emit(recv_ns, verdict, pos, len, i as u16, 1);
                             if let Some(k) = kernel {
-                                self.trace.emit(recv_ns, k, pkt.seq, len, i as u16, 1);
+                                self.trace.emit(recv_ns, k, pos, len, i as u16, 1);
                             }
                         }
                     }
                 }
                 Stack::Lsf(l) => {
-                    let outcomes = l.deliver(pkt, recv_ns);
+                    let outcomes = l.deliver(pos, tp, recv_ns);
                     for (i, o) in outcomes.iter().enumerate() {
                         consumer_ns += consumer_cost(o.filter_insns);
                         copy_total += o.copied_bytes as u64;
                         if tracing {
                             let (verdict, kernel) = consumer_stages(o);
-                            let len = pkt.frame_len as u64;
-                            self.trace.emit(recv_ns, verdict, pkt.seq, len, i as u16, 1);
+                            self.trace.emit(recv_ns, verdict, pos, len, i as u16, 1);
                             if let Some(k) = kernel {
-                                self.trace.emit(recv_ns, k, pkt.seq, len, i as u16, 1);
+                                self.trace.emit(recv_ns, k, pos, len, i as u16, 1);
                             }
                         }
                     }

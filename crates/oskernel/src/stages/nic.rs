@@ -13,13 +13,10 @@ impl MachineSim {
     /// gate. One call per packet.
     pub(super) fn on_arrival(&mut self, now: SimTime, pos: u64, src: ArrivalSource) {
         self.offered += 1;
-        let (seq, frame_len) = {
-            let p = &self.window.get(pos).packet;
-            (p.seq, p.frame_len as u64)
-        };
+        let frame_len = self.window.get(pos).packet.frame_len as u64;
         self.note_arrival(now, frame_len as u32);
         self.trace
-            .emit(now.as_nanos(), Stage::Wire, seq, frame_len, APP_NONE, 1);
+            .emit(now.as_nanos(), Stage::Wire, pos, frame_len, APP_NONE, 1);
         // The NIC's FIFO drains across the PCI bus, which it
         // shares with the disk write-back traffic. When the
         // bus is oversubscribed only a fraction of the frames
@@ -37,7 +34,7 @@ impl MachineSim {
             self.trace.emit(
                 now.as_nanos(),
                 Stage::NicDropBus,
-                seq,
+                pos,
                 frame_len,
                 APP_NONE,
                 1,
@@ -49,7 +46,7 @@ impl MachineSim {
                 self.trace.emit(
                     now.as_nanos(),
                     Stage::NicEnqueue,
-                    seq,
+                    pos,
                     frame_len,
                     APP_NONE,
                     1,
@@ -62,7 +59,7 @@ impl MachineSim {
                 self.trace.emit(
                     now.as_nanos(),
                     Stage::NicDropRing,
-                    seq,
+                    pos,
                     frame_len,
                     APP_NONE,
                     1,

@@ -71,26 +71,14 @@ impl TxModel {
     }
 }
 
-/// One generated packet with its transmit timestamp.
+/// One generated packet with its transmit timestamp. Its position in the
+/// stream, counted from 0, is its sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedPacket {
     /// Time the last bit leaves the generator.
     pub time: SimTime,
     /// The packet.
     pub packet: SimPacket,
-}
-
-/// Statistics of a finished generation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenStats {
-    /// Packets emitted.
-    pub packets: u64,
-    /// Total frame bytes emitted.
-    pub bytes: u64,
-    /// Timestamp of the last packet.
-    pub elapsed: SimDuration,
-    /// Achieved frame data rate in Mbit/s.
-    pub rate_mbps: f64,
 }
 
 /// The packet generator.
@@ -108,7 +96,6 @@ pub struct Generator {
     ideal_ns: f64,
     seq: u64,
     now: SimTime,
-    bytes: u64,
 }
 
 impl Generator {
@@ -125,7 +112,6 @@ impl Generator {
             ideal_ns: 0.0,
             seq: 0,
             now: SimTime::ZERO,
-            bytes: 0,
         }
     }
 
@@ -232,34 +218,10 @@ impl Generator {
             self.config.udp_dst_port,
         );
         self.seq += 1;
-        self.bytes += size as u64;
         Some(TimedPacket {
             time: self.now,
             packet,
         })
-    }
-
-    /// Run to completion, returning the stats (and discarding packets —
-    /// use [`Generator::next_packet`] to consume them).
-    pub fn run_stats(mut self) -> GenStats {
-        while self.next_packet().is_some() {}
-        self.stats()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> GenStats {
-        let elapsed = self.now.since(SimTime::ZERO);
-        let secs = elapsed.as_secs_f64();
-        GenStats {
-            packets: self.seq,
-            bytes: self.bytes,
-            elapsed,
-            rate_mbps: if secs > 0.0 {
-                self.bytes as f64 * 8.0 / secs / 1e6
-            } else {
-                0.0
-            },
-        }
     }
 }
 
@@ -316,7 +278,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 1000);
-        assert_eq!(g.stats().packets, 1000);
     }
 
     #[test]
@@ -360,12 +321,18 @@ mod tests {
     fn rate_pacing_approximates_target() {
         let mut g = Generator::new(small_config(50_000), TxModel::syskonnect(), 3);
         g.set_target_rate(200.0, 1500.0);
-        let stats = g.run_stats();
-        assert!(
-            (stats.rate_mbps - 200.0).abs() < 10.0,
-            "achieved {} Mbit/s",
-            stats.rate_mbps
-        );
+        // The drawn packets' frame bytes over the last packet's time.
+        let (bytes, last) = g.fold((0u64, SimTime::ZERO), |(bytes, _), tp| {
+            (bytes + tp.packet.frame_len as u64, tp.time)
+        });
+        let rate = bytes as f64 * 8.0 / last.as_secs_f64() / 1e6;
+        assert!((rate - 200.0).abs() < 10.0, "achieved {rate} Mbit/s");
+    }
+
+    #[test]
+    fn timed_packet_stays_small() {
+        // Every stream and the stream cache hold one of these per packet.
+        assert_eq!(std::mem::size_of::<TimedPacket>(), 80);
     }
 
     #[test]
@@ -405,11 +372,7 @@ mod tests {
         let mut cfg = small_config(1000);
         cfg.delay_ns = 1_000_000; // 1 ms per packet
         let g = Generator::new(cfg, TxModel::syskonnect(), 2);
-        let stats = {
-            let mut g = g;
-            while g.next_packet().is_some() {}
-            g.stats()
-        };
-        assert!(stats.elapsed >= SimDuration::from_millis(999));
+        let last = g.last().expect("1000 packets").time;
+        assert!(last.since(SimTime::ZERO) >= SimDuration::from_millis(999));
     }
 }

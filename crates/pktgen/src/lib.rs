@@ -37,7 +37,7 @@ pub mod streamcache;
 
 pub use createdist::{convert, InputKind, OutputKind};
 pub use dist::{DistConfig, DistError, TwoStageDist};
-pub use generator::{GenStats, Generator, TimedPacket, TxModel};
+pub use generator::{Generator, TimedPacket, TxModel};
 pub use mwn::{mwn_counts, mwn_mean};
 pub use procfs::{CmdError, PktgenConfig, PktgenControl, SizeSource};
 pub use source::{

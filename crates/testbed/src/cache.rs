@@ -106,7 +106,7 @@ pub fn stream_key(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> StreamKe
     cfg.size.fingerprint(&mut fp);
     fp.f64(cfg.mean_frame);
     fp.u32(cfg.burst);
-    fp.u64(cfg.seed.wrapping_add(repeat as u64 * 7919));
+    fp.u64(cfg.repeat_seed(repeat));
     cfg.tx.fingerprint(&mut fp);
     fp.option(&rate);
     fp.finish()

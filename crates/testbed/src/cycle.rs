@@ -30,7 +30,7 @@ use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
     ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
-    StreamCache, StreamRole, StreamSubscriber, TimedPacket, TxModel,
+    StreamCache, StreamRole, StreamSubscriber, TxModel,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
 use std::sync::Arc;
@@ -99,6 +99,12 @@ impl CycleConfig {
             tx: TxModel::syskonnect(),
         }
     }
+
+    /// The generator seed of repeat `repeat`, derived from [`Self::seed`]
+    /// so that every repeat draws its own stream.
+    pub fn repeat_seed(&self, repeat: u32) -> u64 {
+        self.seed.wrapping_add(repeat as u64 * 7919)
+    }
 }
 
 /// Result for one SUT at one measurement point (medians over repeats).
@@ -130,48 +136,14 @@ pub struct PointResult {
     pub suts: Vec<SutPoint>,
 }
 
-/// Running totals on the generator side of a cell, accumulated chunk by
-/// chunk as packets flow.
-///
-/// The achieved rate is the frame bytes over the time of the last
-/// transmitted packet.
-struct RateAccount {
-    bytes: u64,
-    last: Option<SimTime>,
-}
-
-impl RateAccount {
-    fn new() -> RateAccount {
-        RateAccount {
-            bytes: 0,
-            last: None,
-        }
-    }
-
-    fn note(&mut self, tp: &TimedPacket) {
-        self.bytes += tp.packet.frame_len as u64;
-        self.last = Some(tp.time);
-    }
-
-    /// Achieved frame data rate in Mbit/s; `0.0` for an empty run.
-    fn achieved_mbps(&self) -> f64 {
-        let elapsed = self.last.map(SimTime::as_secs_f64).unwrap_or(0.0);
-        if elapsed > 0.0 {
-            self.bytes as f64 * 8.0 / elapsed / 1e6
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Build one repeat's paced generator (per-repeat seed derivation).
+/// Build one repeat's paced generator.
 fn build_generator(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> Generator {
     let gen_cfg = PktgenConfig {
         count: cfg.count,
         size: cfg.size.clone(),
         ..PktgenConfig::default()
     };
-    let mut g = Generator::new(gen_cfg, cfg.tx, cfg.seed.wrapping_add(repeat as u64 * 7919));
+    let mut g = Generator::new(gen_cfg, cfg.tx, cfg.repeat_seed(repeat));
     match rate {
         Some(r) => g.set_target_rate(r, cfg.mean_frame),
         None => g.set_full_speed(),
@@ -341,7 +313,9 @@ fn run_cell_streaming(
 
     let mut switch = MonitorSwitch::thesis_setup();
     let before = switch.snmp_read(8);
-    let mut account = RateAccount::new();
+    // The last packet's send time: the run's length, over which the
+    // switch's mirror-port octets give the achieved rate.
+    let mut last = SimTime::ZERO;
     let faults = exec.faults.as_deref();
     let reports: Vec<RunReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = suts
@@ -375,23 +349,32 @@ fn run_cell_streaming(
             chunk_index += 1;
             for tp in chunk.iter() {
                 switch.forward(&tp.packet);
-                account.note(tp);
             }
+            last = chunk.last().map_or(last, |tp| tp.time);
         }
         handles
             .into_iter()
             .map(|h| h.join().expect("sniffer thread panicked"))
             .collect()
     });
-    let after = switch.snmp_read(8);
-    let delta = MonitorSwitch::delta(&before, &after);
+    let delta = MonitorSwitch::delta(&before, &switch.snmp_read(8));
     assert_eq!(
         delta.out_pkts, cfg.count,
         "switch must confirm every generated packet went out"
     );
-    exec.stats
-        .note_stream_resident(StreamCache::global().resident_bytes());
-    (account.achieved_mbps(), reports)
+    let elapsed = last.as_secs_f64();
+    let achieved = if elapsed > 0.0 {
+        delta.out_octets as f64 * 8.0 / elapsed / 1e6
+    } else {
+        0.0
+    };
+    (achieved, reports)
+}
+
+/// High-water mark of the bytes the process-global [`StreamCache`] has
+/// held resident, over every cell this process has run.
+pub fn peak_stream_bytes() -> u64 {
+    StreamCache::global().peak_resident_bytes()
 }
 
 /// Aggregate one rate point's cells (one per repeat) into a
@@ -624,7 +607,7 @@ mod tests {
             assert_eq!(cold, warm, "rate={rate:?}");
         }
         assert_eq!(exec.stats.cells_run(), 4);
-        assert!(exec.stats.peak_stream_bytes() > 0);
+        assert!(peak_stream_bytes() > 0);
     }
 
     #[test]
@@ -660,7 +643,7 @@ mod tests {
             "a different SUT set must not regenerate any stream"
         );
         assert_eq!(exec.stats.streams_shared(), 4);
-        assert!(exec.stats.peak_stream_bytes() > 0);
+        assert!(peak_stream_bytes() > 0);
     }
 
     #[test]

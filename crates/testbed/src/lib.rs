@@ -39,8 +39,8 @@ pub mod switch;
 
 pub use cache::{cell_key, stream_key, wide_key, CellKey, CellResult, CellSut, RunCache};
 pub use cycle::{
-    aggregate_point, cell_label, run_point, run_sweep, run_sweep_exec, standard_suts, CycleConfig,
-    PointResult, Sut, SutPoint,
+    aggregate_point, cell_label, peak_stream_bytes, run_point, run_sweep, run_sweep_exec,
+    standard_suts, CycleConfig, PointResult, Sut, SutPoint,
 };
 pub use sched::{available_parallelism, parallel_ordered, ExecConfig, ExecStats, PipelineConfig};
 pub use splitter::{OpticalSplitter, SplitterOutput, SplitterSender};

@@ -28,7 +28,6 @@ pub struct ExecStats {
     cells_run: AtomicU64,
     streams_generated: AtomicU64,
     streams_shared: AtomicU64,
-    peak_stream_bytes: AtomicU64,
     cell_wall_ns: AtomicU64,
     cell_wall_ns_max: AtomicU64,
     stream_subscribe_ns: AtomicU64,
@@ -56,12 +55,6 @@ impl ExecStats {
         self.streams_shared.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Note the stream cache's resident-byte level observed by a cell;
-    /// keeps the high-water mark.
-    pub fn note_stream_resident(&self, bytes: u64) {
-        self.peak_stream_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
     /// Cells simulated so far.
     pub fn cells_run(&self) -> u64 {
         self.cells_run.load(Ordering::Relaxed)
@@ -75,12 +68,6 @@ impl ExecStats {
     /// Packet streams consumed by subscription (stream-cache hits) so far.
     pub fn streams_shared(&self) -> u64 {
         self.streams_shared.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of resident cached stream bytes observed by this
-    /// execution's cells.
-    pub fn peak_stream_bytes(&self) -> u64 {
-        self.peak_stream_bytes.load(Ordering::Relaxed)
     }
 
     /// Record the acquisition time of one stream-cache subscription.
@@ -324,15 +311,12 @@ mod tests {
         cfg.stats.record_stream_generated();
         cfg.stats.record_stream_shared();
         cfg.stats.record_stream_shared();
-        cfg.stats.note_stream_resident(100);
-        cfg.stats.note_stream_resident(40);
         let shared = cfg.clone();
         assert_eq!(shared.stats.cells_run(), 2);
         assert_eq!(shared.stats.cell_wall_ns(), 50);
         assert_eq!(shared.stats.cell_wall_ns_max(), 30);
         assert_eq!(shared.stats.streams_generated(), 1);
         assert_eq!(shared.stats.streams_shared(), 2);
-        assert_eq!(shared.stats.peak_stream_bytes(), 100, "high-water mark");
         assert!(ExecConfig::parallel().jobs >= 1);
     }
 }

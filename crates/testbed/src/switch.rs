@@ -7,7 +7,11 @@
 //! went out on the fiber (the requirement of §3.2).
 
 use pcs_wire::SimPacket;
-use std::collections::BTreeMap;
+
+/// The data VLAN's input port, Gi0/6, fed by the generator.
+const IN_PORT: u16 = 6;
+/// Its mirror port, Gi0/8, toward the splitter.
+const MIRROR_PORT: u16 = 8;
 
 /// Interface counters, SNMP IF-MIB style.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,42 +30,35 @@ pub struct IfCounters {
 /// output port (to the splitter), VLAN-isolated from the control traffic.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorSwitch {
-    ports: BTreeMap<u16, IfCounters>,
-    /// (input port, mirror port) of the data VLAN.
-    data_vlan: Option<(u16, u16)>,
+    input: IfCounters,
+    mirror: IfCounters,
 }
 
 impl MonitorSwitch {
     /// A switch with the thesis' configuration: data in on Gi0/6,
     /// mirrored out on Gi0/8 toward the splitter (VLAN 101).
     pub fn thesis_setup() -> MonitorSwitch {
-        let mut s = MonitorSwitch::default();
-        s.configure_mirror(6, 8);
-        s
-    }
-
-    /// Configure the monitored VLAN pair.
-    pub fn configure_mirror(&mut self, in_port: u16, mirror_port: u16) {
-        self.data_vlan = Some((in_port, mirror_port));
-        self.ports.entry(in_port).or_default();
-        self.ports.entry(mirror_port).or_default();
+        MonitorSwitch::default()
     }
 
     /// Account one frame passing from the generator to the splitter.
     pub fn forward(&mut self, pkt: &SimPacket) {
-        let (inp, outp) = self.data_vlan.expect("mirror not configured");
-        let c = self.ports.get_mut(&inp).expect("port exists");
-        c.in_pkts += 1;
-        c.in_octets += pkt.frame_len as u64;
-        let c = self.ports.get_mut(&outp).expect("port exists");
-        c.out_pkts += 1;
-        c.out_octets += pkt.frame_len as u64;
+        let octets = pkt.frame_len as u64;
+        self.input.in_pkts += 1;
+        self.input.in_octets += octets;
+        self.mirror.out_pkts += 1;
+        self.mirror.out_octets += octets;
     }
 
     /// SNMP read of one port's counters (the control host's step 2/4 in
-    /// the measurement cycle, Fig. 3.2).
+    /// the measurement cycle, Fig. 3.2); a port outside the data VLAN
+    /// reads zero.
     pub fn snmp_read(&self, port: u16) -> IfCounters {
-        self.ports.get(&port).copied().unwrap_or_default()
+        match port {
+            IN_PORT => self.input,
+            MIRROR_PORT => self.mirror,
+            _ => IfCounters::default(),
+        }
     }
 
     /// Difference of two reads: packets seen between them.

@@ -66,12 +66,9 @@ impl PacketBytes for &[u8] {
 }
 
 /// A packet inside the simulation: real header bytes, virtual payload.
+/// Its identity and send time are its stream position and timestamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimPacket {
-    /// Sequence number assigned by the generator (0-based).
-    pub seq: u64,
-    /// Generation timestamp in simulated nanoseconds.
-    pub gen_ns: u64,
     /// Full frame length in bytes (Ethernet header to end of payload,
     /// excluding CRC), as captured.
     pub frame_len: u32,
@@ -147,8 +144,6 @@ impl SimPacket {
         at = stamp_end;
 
         SimPacket {
-            seq,
-            gen_ns,
             frame_len,
             header,
             header_len: at.min(frame_len as usize) as u8,

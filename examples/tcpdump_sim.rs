@@ -64,6 +64,11 @@ fn describe(data: &[u8], orig_len: u32) -> String {
     }
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("tcpdump_sim: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut read_file: Option<String> = None;
@@ -72,6 +77,9 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "-r" | "-c" if i + 1 == args.len() => {
+                usage_error(&format!("{} needs an argument", args[i]))
+            }
             "-r" => {
                 read_file = Some(args.remove(i + 1));
                 args.remove(i);
@@ -81,7 +89,10 @@ fn main() {
                 args.remove(i);
             }
             "-c" => {
-                limit = args.remove(i + 1).parse().expect("bad -c count");
+                let count = args.remove(i + 1);
+                limit = count
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("bad -c count '{count}'")));
                 args.remove(i);
             }
             _ => i += 1,

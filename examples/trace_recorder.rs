@@ -14,10 +14,18 @@ use pcapbench::pktgen::{convert, DistConfig, InputKind, OutputKind};
 use pcapbench::prelude::*;
 use std::collections::HashMap;
 
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("trace_recorder: cannot write '{path}': {e}");
+    std::process::exit(1);
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "/tmp/pcapbench_trace.pcap".to_string());
+    // Open the savefile before simulating, so a path that cannot be
+    // written fails at once.
+    let file = std::fs::File::create(&path).unwrap_or_else(|e| cannot_write(&path, e));
     let snaplen = 76u32;
     let cycle = CycleConfig::mwn(50_000, 11);
 
@@ -52,16 +60,16 @@ fn main() {
         report.apps[0].received, report.offered
     );
 
-    // Regenerate the packet bytes (determinism: same seed, same stream)
-    // and write the savefile.
+    // Regenerate the packet bytes (determinism: same seed, same stream),
+    // keyed by stream position, which is a captured packet's `seq`, and
+    // write the savefile.
     let index: HashMap<u64, pcapbench::wire::SimPacket> =
-        make_gen().map(|tp| (tp.packet.seq, tp.packet)).collect();
-    let file = std::fs::File::create(&path).expect("create savefile");
-    let mut dumper = Dumper::new(file, snaplen, &index).expect("dumper");
+        (0..).zip(make_gen().map(|tp| tp.packet)).collect();
+    let mut dumper = Dumper::new(file, snaplen, &index).unwrap_or_else(|e| cannot_write(&path, e));
     let written = dumper
         .dump_all(&report.apps[0].captured)
-        .expect("write records");
-    dumper.finish().expect("flush");
+        .unwrap_or_else(|e| cannot_write(&path, e));
+    dumper.finish().unwrap_or_else(|e| cannot_write(&path, e));
     println!("wrote {written} records to {path}");
 
     // Read it back: summarize sizes and emit the pktgen procfs commands —
