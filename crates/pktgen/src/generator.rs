@@ -144,6 +144,12 @@ impl Generator {
         &self.config
     }
 
+    /// Packets still to generate: exactly how many more times
+    /// [`Generator::next_packet`] returns a packet.
+    pub(crate) fn remaining(&self) -> u64 {
+        self.config.count - self.seq
+    }
+
     fn next_size(&mut self) -> u32 {
         match &self.config.size {
             SizeSource::Fixed(n) => *n,

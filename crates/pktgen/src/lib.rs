@@ -19,9 +19,10 @@
 //!   through which every sniffer reads its cell's stream, one shared
 //!   [`Chunk`] at a time;
 //! * [`streamcache`] — the process-global, content-addressed
-//!   [`StreamCache`] that generates each distinct stream at most once
-//!   and publishes its chunks to every sniffer of every measurement cell
-//!   that needs it, one [`StreamSubscriber`] per sniffer.
+//!   [`StreamCache`] that publishes each generated stream's chunks to
+//!   every sniffer of every measurement cell that asks for it while it
+//!   is linked, one [`StreamSubscriber`] per sniffer, and keeps a
+//!   completed stream only when a second cell has asked for its key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,9 +10,16 @@
 //! serializing behind a fully generated run. A machine simulation keeps
 //! the few chunks it still needs and reads each packet in place by its
 //! position in the stream, so no consumer copies or refcounts a packet.
+//!
+//! Chunk memory is recycled, as a traffic generator sends from a
+//! preallocated buffer pool: when the last reader of a cached stream
+//! lets go, its full chunks wait on one spare list, and
+//! [`ChunkedGenerator`] overwrites one of them in place before it
+//! allocates a new chunk. Every chunk allocation takes from the list
+//! first, so it never holds more chunks than were live at once.
 
 use crate::generator::{Generator, TimedPacket};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One immutable chunk of consecutively generated packets. `Arc`-shared:
 /// broadcasting a chunk to N consumers copies a pointer, not packets.
@@ -70,19 +77,44 @@ impl ChunkedGenerator {
 
 impl PacketSource for ChunkedGenerator {
     fn next_chunk(&mut self) -> Option<Chunk> {
-        let mut chunk = Vec::with_capacity(self.chunk_packets);
-        while chunk.len() < self.chunk_packets {
-            match self.gen.next_packet() {
-                Some(tp) => chunk.push(tp),
-                None => break,
+        let n = self.gen.remaining().min(self.chunk_packets as u64) as usize;
+        if n == 0 {
+            return None;
+        }
+        let gen = &mut self.gen;
+        let mut next = || gen.next_packet().expect("the generator has n packets left");
+        if n == DEFAULT_CHUNK_PACKETS {
+            // Popped apart from the `if let`, so the list is unlocked while
+            // the chunk refills. A spare someone still reads is theirs to
+            // free.
+            let spare = spares().pop();
+            if let Some(mut chunk) = spare {
+                if let Some(slots) = Arc::get_mut(&mut chunk) {
+                    slots.fill_with(next);
+                    return Some(chunk);
+                }
             }
         }
-        if chunk.is_empty() {
-            None
-        } else {
-            Some(chunk.into())
-        }
+        Some((0..n).map(|_| next()).collect())
     }
+}
+
+/// Full chunks of retired streams, waiting to be refilled in place.
+static SPARES: Mutex<Vec<Chunk>> = Mutex::new(Vec::new());
+
+/// The spare list. Every update pushes or pops whole chunks, so a panic
+/// while it was locked leaves it valid.
+fn spares() -> MutexGuard<'static, Vec<Chunk>> {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Hand back the chunks of a stream no one reads any more: the full ones
+/// wait for [`ChunkedGenerator`] to overwrite them, the rest are freed.
+pub(crate) fn retire(chunks: Vec<Chunk>) {
+    let full = chunks
+        .into_iter()
+        .filter(|chunk| chunk.len() == DEFAULT_CHUNK_PACKETS);
+    spares().extend(full);
 }
 
 /// A materialized packet list replayed as a chunk stream (the adapter

@@ -8,8 +8,9 @@
 //! [`Fingerprintable`] digest of everything that determines their
 //! content (generator config, pacing rate, per-repeat seed), the first
 //! cell to need a stream generates and publishes its [`Chunk`]s, and
-//! every concurrent or later cell at the same key subscribes to the
-//! published chunks instead of running the generator again.
+//! every cell that asks for the same key while the stream is linked
+//! subscribes to the published chunks instead of running the generator
+//! again.
 //!
 //! Publication is incremental: a [`StreamPublisher`] appends chunks as
 //! the producing cell pulls them, and a [`StreamSubscriber`] blocks only
@@ -21,19 +22,25 @@
 //! producer made (`Arc` clones), so a shared stream is resident exactly
 //! once no matter how many sniffers and cells read it.
 //!
-//! Residency is bounded: completed streams are evicted least-recently-
-//! used once the cache exceeds its byte budget. Eviction only unlinks a
-//! stream from the cache — a cell's subscribers keep its whole stream
-//! alive until the cell finishes — so it can never corrupt an in-flight
-//! cell, it only forfeits future sharing.
+//! Residency follows demand. In the thesis' measurement cycle a stream
+//! lasts one cycle, and so a completed stream stays linked only when a
+//! second cell asked for its key while it was live, or when its key had
+//! been asked for before. Any other stream leaves the cache when its
+//! producer finishes, and its full chunks go back to the generator with
+//! its last reader (see [`crate::source`]). The cache remembers every key
+//! it has been asked for, a 16-byte key each. Kept streams are evicted
+//! least-recently-used once the cache exceeds its byte budget. Unlinking
+//! a stream never corrupts an in-flight cell — the cell's subscribers
+//! keep the whole stream alive until it finishes — it only forfeits
+//! future sharing.
 //!
 //! [`Fingerprintable`]: pcs_des::Fingerprintable
 
 use crate::generator::TimedPacket;
-use crate::source::{Chunk, PacketSource};
-use std::collections::HashMap;
+use crate::source::{retire, Chunk, PacketSource};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// 128-bit content address of a stream: the finished fingerprint of the
 /// full generator configuration plus rate and per-repeat seed.
@@ -75,6 +82,15 @@ impl SharedStream {
     }
 }
 
+impl Drop for SharedStream {
+    fn drop(&mut self) {
+        // The last reader let go. A reader that panicked holding the lock
+        // (an abandoned stream) must not turn unwinding into an abort.
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        retire(std::mem::take(&mut state.chunks));
+    }
+}
+
 /// One cache slot: the stream plus the bookkeeping eviction needs.
 struct CacheEntry {
     stream: Arc<SharedStream>,
@@ -82,6 +98,9 @@ struct CacheEntry {
     bytes: u64,
     /// Completed streams are evictable; in-progress ones are pinned.
     done: bool,
+    /// A second acquire arrived while the stream was live, or its key had
+    /// been acquired before: the stream stays linked once complete.
+    keep: bool,
     /// LRU clock value of the most recent acquire.
     last_used: u64,
 }
@@ -89,6 +108,8 @@ struct CacheEntry {
 #[derive(Default)]
 struct CacheMap {
     entries: HashMap<StreamKey, CacheEntry>,
+    /// Every key ever acquired; [`StreamCache::clear`] keeps it.
+    asked: HashSet<StreamKey>,
     clock: u64,
 }
 
@@ -107,8 +128,6 @@ pub enum StreamRole<'a> {
 /// A content-addressed cache of generated packet streams.
 pub struct StreamCache {
     map: Mutex<CacheMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     resident: AtomicU64,
     peak_resident: AtomicU64,
 }
@@ -124,8 +143,6 @@ impl StreamCache {
     pub fn new() -> StreamCache {
         StreamCache {
             map: Mutex::new(CacheMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             peak_resident: AtomicU64::new(0),
         }
@@ -137,9 +154,11 @@ impl StreamCache {
         GLOBAL.get_or_init(StreamCache::new)
     }
 
-    /// Acquire the stream at `key`: the first caller becomes the
-    /// producer, everyone else a subscriber. `budget_bytes` is the
-    /// resident-byte bound enforced (by LRU eviction of completed
+    /// Acquire the stream at `key`: the caller becomes its producer when
+    /// no stream is linked at `key`, and a subscriber otherwise. A
+    /// subscriber keeps the stream linked once it completes, and so does
+    /// a producer of a key that was acquired before. `budget_bytes` is
+    /// the resident-byte bound enforced (by LRU eviction of completed
     /// streams) while this acquisition publishes.
     pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'_> {
         let mut map = self.map.lock().expect("stream cache poisoned");
@@ -147,11 +166,11 @@ impl StreamCache {
         let clock = map.clock;
         if let Some(entry) = map.entries.get_mut(&key) {
             entry.last_used = clock;
+            entry.keep = true;
             let stream = Arc::clone(&entry.stream);
-            drop(map);
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return StreamRole::Subscribe(StreamSubscriber { stream, next: 0 });
         }
+        let keep = !map.asked.insert(key);
         let stream = Arc::new(SharedStream::new());
         map.entries.insert(
             key,
@@ -159,11 +178,11 @@ impl StreamCache {
                 stream: Arc::clone(&stream),
                 bytes: 0,
                 done: false,
+                keep,
                 last_used: clock,
             },
         );
         drop(map);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         StreamRole::Produce(StreamPublisher {
             cache: self,
             key,
@@ -171,16 +190,6 @@ impl StreamCache {
             budget_bytes,
             finished: false,
         })
-    }
-
-    /// Streams served by subscription instead of regeneration.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Streams that had to be generated.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Bytes of stream data currently resident in the cache.
@@ -208,7 +217,9 @@ impl StreamCache {
     }
 
     /// Evict every *completed* stream (a "cold" cache for benchmarks and
-    /// determinism tests); in-progress streams stay pinned.
+    /// determinism tests); in-progress streams stay pinned. The cache
+    /// still remembers which keys it was asked for, so the next producer
+    /// of such a key keeps its stream.
     pub fn clear(&self) {
         let mut map = self.map.lock().expect("stream cache poisoned");
         let done: Vec<StreamKey> = map
@@ -235,20 +246,20 @@ impl StreamCache {
         }
     }
 
-    /// Mark `key` complete (evictable) and enforce the byte budget, or —
-    /// when `abandoned` — unlink it so later cells regenerate.
+    /// Mark a kept `key` complete (evictable) and enforce the byte
+    /// budget. Unlink it instead when no one else asked for it, or when
+    /// it was `abandoned` so later cells regenerate.
     fn note_done(&self, key: StreamKey, abandoned: bool, budget_bytes: u64) {
         let mut map = self.map.lock().expect("stream cache poisoned");
-        if abandoned {
-            if let Some(entry) = map.entries.remove(&key) {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
+        let Some(entry) = map.entries.get_mut(&key) else {
             return;
-        }
-        if let Some(entry) = map.entries.get_mut(&key) {
+        };
+        if entry.keep && !abandoned {
             entry.done = true;
+            Self::trim(&mut map, &self.resident, budget_bytes);
+        } else if let Some(entry) = map.entries.remove(&key) {
+            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
         }
-        Self::trim(&mut map, &self.resident, budget_bytes);
     }
 
     /// Evict completed streams, least recently used first, until resident
@@ -433,18 +444,47 @@ mod tests {
         out
     }
 
+    fn publisher(cache: &StreamCache, key: StreamKey, budget: u64) -> StreamPublisher<'_> {
+        match cache.acquire(key, budget) {
+            StreamRole::Produce(p) => p,
+            StreamRole::Subscribe(_) => panic!("{key:?} is linked: expected to produce"),
+        }
+    }
+
+    fn subscriber(cache: &StreamCache, key: StreamKey) -> StreamSubscriber {
+        match cache.acquire(key, u64::MAX) {
+            StreamRole::Produce(_) => panic!("{key:?} is not linked: expected to subscribe"),
+            StreamRole::Subscribe(s) => s,
+        }
+    }
+
+    /// Produce `key`'s stream from `source`.
+    fn produce(cache: &StreamCache, key: StreamKey, source: ChunkedGenerator) -> Vec<Chunk> {
+        let producer = publisher(cache, key, u64::MAX);
+        drain(PublishingSource::new(source, producer))
+    }
+
+    /// Produce `key`'s stream from `source` while a second acquire of the
+    /// key is live, so that the cache keeps it.
+    fn produce_shared(
+        cache: &StreamCache,
+        key: StreamKey,
+        budget: u64,
+        source: ChunkedGenerator,
+    ) -> Vec<Chunk> {
+        let producer = publisher(cache, key, budget);
+        drop(subscriber(cache, key));
+        drain(PublishingSource::new(source, producer))
+    }
+
     #[test]
     fn first_acquire_produces_second_subscribes_to_identical_chunks() {
         let cache = StreamCache::new();
         let key = (1, 1);
-        let produced = match cache.acquire(key, DEFAULT_STREAM_CACHE_BYTES) {
-            StreamRole::Produce(p) => drain(PublishingSource::new(gen(1_000, 7), p)),
-            StreamRole::Subscribe(_) => panic!("empty cache must elect a producer"),
-        };
-        let subscribed = match cache.acquire(key, DEFAULT_STREAM_CACHE_BYTES) {
-            StreamRole::Produce(_) => panic!("published stream must be subscribable"),
-            StreamRole::Subscribe(s) => drain(s),
-        };
+        let producer = publisher(&cache, key, DEFAULT_STREAM_CACHE_BYTES);
+        let second = subscriber(&cache, key);
+        let produced = drain(PublishingSource::new(gen(1_000, 7), producer));
+        let subscribed = drain(second);
         assert_eq!(produced.len(), subscribed.len());
         for (a, b) in produced.iter().zip(&subscribed) {
             assert!(
@@ -453,10 +493,58 @@ mod tests {
             );
             assert_eq!(a, b);
         }
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
         let bytes: u64 = produced.iter().map(chunk_bytes).sum();
         assert_eq!(cache.resident_bytes(), bytes);
         assert_eq!(cache.peak_resident_bytes(), bytes);
+    }
+
+    #[test]
+    fn a_stream_no_other_cell_asked_for_leaves_when_it_completes() {
+        let cache = StreamCache::new();
+        let produced = produce(&cache, (8, 1), gen(1_000, 5));
+        assert!(!produced.is_empty());
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.resident_bytes(), 0);
+        let bytes: u64 = produced.iter().map(chunk_bytes).sum();
+        assert_eq!(cache.peak_resident_bytes(), bytes);
+    }
+
+    #[test]
+    fn a_concurrent_acquire_keeps_the_stream() {
+        let cache = StreamCache::new();
+        let produced = produce_shared(&cache, (8, 2), u64::MAX, gen(1_000, 6));
+        assert_eq!(cache.len(), 1);
+        let bytes: u64 = produced.iter().map(chunk_bytes).sum();
+        assert_eq!(cache.resident_bytes(), bytes);
+        let later = drain(subscriber(&cache, (8, 2)));
+        assert_eq!(produced.len(), later.len());
+        assert!(produced.iter().zip(&later).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    #[test]
+    fn reacquiring_an_unlinked_key_produces_and_keeps_the_stream() {
+        let cache = StreamCache::new();
+        let key = (8, 3);
+        produce(&cache, key, gen(1_000, 4));
+        assert!(cache.is_empty(), "nobody else asked: the stream left");
+        let produced = produce(&cache, key, gen(1_000, 4));
+        assert_eq!(cache.len(), 1, "asked for before: the stream stays");
+        let third = drain(subscriber(&cache, key));
+        assert_eq!(produced.len(), third.len());
+        for (a, b) in produced.iter().zip(&third) {
+            assert!(Arc::ptr_eq(a, b), "the third acquire reads the kept chunks");
+        }
+    }
+
+    #[test]
+    fn clear_keeps_the_asked_for_keys() {
+        let cache = StreamCache::new();
+        let key = (8, 4);
+        produce(&cache, key, gen(100, 2));
+        assert!(cache.is_empty());
+        cache.clear();
+        produce(&cache, key, gen(100, 2));
+        assert_eq!(cache.len(), 1, "clear forgot that the key was asked for");
     }
 
     #[test]
@@ -517,37 +605,24 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_residency_within_budget() {
         let cache = StreamCache::new();
-        // Publish two streams under a budget that fits only one.
-        let first = match cache.acquire((3, 1), u64::MAX) {
-            StreamRole::Produce(p) => drain(PublishingSource::new(gen(600, 1), p)),
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
+        // Publish two kept streams under a budget that fits only one.
+        let first = produce_shared(&cache, (3, 1), u64::MAX, gen(600, 1));
         let first_bytes: u64 = first.iter().map(chunk_bytes).sum();
         let budget = first_bytes + first_bytes / 2;
-        match cache.acquire((3, 2), budget) {
-            StreamRole::Produce(p) => drain(PublishingSource::new(gen(600, 2), p)),
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
+        produce_shared(&cache, (3, 2), budget, gen(600, 2));
         // The older stream was evicted; the newer one is resident.
         assert_eq!(cache.len(), 1);
         assert!(cache.resident_bytes() <= budget);
-        match cache.acquire((3, 1), budget) {
-            StreamRole::Produce(_) => {} // evicted => regenerate
-            StreamRole::Subscribe(_) => panic!("evicted stream must not be subscribable"),
-        };
+        // Evicted: regenerate.
+        publisher(&cache, (3, 1), budget);
     }
 
     #[test]
     fn clear_evicts_completed_streams_only() {
         let cache = StreamCache::new();
-        match cache.acquire((4, 1), u64::MAX) {
-            StreamRole::Produce(p) => drain(PublishingSource::new(gen(100, 3), p)),
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
-        let _pinned = match cache.acquire((4, 2), u64::MAX) {
-            StreamRole::Produce(p) => p, // in progress, never published
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
+        produce_shared(&cache, (4, 1), u64::MAX, gen(100, 3));
+        // In progress, never published.
+        let _pinned = publisher(&cache, (4, 2), u64::MAX);
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert_eq!(cache.len(), 1, "in-progress stream stays pinned");
@@ -574,15 +649,8 @@ mod tests {
     #[test]
     fn empty_stream_round_trips() {
         let cache = StreamCache::new();
-        match cache.acquire((6, 1), u64::MAX) {
-            StreamRole::Produce(p) => {
-                assert!(drain(PublishingSource::new(gen(0, 1), p)).is_empty())
-            }
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
-        match cache.acquire((6, 1), u64::MAX) {
-            StreamRole::Produce(_) => panic!("empty stream is still a published stream"),
-            StreamRole::Subscribe(s) => assert!(drain(s).is_empty()),
-        };
+        assert!(produce_shared(&cache, (6, 1), u64::MAX, gen(0, 1)).is_empty());
+        // An empty stream is still a published stream.
+        assert!(drain(subscriber(&cache, (6, 1))).is_empty());
     }
 }

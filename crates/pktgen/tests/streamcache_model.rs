@@ -10,6 +10,9 @@
 //! * every subscriber has read its producer's chunks in order, each the
 //!   very `Arc` the producer published;
 //! * a finished stream ends after its last chunk;
+//! * a finished stream stays linked only when a second acquire of its
+//!   key arrived while it was live, or its key had been acquired before
+//!   (`clear` forgets no key); any other finished stream is unlinked;
 //! * an abandoned stream is unlinked, and the next acquire of its key
 //!   produces;
 //! * resident bytes equal the bytes of the linked streams, and the peak
@@ -37,20 +40,21 @@ struct ModelStream {
     done: bool,
     abandoned: bool,
     linked: bool,
+    /// Stays linked once finished.
+    keep: bool,
     /// Clock value of the stream's most recent acquire.
     last_used: u64,
 }
 
 /// The model cache: every stream ever produced, which one each key links
-/// to, and the byte accounting.
+/// to, which keys were ever acquired, and the byte accounting.
 struct Model {
     streams: Vec<ModelStream>,
     linked: [Option<usize>; KEYS],
+    asked: [bool; KEYS],
     clock: u64,
     resident: u64,
     peak: u64,
-    hits: u64,
-    misses: u64,
     budget: u64,
 }
 
@@ -117,11 +121,10 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
     let mut model = Model {
         streams: Vec::new(),
         linked: [None; KEYS],
+        asked: [false; KEYS],
         clock: 0,
         resident: 0,
         peak: 0,
-        hits: 0,
-        misses: 0,
         budget,
     };
     let mut publishers: Vec<Option<(StreamPublisher<'_>, usize)>> =
@@ -136,8 +139,8 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                 let role = cache.acquire(key(k), budget);
                 match (role, model.linked[k]) {
                     (StreamRole::Subscribe(subscriber), Some(id)) => {
-                        model.hits += 1;
                         model.streams[id].last_used = model.clock;
+                        model.streams[id].keep = true;
                         readers.push(Reader {
                             subscriber,
                             stream: id,
@@ -145,7 +148,6 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                         });
                     }
                     (StreamRole::Produce(publisher), None) => {
-                        model.misses += 1;
                         let id = model.streams.len();
                         model.streams.push(ModelStream {
                             chunks: Vec::new(),
@@ -153,8 +155,10 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                             done: false,
                             abandoned: false,
                             linked: true,
+                            keep: model.asked[k],
                             last_used: model.clock,
                         });
+                        model.asked[k] = true;
                         model.linked[k] = Some(id);
                         prop_assert!(publishers[k].is_none(), "step {i}: two producers");
                         publishers[k] = Some((publisher, id));
@@ -232,7 +236,11 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                 if let Some((publisher, id)) = publishers[k].take() {
                     publisher.finish();
                     model.streams[id].done = true;
-                    model.trim();
+                    if model.streams[id].keep {
+                        model.trim();
+                    } else {
+                        model.unlink(id);
+                    }
                 }
             }
             6 => {
@@ -267,16 +275,14 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
         prop_assert_eq!(model.resident, linked_bytes, "step {}: model", i);
         prop_assert_eq!(cache.resident_bytes(), linked_bytes, "step {}", i);
         prop_assert_eq!(cache.peak_resident_bytes(), model.peak, "step {}", i);
-        prop_assert_eq!(
-            (cache.hits(), cache.misses()),
-            (model.hits, model.misses),
-            "step {}",
-            i
-        );
         for stream in &model.streams {
             prop_assert!(
                 !(stream.abandoned && stream.linked),
                 "step {i}: an abandoned stream stayed linked"
+            );
+            prop_assert!(
+                !(stream.done && stream.linked && !stream.keep),
+                "step {i}: a finished stream no one else asked for stayed linked"
             );
         }
     }
@@ -290,8 +296,8 @@ proptest! {
     }
 }
 
-/// A fixed sequence that reaches every step kind, eviction and
-/// re-production after abandonment.
+/// A fixed sequence that reaches every step kind, both halves of the
+/// keep rule, eviction and re-production after abandonment.
 #[test]
 fn scripted_sequence_covers_every_step() {
     // step = kind + 8 × key + 24 × pick
@@ -299,14 +305,18 @@ fn scripted_sequence_covers_every_step() {
     let publish = |k: u32, len: u32| 1 + 8 * k + 24 * (len - 1);
     let steps = [
         acquire(0),
-        2, // subscribe to key 0's producer
+        acquire(0), // a second acquire while live: key 0 is kept
+        2,          // subscribe to key 0's producer
         publish(0, 8),
-        3, // clone that reader
+        3, // clone a reader
         4, // read
         publish(0, 8),
         5,      // finish key 0
-        4 + 24, // the clone reads on
+        4 + 24, // another reader reads on
         acquire(1),
+        publish(1, 8),
+        5 + 8,      // finish key 1: nobody else asked, so it leaves
+        acquire(1), // asked before: produces again, kept
         publish(1, 8),
         publish(1, 8), // 32 packets resident: evicts key 0
         5 + 8,         // finish key 1
@@ -316,6 +326,8 @@ fn scripted_sequence_covers_every_step() {
         acquire(2), // produces again
         acquire(0), // evicted: produces again
         7,          // clear: unlinks key 1
+        acquire(1), // produces again
+        5 + 8,      // finish key 1: kept, clear forgot no key
         4,
         4 + 24,
         4 + 48,

@@ -16,8 +16,11 @@
 //! and the cell's thread drains the stream through the monitoring
 //! switch. The first cell to need a stream generates and publishes it,
 //! its sniffers reading along as it goes; cells that differ only in
-//! their SUT set subscribe to the published chunks. The pipeline shape
-//! is fixed at [`PipelineConfig::default`].
+//! their SUT set subscribe to the published chunks while the cache keeps
+//! them. As in the thesis, a stream lasts one cycle unless a second cell
+//! asks for it (see [`StreamCache::acquire`]), and the next stream is
+//! generated into its retired chunks. The pipeline shape is fixed at
+//! [`PipelineConfig::default`].
 
 use crate::cache::{cell_key, stream_key, wide_key, CellResult, CellSut};
 use crate::sched::{parallel_ordered, ExecConfig, PipelineConfig};
@@ -243,11 +246,14 @@ fn run_cell(
 /// chunk 0, to clone for each sniffer.
 ///
 /// The first cell to need a (workload, rate, repeat) stream generates
-/// and publishes it; every concurrent or later cell — typically the same
-/// measurement point over a *different* SUT set — subscribes to the
-/// published chunks instead of running the generator again. Either way
-/// every sniffer reads the very chunks the generator made, so results
-/// are byte-identical.
+/// and publishes it. A cell that asks for it while it is linked —
+/// typically the same measurement point over a *different* SUT set —
+/// subscribes to the published chunks instead of running the generator
+/// again. The cache keeps a completed stream only when such a second
+/// cell asked for it while it was live, or its key was asked for before;
+/// so a second SUT set that runs after the first regenerates the stream
+/// once, and every later set subscribes. Either way every sniffer reads
+/// the very chunks the generator made, so results are byte-identical.
 fn cell_stream(
     cfg: &CycleConfig,
     rate: Option<f64>,
@@ -595,26 +601,34 @@ mod tests {
                 sim: SimConfig::default(),
             },
         ];
-        // Both calls simulate; only the stream is shared.
+        // Every call simulates; only the stream is shared.
         let exec = ExecConfig::serial();
         for (i, rate) in [Some(250.0), None].into_iter().enumerate() {
-            // The first run generates and publishes …
+            let i = i as u64;
+            // The first run generates a stream nobody else asks for …
             let cold = run_cell(&suts, &cfg, rate, 0, &exec);
-            assert_eq!(exec.stats.streams_generated(), i as u64 + 1);
-            // … the second subscribes to the published chunks.
+            assert_eq!(exec.stats.streams_generated(), 2 * i + 1);
+            // … the second regenerates it, asked for before, and keeps it …
             let warm = run_cell(&suts, &cfg, rate, 0, &exec);
-            assert_eq!(exec.stats.streams_shared(), i as u64 + 1);
+            assert_eq!(exec.stats.streams_generated(), 2 * i + 2);
+            assert_eq!(exec.stats.streams_shared(), i);
+            // … and the third subscribes to the kept chunks.
+            let hot = run_cell(&suts, &cfg, rate, 0, &exec);
+            assert_eq!(exec.stats.streams_generated(), 2 * i + 2);
+            assert_eq!(exec.stats.streams_shared(), i + 1);
             assert_eq!(cold, warm, "rate={rate:?}");
+            assert_eq!(cold, hot, "rate={rate:?}");
         }
-        assert_eq!(exec.stats.cells_run(), 4);
+        assert_eq!(exec.stats.cells_run(), 6);
         assert!(peak_stream_bytes() > 0);
     }
 
     #[test]
     fn sut_sets_share_one_generated_stream_per_point() {
-        // The acceptance criterion of the stream cache: N SUT sets at
-        // the same (rate, repeat) grid generate each stream exactly
-        // once. Unique packet count — see above.
+        // SUT sets swept one after another at the same (rate, repeat)
+        // grid: the second regenerates each stream once and the cache
+        // keeps it, and every later sweep subscribes. Unique packet
+        // count — see above.
         let mut cfg = CycleConfig::mwn(8_101, 4242);
         cfg.repeats = 2;
         let rates = [Some(120.0), Some(360.0)];
@@ -637,10 +651,13 @@ mod tests {
         assert_eq!(exec.stats.streams_generated(), 4, "rates × repeats");
         assert_eq!(exec.stats.streams_shared(), 0);
         run_sweep_exec(&set_b, &cfg, &rates, &exec);
+        assert_eq!(exec.stats.streams_generated(), 8, "each stream once more");
+        assert_eq!(exec.stats.streams_shared(), 0);
+        run_sweep_exec(&set_a, &cfg, &rates, &exec);
         assert_eq!(
             exec.stats.streams_generated(),
-            4,
-            "a different SUT set must not regenerate any stream"
+            8,
+            "a third sweep must not regenerate any stream"
         );
         assert_eq!(exec.stats.streams_shared(), 4);
         assert!(peak_stream_bytes() > 0);

@@ -23,10 +23,11 @@
 //!
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global
-//! [`StreamCache`](pcs_pktgen::StreamCache), so N SUT sets measured at
-//! the same (workload, rate, repeat) grid generate each packet stream
-//! exactly once and subscribe to its chunks thereafter (byte-budgeted
-//! and LRU-bounded).
+//! [`StreamCache`](pcs_pktgen::StreamCache). A stream stays cached only
+//! when a second cell asks for it, so N SUT sets measured at the same
+//! (workload, rate, repeat) grid generate each packet stream once, or
+//! twice when the second set asks only after the first finished it, and
+//! subscribe to its chunks thereafter (byte-budgeted and LRU-bounded).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

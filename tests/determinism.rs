@@ -41,24 +41,33 @@ fn cold_and_warm_stream_cache_render_identical_csv() {
         rates: vec![Some(220.0), None],
     };
     // Cold: no other test uses this packet count, so every cell
-    // generates and publishes its own stream.
+    // generates its own stream, and no one else asks for it.
     let cold_exec = ExecConfig::with_jobs(4);
     let cold = figures::fig6_2_default_buffers(&scale, true, &cold_exec);
     assert_eq!(cold_exec.stats.streams_generated(), 4, "rates × repeats");
     assert_eq!(cold_exec.stats.streams_shared(), 0);
-    // Warm: every cell simulates again, but each one subscribes to the
-    // stream the cold run published.
+    // Warm: every key was asked for before, so every cell regenerates
+    // its stream and the cache keeps it.
     let warm_exec = ExecConfig::with_jobs(4);
     let warm = figures::fig6_2_default_buffers(&scale, true, &warm_exec);
     assert_eq!(warm_exec.stats.cells_run(), cold_exec.stats.cells_run());
-    assert_eq!(warm_exec.stats.streams_generated(), 0);
-    assert_eq!(warm_exec.stats.streams_shared(), 4);
-    assert_eq!(
-        cold.to_csv(),
-        warm.to_csv(),
-        "subscribed streams must render the same CSV bytes as generated ones"
-    );
-    assert_eq!(cold.to_table(), warm.to_table());
+    assert_eq!(warm_exec.stats.streams_generated(), 4);
+    assert_eq!(warm_exec.stats.streams_shared(), 0);
+    // Hot: every cell simulates again, but each one subscribes to the
+    // stream the warm run kept.
+    let hot_exec = ExecConfig::with_jobs(4);
+    let hot = figures::fig6_2_default_buffers(&scale, true, &hot_exec);
+    assert_eq!(hot_exec.stats.cells_run(), cold_exec.stats.cells_run());
+    assert_eq!(hot_exec.stats.streams_generated(), 0);
+    assert_eq!(hot_exec.stats.streams_shared(), 4);
+    for (run, other) in [("warm", &warm), ("hot", &hot)] {
+        assert_eq!(
+            cold.to_csv(),
+            other.to_csv(),
+            "{run}: regenerated and subscribed streams must render the same CSV bytes"
+        );
+        assert_eq!(cold.to_table(), other.to_table(), "{run}");
+    }
 }
 
 #[test]
