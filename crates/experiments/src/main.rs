@@ -466,6 +466,9 @@ fn main() {
                 let json = export::chrome_trace_json(&cells);
                 validate(&json).expect("generated trace JSON must be valid");
                 output(path, std::fs::write(path, &json));
+                // Freed before the CSV renders: each is hundreds of MiB
+                // on an all-stage trace.
+                drop(json);
                 eprintln!(
                     "== wrote {path} ({} traced cells; load in Perfetto)",
                     cells.len()

@@ -20,6 +20,7 @@
 //! run to run; the diff engine never looks at it, and the parser skips
 //! it, so ledgers that carry retired profile fields still load.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -137,11 +138,12 @@ fn f64_field(v: f64, digits: usize, out: &mut String) {
     }
 }
 
-/// Render one sweep's collected cells (plus run context and an optional
-/// host profile) as the ledger JSON document.
-pub fn render_ledger(
+/// Render one sweep's collected cells (owned, or a collector's shared
+/// ones), plus run context and an optional host profile, as the ledger
+/// JSON document.
+pub fn render_ledger<C: Borrow<CellTrace>>(
     meta: &LedgerMeta,
-    cells: &[CellTrace],
+    cells: &[C],
     profile: Option<&HostProfile>,
 ) -> String {
     let mut out = String::with_capacity(4096 + cells.len() * 2048);
@@ -166,7 +168,7 @@ pub fn render_ledger(
         None => out.push_str("null"),
     }
     out.push_str(",\"cells\":[");
-    for (i, cell) in cells.iter().enumerate() {
+    for (i, cell) in cells.iter().map(Borrow::borrow).enumerate() {
         if i > 0 {
             out.push(',');
         }

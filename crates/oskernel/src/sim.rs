@@ -488,13 +488,13 @@ impl MachineSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
+    use pcs_pktgen::{TimedPacket, DEFAULT_CHUNK_PACKETS};
     use pcs_trace::Stage;
     use pcs_wire::{MacAddr, SimPacket};
     use std::net::Ipv4Addr;
 
-    fn timed(n: u64, gap_us: u64) -> Arc<Vec<TimedPacket>> {
-        let packets = (0..n)
+    fn timed(n: u64, gap_us: u64) -> Vec<TimedPacket> {
+        (0..n)
             .map(|i| {
                 let time = SimTime::from_micros((i + 1) * gap_us);
                 let packet = SimPacket::build_udp(
@@ -510,12 +510,11 @@ mod tests {
                 );
                 TimedPacket { time, packet }
             })
-            .collect();
-        Arc::new(packets)
+            .collect()
     }
 
-    fn packets(n: u64, gap_us: u64) -> MaterializedSource {
-        MaterializedSource::new(timed(n, gap_us), DEFAULT_CHUNK_PACKETS)
+    fn packets(n: u64, gap_us: u64) -> Chunks {
+        replay(&timed(n, gap_us), DEFAULT_CHUNK_PACKETS)
     }
 
     /// A source replaying `chunks` in order.
@@ -525,6 +524,12 @@ mod tests {
         fn next_chunk(&mut self) -> Option<Chunk> {
             self.0.next()
         }
+    }
+
+    /// `packets` replayed in chunks of `n`.
+    fn replay(packets: &[TimedPacket], n: usize) -> Chunks {
+        let chunks: Vec<Chunk> = packets.chunks(n).map(Chunk::from).collect();
+        Chunks(chunks.into_iter())
     }
 
     /// The first positions of the chunks a window holds.
@@ -559,7 +564,7 @@ mod tests {
 
     #[test]
     fn window_releases_exactly_the_chunks_behind_the_oldest_live_position() {
-        let mut src = MaterializedSource::new(timed(40, 1), 7);
+        let mut src = replay(&timed(40, 1), 7);
         let mut w = StreamWindow::default();
         let mut pull = |w: &mut StreamWindow, oldest_live: Option<u64>| {
             w.pull(&mut src, oldest_live).expect("stream not exhausted")
@@ -593,7 +598,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream position 3 has left the window")]
     fn window_refuses_a_released_position() {
-        let mut src = MaterializedSource::new(timed(20, 1), 7);
+        let mut src = replay(&timed(20, 1), 7);
         let mut w = StreamWindow::default();
         for _ in 0..8 {
             w.pull(&mut src, None);
@@ -614,7 +619,7 @@ mod tests {
         /// Hands out 1-packet chunks and checks, at every pull, how
         /// many of them are still alive.
         struct Watched {
-            packets: Arc<Vec<TimedPacket>>,
+            packets: Vec<TimedPacket>,
             handed: Vec<std::sync::Weak<[TimedPacket]>>,
         }
         impl PacketSource for Watched {
@@ -717,7 +722,7 @@ mod tests {
         let spec = pcs_hw::MachineSpec::moorhen();
         let run = |chunk_packets: usize| {
             let report = MachineSim::new(spec, SimConfig::default())
-                .run_source(MaterializedSource::new(Arc::clone(&timed), chunk_packets));
+                .run_source(replay(&timed, chunk_packets));
             format!("{report:?}")
         };
         let reference = run(4096);

@@ -14,13 +14,12 @@ use pcs_des::SimTime;
 use pcs_hw::{MachineSpec, NicModel};
 use pcs_oskernel::{MachineFaults, MachineSim, SimConfig};
 use pcs_pktgen::{
-    ChunkedGenerator, Generator, MaterializedSource, PacketSource, PktgenConfig, SizeSource,
-    TimedPacket, TxModel, DEFAULT_CHUNK_PACKETS,
+    Chunk, ChunkedGenerator, Generator, PacketSource, PktgenConfig, SizeSource, TimedPacket,
+    TxModel, DEFAULT_CHUNK_PACKETS,
 };
 use pcs_trace::{Stage, StageFilter, TraceSink, TraceSpec};
 use pcs_wire::{MacAddr, SimPacket};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 fn source(count: u64, rate: f64, burst: u32, seed: u64) -> ChunkedGenerator {
     let cfg = PktgenConfig {
@@ -131,11 +130,20 @@ fn single_cpu_and_hyperthreaded_machines_match_the_per_packet_oracle() {
     }
 }
 
+/// A packet list replayed in chunks.
+struct Replay(std::vec::IntoIter<Chunk>);
+
+impl PacketSource for Replay {
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        self.0.next()
+    }
+}
+
 /// `n` 550-byte frames exactly 5 µs apart (880 Mbit/s). Every interrupt
 /// gap below is a multiple of 5 µs, so a gate armed at an arrival
 /// falls on the same nanosecond as a later arrival.
-fn lockstep(n: u64) -> MaterializedSource {
-    let packets = (1..=n)
+fn lockstep(n: u64) -> Replay {
+    let packets: Vec<TimedPacket> = (1..=n)
         .map(|i| {
             let time = SimTime::from_micros(5 * i);
             let packet = SimPacket::build_udp(
@@ -152,7 +160,11 @@ fn lockstep(n: u64) -> MaterializedSource {
             TimedPacket { time, packet }
         })
         .collect();
-    MaterializedSource::new(Arc::new(packets), DEFAULT_CHUNK_PACKETS)
+    let chunks: Vec<Chunk> = packets
+        .chunks(DEFAULT_CHUNK_PACKETS)
+        .map(Chunk::from)
+        .collect();
+    Replay(chunks.into_iter())
 }
 
 #[test]

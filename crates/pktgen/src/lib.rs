@@ -41,9 +41,7 @@ pub use dist::{DistConfig, DistError, TwoStageDist};
 pub use generator::{Generator, TimedPacket, TxModel};
 pub use mwn::{mwn_counts, mwn_mean};
 pub use procfs::{CmdError, PktgenConfig, PktgenControl, SizeSource};
-pub use source::{
-    Chunk, ChunkedGenerator, MaterializedSource, PacketSource, DEFAULT_CHUNK_PACKETS,
-};
+pub use source::{Chunk, ChunkedGenerator, PacketSource, DEFAULT_CHUNK_PACKETS};
 pub use streamcache::{
     chunk_bytes, PublishingSource, StreamCache, StreamKey, StreamPublisher, StreamRole,
     StreamSubscriber, DEFAULT_STREAM_CACHE_BYTES,

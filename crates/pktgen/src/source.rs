@@ -117,39 +117,6 @@ pub(crate) fn retire(chunks: Vec<Chunk>) {
     spares().extend(full);
 }
 
-/// A materialized packet list replayed as a chunk stream (the adapter
-/// for test vectors).
-pub struct MaterializedSource {
-    packets: Arc<Vec<TimedPacket>>,
-    pos: usize,
-    chunk_packets: usize,
-}
-
-impl MaterializedSource {
-    /// Stream `packets` in chunks of at most `chunk_packets` (clamped to
-    /// ≥ 1). The underlying storage is shared, but each chunk is its own
-    /// allocation (chunks must be `Arc<[TimedPacket]>`).
-    pub fn new(packets: Arc<Vec<TimedPacket>>, chunk_packets: usize) -> MaterializedSource {
-        MaterializedSource {
-            packets,
-            pos: 0,
-            chunk_packets: chunk_packets.max(1),
-        }
-    }
-}
-
-impl PacketSource for MaterializedSource {
-    fn next_chunk(&mut self) -> Option<Chunk> {
-        if self.pos >= self.packets.len() {
-            return None;
-        }
-        let end = (self.pos + self.chunk_packets).min(self.packets.len());
-        let chunk: Chunk = self.packets[self.pos..end].to_vec().into();
-        self.pos = end;
-        Some(chunk)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,15 +177,6 @@ mod tests {
         for chunk_packets in [1usize, 1009, 4096, 100_000] {
             let chunked = flatten(ChunkedGenerator::new(gen(5_000), chunk_packets));
             assert_eq!(chunked, direct, "chunk={chunk_packets}");
-        }
-    }
-
-    #[test]
-    fn materialized_source_replays_identically() {
-        let all: Arc<Vec<TimedPacket>> = Arc::new(gen(5_000).collect());
-        for chunk_packets in [1usize, 1009, 4096] {
-            let replayed = flatten(MaterializedSource::new(Arc::clone(&all), chunk_packets));
-            assert_eq!(replayed, *all, "chunk={chunk_packets}");
         }
     }
 }

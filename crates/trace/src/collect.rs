@@ -1,7 +1,7 @@
 //! Cross-cell trace collection for a sweep.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::attr::DropAttribution;
 use crate::sink::{TraceReport, TraceSpec};
@@ -42,11 +42,13 @@ pub struct CellTrace {
 /// `BTreeMap`, so the exported ordering is independent of worker
 /// scheduling: identical seeds and configs produce byte-identical exports
 /// at any `--jobs`. Re-recording an already-present key is a no-op — a
-/// re-simulated cell reproduces the identical trace anyway.
+/// re-simulated cell reproduces the identical trace anyway. A recorded
+/// cell never changes, so [`TraceCollector::cells`] shares it instead of
+/// copying its event log.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     spec: TraceSpec,
-    cells: Mutex<BTreeMap<(String, u128), CellTrace>>,
+    cells: Mutex<BTreeMap<(String, u128), Arc<CellTrace>>>,
 }
 
 impl TraceCollector {
@@ -77,11 +79,13 @@ impl TraceCollector {
     /// Record one cell's traces; first write wins.
     pub fn record_cell(&self, label: String, key: u128, achieved_mbps: f64, suts: Vec<SutTrace>) {
         let mut cells = self.cells.lock().expect("trace collector poisoned");
-        cells.entry((label.clone(), key)).or_insert(CellTrace {
-            label,
-            key,
-            achieved_mbps,
-            suts,
+        cells.entry((label.clone(), key)).or_insert_with(|| {
+            Arc::new(CellTrace {
+                label,
+                key,
+                achieved_mbps,
+                suts,
+            })
         });
     }
 
@@ -96,7 +100,7 @@ impl TraceCollector {
     }
 
     /// All recorded cells in deterministic (label, key) order.
-    pub fn cells(&self) -> Vec<CellTrace> {
+    pub fn cells(&self) -> Vec<Arc<CellTrace>> {
         self.cells
             .lock()
             .expect("trace collector poisoned")
@@ -109,6 +113,7 @@ impl TraceCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceEvent;
 
     #[test]
     fn collector_orders_and_dedups() {
@@ -133,5 +138,40 @@ mod tests {
         assert_eq!(cells[1].label, "b");
         // first write won
         assert!(cells[1].suts.is_empty());
+    }
+
+    #[test]
+    fn cells_are_shared_and_export_as_owned_cells_do() {
+        let c = TraceCollector::new(TraceSpec::default());
+        for (label, key) in [("b", 2), ("a", 1)] {
+            let mut sut = SutTrace {
+                label: format!("sut {label}"),
+                ..SutTrace::default()
+            };
+            sut.report.events = crate::Stage::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &stage)| TraceEvent {
+                    t_ns: 1_000 * i as u64 + key,
+                    stage,
+                    seq: i as u64,
+                    bytes: 60,
+                    app: 0,
+                    count: 1,
+                })
+                .collect();
+            c.record_cell(label.into(), key.into(), 1.5, vec![sut]);
+        }
+        let (shared, again) = (c.cells(), c.cells());
+        assert!(shared.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let owned: Vec<CellTrace> = shared.iter().map(|c| CellTrace::clone(c)).collect();
+        assert_eq!(
+            crate::export::chrome_trace_json(&shared),
+            crate::export::chrome_trace_json(&owned)
+        );
+        assert_eq!(
+            crate::export::events_csv(&shared),
+            crate::export::events_csv(&owned)
+        );
     }
 }

@@ -5,10 +5,11 @@
 //! shortest-round-trip — so identical traces serialize to byte-identical
 //! files on every platform.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 use crate::collect::CellTrace;
-use crate::event::{APP_NONE, SEQ_NONE};
+use crate::event::{Stage, APP_NONE, SEQ_NONE};
 
 // Code outside the workspace names the checker by these paths.
 pub use crate::json::{validate as validate_json, MAX_JSON_DEPTH};
@@ -30,18 +31,38 @@ pub fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// Decimal digits of `v`, right-aligned in `buf`; returns the index of
-/// the first digit. The one integer writer behind every per-event field.
+/// `"00"` through `"99"`, two bytes each.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Decimal digits of `v`, right-aligned in `buf`, two per division;
+/// returns the index of the first digit. The one integer writer behind
+/// every per-event field.
 fn decimal(mut v: u64, buf: &mut [u8]) -> usize {
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            return i;
-        }
+    let mut pair = |i: &mut usize, p: usize| {
+        *i -= 2;
+        buf[*i..*i + 2].copy_from_slice(&DIGIT_PAIRS[2 * p..2 * p + 2]);
+    };
+    while v >= 100 {
+        pair(&mut i, (v % 100) as usize);
+        v /= 100;
     }
+    if v >= 10 {
+        pair(&mut i, v as usize);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i
 }
 
 fn push_ascii(out: &mut String, digits: &[u8]) {
@@ -85,11 +106,12 @@ const CSV_EVENT_BYTES: usize = 128;
 /// filter) are complete spans (`ph:"X"`) on synthetic per-CPU thread rows;
 /// per-consumer drop attribution is emitted as counter events (`ph:"C"`)
 /// whose args carry the exact bucket counts; each SUT ends with a
-/// `metrics` summary event carrying its registry.
-pub fn chrome_trace_json(cells: &[CellTrace]) -> String {
+/// `metrics` summary event carrying its registry. `cells` may be owned
+/// cells or a [`TraceCollector`](crate::TraceCollector)'s shared ones.
+pub fn chrome_trace_json<C: Borrow<CellTrace>>(cells: &[C]) -> String {
     let rows: usize = cells
         .iter()
-        .flat_map(|c| &c.suts)
+        .flat_map(|c| &c.borrow().suts)
         .map(|s| s.report.events.len() + s.report.sched.len())
         .sum();
     let mut out = String::with_capacity(4096 + cells.len() * 1024 + rows * JSON_EVENT_BYTES);
@@ -103,7 +125,17 @@ pub fn chrome_trace_json(cells: &[CellTrace]) -> String {
             out.push_str(",\n");
         }
     };
-    for (pid, cell) in cells.iter().enumerate() {
+    // Each instant row starts with its stage's constant head, indexed by
+    // discriminant (`Stage::ALL` is in that order); every row follows
+    // the thread_name row, so it takes the `,\n` separator.
+    let heads = Stage::ALL.map(|stage| {
+        format!(
+            ",\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
+            stage.name(),
+            stage.category()
+        )
+    });
+    for (pid, cell) in cells.iter().map(Borrow::borrow).enumerate() {
         sep(&mut out, &mut first);
         let _ = write!(
             out,
@@ -126,18 +158,12 @@ pub fn chrome_trace_json(cells: &[CellTrace]) -> String {
             );
             escape_json(&sut.label, &mut out);
             out.push_str("\"}}");
-            // Every event row below follows the thread_name row, so each
-            // takes the `,\n` separator; its pid/tid tail is the same on
-            // every row of this SUT.
+            // The pid/tid tail is the same on every row of this SUT.
             let tail = format!(",\"pid\":{pid},\"tid\":{tid},\"args\":{{");
             let mut end_ns: u64 = 0;
             for ev in &sut.report.events {
                 end_ns = end_ns.max(ev.t_ns);
-                out.push_str(",\n{\"name\":\"");
-                out.push_str(ev.stage.name());
-                out.push_str("\",\"cat\":\"");
-                out.push_str(ev.stage.category());
-                out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+                out.push_str(&heads[ev.stage as usize]);
                 ts_us(ev.t_ns, &mut out);
                 out.push_str(&tail);
                 if ev.seq != SEQ_NONE {
@@ -270,16 +296,19 @@ pub fn chrome_trace_json(cells: &[CellTrace]) -> String {
     out
 }
 
-/// Render collected cells as a flat CSV (one row per event).
-pub fn events_csv(cells: &[CellTrace]) -> String {
+/// Render collected cells (owned or shared, as for
+/// [`chrome_trace_json`]) as a flat CSV (one row per event).
+pub fn events_csv<C: Borrow<CellTrace>>(cells: &[C]) -> String {
     let events: usize = cells
         .iter()
-        .flat_map(|c| &c.suts)
+        .flat_map(|c| &c.borrow().suts)
         .map(|s| s.report.events.len())
         .sum();
     let mut out = String::with_capacity(4096 + events * CSV_EVENT_BYTES);
     out.push_str("cell_key,cell,sut,t_ns,stage,category,seq,bytes,app,count\n");
-    for cell in cells {
+    // `,stage,category,` is the same on every row of one stage.
+    let heads = Stage::ALL.map(|stage| format!(",{},{},", stage.name(), stage.category()));
+    for cell in cells.iter().map(Borrow::borrow) {
         for sut in &cell.suts {
             // `cell_key,cell,sut,` is the same on every row of this SUT.
             let mut prefix = format!("{:032x},", cell.key);
@@ -290,11 +319,7 @@ pub fn events_csv(cells: &[CellTrace]) -> String {
             for ev in &sut.report.events {
                 out.push_str(&prefix);
                 push_u64(&mut out, ev.t_ns);
-                out.push(',');
-                out.push_str(ev.stage.name());
-                out.push(',');
-                out.push_str(ev.stage.category());
-                out.push(',');
+                out.push_str(&heads[ev.stage as usize]);
                 if ev.seq != SEQ_NONE {
                     push_u64(&mut out, ev.seq);
                 }

@@ -16,11 +16,13 @@
 //!   batch sizes), plus exact per-stage [`DropAttribution`] reproducing
 //!   the paper's loss-localization tables.
 //! * **Export** ([`export`]) — Chrome trace-event JSON (Perfetto-loadable)
-//!   and CSV, with a deterministic cross-cell [`TraceCollector`].
+//!   and CSV, with a deterministic cross-cell [`TraceCollector`] that
+//!   shares its recorded cells instead of copying them.
 //! * **JSON reader** ([`json`]) — one RFC 8259 recursive-descent reader
 //!   with two instantiations: [`json::validate`] checks every emitted
 //!   trace, ledger and profile without allocating, and [`json::Json`]
-//!   reads ledgers back.
+//!   reads ledgers back. Both read a long document's longest array on
+//!   two threads, with the sequential reader's exact result.
 //!
 //! The disabled path is one enum-discriminant branch per event site
 //! ([`TraceSink::Off`]); `--trace off` runs are byte-identical to an

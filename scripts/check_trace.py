@@ -10,7 +10,12 @@ Checks, in order:
 3. every ``drop_attribution/appN`` counter balances exactly:
    generated == delivered + the seven loss buckets;
 4. optionally (``--golden FILE``) the event-count summary line matches a
-   checked-in snapshot, pinning the traced simulation's event population.
+   checked-in snapshot, pinning the traced simulation's event population;
+5. optionally (``--csv FILE``) the events CSV the same run wrote has one
+   row per JSON instant other than the per-SUT ``metrics`` summaries,
+   in order, each with the same ts, stage, category, seq, bytes, app and
+   count. The two files come from separate renderers, so this
+   cross-checks them.
 
 Prints the summary line on success so CI logs show what was validated.
 Regenerate the snapshot by re-running with ``--regen`` after an
@@ -18,8 +23,11 @@ intentional simulation change (``--update-golden`` is the older alias).
 """
 
 import argparse
+import csv
 import json
 import sys
+from decimal import Decimal
+from itertools import zip_longest
 
 ATTR_COLUMNS = [
     "generated",
@@ -34,15 +42,73 @@ ATTR_COLUMNS = [
 ]
 
 
+CSV_HEADER = ["cell_key", "cell", "sut", "t_ns", "stage", "category", "seq", "bytes", "app", "count"]
+
+
 def fail(msg: str) -> None:
     print(f"check_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def json_instants(events):
+    """(t_ns, stage, category, seq, bytes, app, count) of every JSON
+    instant but the per-SUT ``metrics`` summaries; an absent seq or app
+    is None."""
+    for ev in events:
+        if ev.get("ph") != "i" or ev.get("name") == "metrics":
+            continue
+        a = ev["args"]
+        t_ns = int(ev["ts"] * 1000)  # ts is a Decimal: exact
+        yield (t_ns, ev["name"], ev["cat"], a.get("seq"), a["bytes"], a.get("app"), a["count"])
+
+
+def optional_int(field: str):
+    """An empty CSV field is an absent seq or app."""
+    return int(field) if field else None
+
+
+def csv_events(path):
+    """The same tuple for every row of the events CSV at ``path``."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = csv.reader(f)
+        header = next(rows, None)
+        if header != CSV_HEADER:
+            fail(f"{path}: header {header!r}, expected {CSV_HEADER!r}")
+        for n, row in enumerate(rows, start=2):
+            if len(row) != len(CSV_HEADER):
+                fail(f"{path}: line {n} has {len(row)} fields, expected {len(CSV_HEADER)}")
+            r = dict(zip(CSV_HEADER, row))
+            yield (
+                int(r["t_ns"]),
+                r["stage"],
+                r["category"],
+                optional_int(r["seq"]),
+                int(r["bytes"]),
+                optional_int(r["app"]),
+                int(r["count"]),
+            )
+
+
+def check_csv(path, events) -> int:
+    """Fail unless the CSV's rows are the JSON's event instants; returns
+    the row count."""
+    rows = 0
+    for want, got in zip_longest(json_instants(events), csv_events(path)):
+        rows += 1
+        if want is None:
+            fail(f"{path}: row {rows} has no JSON event instant to match")
+        if got is None:
+            fail(f"{path}: ends after {rows - 1} rows, but the JSON has more event instants")
+        if want != got:
+            fail(f"{path}: row {rows} is {got}, but the JSON's event instant {rows} is {want}")
+    return rows
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("trace", help="Chrome trace-event JSON file")
     ap.add_argument("--golden", help="compare the summary line to this snapshot file")
+    ap.add_argument("--csv", help="check this events CSV of the same run against the JSON")
     ap.add_argument(
         "--regen",
         "--update-golden",
@@ -53,7 +119,8 @@ def main() -> None:
 
     with open(args.trace, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            # Decimal keeps each `ts` exact for the --csv comparison.
+            doc = json.load(f, parse_float=Decimal)
         except json.JSONDecodeError as e:
             fail(f"not valid JSON: {e}")
 
@@ -118,6 +185,10 @@ def main() -> None:
                     f"  python3 scripts/check_trace.py {args.trace} "
                     f"--golden {args.golden} --regen"
                 )
+
+    if args.csv:
+        rows = check_csv(args.csv, events)
+        print(f"check_trace: OK: {args.csv}: {rows} rows match the JSON's event instants")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ use pcapbench::des::SimTime;
 use pcapbench::faultsim::FaultPlan;
 use pcapbench::hw::MachineSpec;
 use pcapbench::oskernel::{MachineSim, SimConfig};
-use pcapbench::pktgen::{MaterializedSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
+use pcapbench::pktgen::{Chunk, PacketSource, TimedPacket, DEFAULT_CHUNK_PACKETS};
 use pcapbench::trace::{StageFilter, TraceCollector, TraceSpec};
 use pcapbench::wire::{MacAddr, SimPacket};
 use pcs_obs::{diff_ledgers, render_ledger, Ledger, LedgerMeta};
@@ -21,8 +21,8 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// `n` dense UDP arrivals, `gap_ns` apart.
-fn packets(n: u64, gap_ns: u64) -> Arc<Vec<TimedPacket>> {
-    let packets = (0..n)
+fn packets(n: u64, gap_ns: u64) -> Vec<TimedPacket> {
+    (0..n)
         .map(|i| {
             let time = SimTime::from_nanos((i + 1) * gap_ns);
             let packet = SimPacket::build_udp(
@@ -38,13 +38,25 @@ fn packets(n: u64, gap_ns: u64) -> Arc<Vec<TimedPacket>> {
             );
             TimedPacket { time, packet }
         })
-        .collect();
-    Arc::new(packets)
+        .collect()
+}
+
+/// A packet list replayed in chunks.
+struct Replay(std::vec::IntoIter<Chunk>);
+
+impl PacketSource for Replay {
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        self.0.next()
+    }
 }
 
 /// Replay `stream` as a chunked source.
-fn replay(stream: &Arc<Vec<TimedPacket>>) -> MaterializedSource {
-    MaterializedSource::new(Arc::clone(stream), DEFAULT_CHUNK_PACKETS)
+fn replay(stream: &[TimedPacket]) -> Replay {
+    let chunks: Vec<Chunk> = stream
+        .chunks(DEFAULT_CHUNK_PACKETS)
+        .map(Chunk::from)
+        .collect();
+    Replay(chunks.into_iter())
 }
 
 fn plan(spec: &str) -> FaultPlan {
