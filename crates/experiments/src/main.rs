@@ -42,8 +42,8 @@
 //! observation layer: tables and CSVs stay byte-identical, and `--trace
 //! off` (or omitting the flag) runs the branch-cheap untraced path.
 //! `--profile` prints host-side execution profiling per experiment:
-//! total/max cell wall time, worker-pool utilization, stream-subscribe
-//! times. These read the host clock, so their numbers (unlike
+//! total/max cell wall time, worker-pool utilization and the sims'
+//! buffer pools. These read the host clock, so their numbers (unlike
 //! everything else) vary run to run.
 //!
 //! `--ledger PATH` writes the run ledger: one deterministic JSON
@@ -136,7 +136,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments all [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); tables and CSVs are\n                byte-identical at any N.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs; feed two ledgers to `experiments obs diff` to rank\n                what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                stream-subscribe latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs.\nEvery cell is checked against the sim-wide invariant oracle (packet conservation,\n                buffer bounds, clock monotonicity, rate sanity); any violation aborts\n                the run. An output path that cannot be written exits 1.\nobs diff A B: load two ledgers, match cells by label (equal fingerprints first), and\n                rank every numeric observable that moved (fingerprint changes\n                reported first; differing fault plans are printed as context).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
+        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments all [--scale quick|standard|full] [--jobs N] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); tables and CSVs are\n                byte-identical at any N.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs; feed two ledgers to `experiments obs diff` to rank\n                what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                sim buffer pools) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs.\nEvery cell is checked against the sim-wide invariant oracle (packet conservation,\n                buffer bounds, clock monotonicity, rate sanity); any violation aborts\n                the run. An output path that cannot be written exits 1.\nobs diff A B: load two ledgers, match cells by label (equal fingerprints first), and\n                rank every numeric observable that moved (fingerprint changes\n                reported first; differing fault plans are printed as context).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
     );
     std::process::exit(2);
 }
@@ -443,11 +443,9 @@ fn main() {
                     let s = &exec.stats;
                     let busy = s.cell_wall_ns() as f64 / 1e9;
                     let util = percent(s.cell_wall_ns(), (wall * 1e9) as u64 * inner as u64);
-                    let subs = s.streams_shared().max(1);
                     eprintln!(
-                        "==   {id:<12} sim {busy:>7.2}s over {inner} worker(s) ({util:.1}% pool util)  slowest cell {:.2}s  stream subscribe {:.1} µs avg",
-                        s.cell_wall_ns_max() as f64 / 1e9,
-                        s.stream_subscribe_ns() as f64 / 1e3 / subs as f64
+                        "==   {id:<12} sim {busy:>7.2}s over {inner} worker(s) ({util:.1}% pool util)  slowest cell {:.2}s",
+                        s.cell_wall_ns_max() as f64 / 1e9
                     );
                     let p = s.sim_pools();
                     eprintln!(
@@ -525,7 +523,6 @@ fn main() {
                             streams_shared: s.streams_shared(),
                             cell_wall_ns: s.cell_wall_ns(),
                             cell_wall_ns_max: s.cell_wall_ns_max(),
-                            stream_subscribe_ns: s.stream_subscribe_ns(),
                             pool_gets: p.gets(),
                             pool_misses: p.misses(),
                             pool_recycled: p.recycled(),

@@ -7,11 +7,6 @@ use pcs_oskernel::MachineFaults;
 /// Seed used when a `--faults` spec names no `:SEED` suffix.
 const DEFAULT_SEED: u64 = 0xFA01_5EED;
 
-/// Stream-cache budget an armed [`FaultKind::CacheSqueeze`] clamps to:
-/// small enough to force eviction churn on any real sweep, large enough
-/// to hold one in-flight stream.
-const SQUEEZE_BUDGET: u64 = 1 << 20;
-
 /// One kind of injectable fault.
 ///
 /// The first six are **machine-side**: they perturb the simulated
@@ -42,7 +37,8 @@ pub enum FaultKind {
     /// Host-side: the cell's stream reader stalls briefly before some
     /// chunks; in a generating cell, sniffers that catch up wait.
     SplitterHiccup,
-    /// Host-side: the stream cache runs under a starvation budget.
+    /// Host-side: the stream cache runs under a zero byte budget, so it
+    /// keeps no completed stream.
     CacheSqueeze,
 }
 
@@ -187,11 +183,11 @@ impl FaultPlan {
     }
 
     /// Host-side hook: the stream-cache byte budget to run under. An
-    /// armed squeeze clamps it to a starvation-sized allowance to force
-    /// eviction churn.
+    /// armed squeeze makes it 0, so that every cell regenerates a stream
+    /// it could have shared.
     pub fn clamp_stream_budget(&self, budget: u64) -> u64 {
         if self.has(FaultKind::CacheSqueeze) {
-            budget.min(SQUEEZE_BUDGET)
+            0
         } else {
             budget
         }
@@ -261,8 +257,8 @@ mod tests {
     #[test]
     fn squeeze_clamps_the_stream_budget() {
         let p = FaultPlan::parse("squeeze:3").unwrap().unwrap();
-        assert_eq!(p.clamp_stream_budget(64 << 20), SQUEEZE_BUDGET);
-        assert_eq!(p.clamp_stream_budget(512), 512);
+        assert_eq!(p.clamp_stream_budget(64 << 20), 0);
+        assert_eq!(p.clamp_stream_budget(512), 0);
         let q = FaultPlan::parse("ringstall:3").unwrap().unwrap();
         assert_eq!(q.clamp_stream_budget(64 << 20), 64 << 20);
     }

@@ -62,8 +62,6 @@ pub struct ExperimentProfile {
     pub cell_wall_ns: u64,
     /// Slowest single cell, wall nanoseconds.
     pub cell_wall_ns_max: u64,
-    /// Total wall nanoseconds acquiring stream subscriptions.
-    pub stream_subscribe_ns: u64,
     /// Hot-path buffer-pool gets across the experiment's sims.
     pub pool_gets: u64,
     /// Pool misses (fresh allocations).
@@ -115,7 +113,6 @@ fn render_profile_into(profile: &HostProfile, out: &mut String) {
             ("streams_shared", e.streams_shared),
             ("cell_wall_ns", e.cell_wall_ns),
             ("cell_wall_ns_max", e.cell_wall_ns_max),
-            ("stream_subscribe_ns", e.stream_subscribe_ns),
             ("pool_gets", e.pool_gets),
             ("pool_misses", e.pool_misses),
             ("pool_recycled", e.pool_recycled),

@@ -23,22 +23,24 @@
 //! once no matter how many sniffers and cells read it.
 //!
 //! Residency follows demand. In the thesis' measurement cycle a stream
-//! lasts one cycle, and so a completed stream stays linked only when a
-//! second cell asked for its key while it was live, or when its key had
-//! been asked for before. Any other stream leaves the cache when its
-//! producer finishes, and its full chunks go back to the generator with
-//! its last reader (see [`crate::source`]). The cache remembers every key
-//! it has been asked for, a 16-byte key each. Kept streams are evicted
-//! least-recently-used once the cache exceeds its byte budget. Unlinking
-//! a stream never corrupts an in-flight cell — the cell's subscribers
-//! keep the whole stream alive until it finishes — it only forfeits
-//! future sharing.
+//! lasts one cycle, and so the cache counts every key's acquires and
+//! keeps a completed stream linked only when its key has been acquired
+//! at least twice — a second cell asked for it while it was live, or its
+//! key had been asked for before — and the cache's resident bytes fit
+//! its byte budget. Any other stream leaves the cache when its producer
+//! finishes, and its full chunks go back to the generator with its last
+//! reader (see [`crate::source`]). Nothing is evicted afterwards: a kept
+//! stream stays until [`StreamCache::clear`]. The cache remembers every
+//! key it has been asked for, with its acquire count. Unlinking a stream
+//! never corrupts an in-flight cell — the cell's subscribers keep the
+//! whole stream alive until it finishes — it only forfeits future
+//! sharing.
 //!
 //! [`Fingerprintable`]: pcs_des::Fingerprintable
 
 use crate::generator::TimedPacket;
 use crate::source::{retire, Chunk, PacketSource};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
@@ -91,26 +93,22 @@ impl Drop for SharedStream {
     }
 }
 
-/// One cache slot: the stream plus the bookkeeping eviction needs.
-struct CacheEntry {
+/// A stream linked at its key: cells that acquire the key subscribe to it.
+struct Linked {
     stream: Arc<SharedStream>,
-    /// Bytes published so far (final size once `done`).
+    /// The stream's bytes, recorded when it completes.
     bytes: u64,
-    /// Completed streams are evictable; in-progress ones are pinned.
+    /// Completed streams are cleared by [`StreamCache::clear`];
+    /// in-progress ones are pinned.
     done: bool,
-    /// A second acquire arrived while the stream was live, or its key had
-    /// been acquired before: the stream stays linked once complete.
-    keep: bool,
-    /// LRU clock value of the most recent acquire.
-    last_used: u64,
 }
 
+/// Everything the cache knows about one key.
 #[derive(Default)]
-struct CacheMap {
-    entries: HashMap<StreamKey, CacheEntry>,
-    /// Every key ever acquired; [`StreamCache::clear`] keeps it.
-    asked: HashSet<StreamKey>,
-    clock: u64,
+struct KeyState {
+    /// Acquires of the key so far; [`StreamCache::clear`] keeps them.
+    acquires: u64,
+    linked: Option<Linked>,
 }
 
 /// What [`StreamCache::acquire`] hands the caller: either the duty to
@@ -127,7 +125,7 @@ pub enum StreamRole<'a> {
 
 /// A content-addressed cache of generated packet streams.
 pub struct StreamCache {
-    map: Mutex<CacheMap>,
+    map: Mutex<HashMap<StreamKey, KeyState>>,
     resident: AtomicU64,
     peak_resident: AtomicU64,
 }
@@ -142,7 +140,7 @@ impl StreamCache {
     /// A fresh, empty cache.
     pub fn new() -> StreamCache {
         StreamCache {
-            map: Mutex::new(CacheMap::default()),
+            map: Mutex::new(HashMap::new()),
             resident: AtomicU64::new(0),
             peak_resident: AtomicU64::new(0),
         }
@@ -155,39 +153,32 @@ impl StreamCache {
     }
 
     /// Acquire the stream at `key`: the caller becomes its producer when
-    /// no stream is linked at `key`, and a subscriber otherwise. A
-    /// subscriber keeps the stream linked once it completes, and so does
-    /// a producer of a key that was acquired before. `budget_bytes` is
-    /// the resident-byte bound enforced (by LRU eviction of completed
-    /// streams) while this acquisition publishes.
+    /// no stream is linked at `key`, and a subscriber otherwise. Each
+    /// call counts as one acquire of `key`. A completed stream stays
+    /// linked when its key was acquired at least twice by then and the
+    /// cache's resident bytes fit `budget_bytes`, the budget of the
+    /// acquisition that produced it.
     pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'_> {
         let mut map = self.map.lock().expect("stream cache poisoned");
-        map.clock += 1;
-        let clock = map.clock;
-        if let Some(entry) = map.entries.get_mut(&key) {
-            entry.last_used = clock;
-            entry.keep = true;
-            let stream = Arc::clone(&entry.stream);
+        let state = map.entry(key).or_default();
+        state.acquires += 1;
+        if let Some(linked) = &state.linked {
+            let stream = Arc::clone(&linked.stream);
             return StreamRole::Subscribe(StreamSubscriber { stream, next: 0 });
         }
-        let keep = !map.asked.insert(key);
         let stream = Arc::new(SharedStream::new());
-        map.entries.insert(
-            key,
-            CacheEntry {
-                stream: Arc::clone(&stream),
-                bytes: 0,
-                done: false,
-                keep,
-                last_used: clock,
-            },
-        );
+        state.linked = Some(Linked {
+            stream: Arc::clone(&stream),
+            bytes: 0,
+            done: false,
+        });
         drop(map);
         StreamRole::Produce(StreamPublisher {
             cache: self,
             key,
             stream,
             budget_bytes,
+            bytes: 0,
             finished: false,
         })
     }
@@ -204,11 +195,8 @@ impl StreamCache {
 
     /// Number of streams currently in the cache (including in-progress).
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .expect("stream cache poisoned")
-            .entries
-            .len()
+        let map = self.map.lock().expect("stream cache poisoned");
+        map.values().filter(|state| state.linked.is_some()).count()
     }
 
     /// Whether the cache holds no streams.
@@ -216,69 +204,37 @@ impl StreamCache {
         self.len() == 0
     }
 
-    /// Evict every *completed* stream (a "cold" cache for benchmarks and
+    /// Unlink every *completed* stream (a "cold" cache for benchmarks and
     /// determinism tests); in-progress streams stay pinned. The cache
-    /// still remembers which keys it was asked for, so the next producer
-    /// of such a key keeps its stream.
+    /// keeps every key's acquire count, so the next producer of a key
+    /// asked for before keeps its stream.
     pub fn clear(&self) {
         let mut map = self.map.lock().expect("stream cache poisoned");
-        let done: Vec<StreamKey> = map
-            .entries
-            .iter()
-            .filter(|(_, e)| e.done)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in done {
-            if let Some(entry) = map.entries.remove(&key) {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
+        for state in map.values_mut() {
+            if let Some(linked) = state.linked.take_if(|linked| linked.done) {
+                self.resident.fetch_sub(linked.bytes, Ordering::Relaxed);
             }
         }
     }
 
-    /// Account `bytes` of newly published stream data against `key`.
-    fn note_published(&self, key: StreamKey, bytes: u64, budget_bytes: u64) {
+    /// The producer of `key` published all of its `bytes` (or `abandoned`
+    /// the stream): keep the stream linked when the key was acquired at
+    /// least twice and the resident bytes fit the budget, and unlink it
+    /// otherwise, so that an abandoned stream is regenerated.
+    fn note_done(&self, key: StreamKey, bytes: u64, abandoned: bool, budget_bytes: u64) {
         let mut map = self.map.lock().expect("stream cache poisoned");
-        if let Some(entry) = map.entries.get_mut(&key) {
-            entry.bytes += bytes;
-            let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            self.peak_resident.fetch_max(now, Ordering::Relaxed);
-            Self::trim(&mut map, &self.resident, budget_bytes);
-        }
-    }
-
-    /// Mark a kept `key` complete (evictable) and enforce the byte
-    /// budget. Unlink it instead when no one else asked for it, or when
-    /// it was `abandoned` so later cells regenerate.
-    fn note_done(&self, key: StreamKey, abandoned: bool, budget_bytes: u64) {
-        let mut map = self.map.lock().expect("stream cache poisoned");
-        let Some(entry) = map.entries.get_mut(&key) else {
-            return;
-        };
-        if entry.keep && !abandoned {
-            entry.done = true;
-            Self::trim(&mut map, &self.resident, budget_bytes);
-        } else if let Some(entry) = map.entries.remove(&key) {
-            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Evict completed streams, least recently used first, until resident
-    /// bytes fit the budget. In-progress streams never move; cells still
-    /// holding an evicted stream's chunks keep them alive on their own.
-    fn trim(map: &mut CacheMap, resident: &AtomicU64, budget_bytes: u64) {
-        while resident.load(Ordering::Relaxed) > budget_bytes {
-            let victim = map
-                .entries
-                .iter()
-                .filter(|(_, e)| e.done)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(key) => {
-                    let entry = map.entries.remove(&key).expect("victim vanished");
-                    resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                }
-                None => break, // only pinned in-progress streams remain
+        let state = map.entry(key).or_default();
+        let keep = !abandoned
+            && state.acquires >= 2
+            && self.resident.load(Ordering::Relaxed) <= budget_bytes;
+        match &mut state.linked {
+            Some(linked) if keep => {
+                linked.bytes = bytes;
+                linked.done = true;
+            }
+            slot => {
+                *slot = None;
+                self.resident.fetch_sub(bytes, Ordering::Relaxed);
             }
         }
     }
@@ -292,6 +248,8 @@ pub struct StreamPublisher<'a> {
     key: StreamKey,
     stream: Arc<SharedStream>,
     budget_bytes: u64,
+    /// Bytes published so far.
+    bytes: u64,
     finished: bool,
 }
 
@@ -303,8 +261,11 @@ impl StreamPublisher<'_> {
             state.chunks.push(Arc::clone(chunk));
         }
         self.stream.progress.notify_all();
-        self.cache
-            .note_published(self.key, chunk_bytes(chunk), self.budget_bytes);
+        let bytes = chunk_bytes(chunk);
+        self.bytes += bytes;
+        let resident = &self.cache.resident;
+        let now = resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.cache.peak_resident.fetch_max(now, Ordering::Relaxed);
     }
 
     /// A subscriber to this stream that starts at chunk 0, whatever has
@@ -334,7 +295,8 @@ impl StreamPublisher<'_> {
             state.abandoned = abandoned;
         }
         self.stream.progress.notify_all();
-        self.cache.note_done(self.key, abandoned, self.budget_bytes);
+        self.cache
+            .note_done(self.key, self.bytes, abandoned, self.budget_bytes);
     }
 }
 
@@ -603,18 +565,21 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_keeps_residency_within_budget() {
+    fn a_stream_over_budget_is_not_kept_and_a_kept_one_stays() {
         let cache = StreamCache::new();
-        // Publish two kept streams under a budget that fits only one.
-        let first = produce_shared(&cache, (3, 1), u64::MAX, gen(600, 1));
-        let first_bytes: u64 = first.iter().map(chunk_bytes).sum();
-        let budget = first_bytes + first_bytes / 2;
+        // Two shared streams of equal size under a budget that fits one.
+        let bytes = 600 * std::mem::size_of::<TimedPacket>() as u64;
+        let budget = bytes + bytes / 2;
+        let first = produce_shared(&cache, (3, 1), budget, gen(600, 1));
+        assert_eq!(first.iter().map(chunk_bytes).sum::<u64>(), bytes);
         produce_shared(&cache, (3, 2), budget, gen(600, 2));
-        // The older stream was evicted; the newer one is resident.
         assert_eq!(cache.len(), 1);
-        assert!(cache.resident_bytes() <= budget);
-        // Evicted: regenerate.
-        publisher(&cache, (3, 1), budget);
+        assert_eq!(cache.resident_bytes(), bytes);
+        assert_eq!(cache.peak_resident_bytes(), 2 * bytes);
+        // The first stream stays; the second, over budget, was not kept.
+        let kept = drain(subscriber(&cache, (3, 1)));
+        assert!(first.iter().zip(&kept).all(|(a, b)| Arc::ptr_eq(a, b)));
+        publisher(&cache, (3, 2), budget);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Model-based test of the `StreamCache`: proptest draws a sequence of
 //! steps over three keys — acquire, publish, `subscribe()`, clone,
 //! `next_chunk`, finish, drop a publisher mid-stream, `clear` — under a
-//! byte budget small enough to force eviction, and replays them on one
-//! thread against the real cache and a plain model side by side.
+//! byte budget small enough that finishing streams overrun it, and
+//! replays them on one thread against the real cache and a plain model
+//! side by side.
 //!
 //! A subscriber reads only when the model says a chunk or the end of a
 //! finished stream is there, so no step ever blocks. After every step:
@@ -10,16 +11,16 @@
 //! * every subscriber has read its producer's chunks in order, each the
 //!   very `Arc` the producer published;
 //! * a finished stream ends after its last chunk;
-//! * a finished stream stays linked only when a second acquire of its
-//!   key arrived while it was live, or its key had been acquired before
-//!   (`clear` forgets no key); any other finished stream is unlinked;
+//! * a finished stream stays linked only when its key had been acquired
+//!   at least twice when it finished (`clear` forgets no count) and the
+//!   resident bytes then fit the budget; any other finished stream is
+//!   unlinked, and a kept stream is never unlinked except by `clear` (a
+//!   wrong keep or unlink shows up in the resident bytes, the stream
+//!   count or the role of a later acquire);
 //! * an abandoned stream is unlinked, and the next acquire of its key
 //!   produces;
-//! * resident bytes equal the bytes of the linked streams, and the peak
-//!   never falls;
-//! * eviction takes the least recently acquired completed stream first,
-//!   never an in-progress one (a wrong victim shows up in the resident
-//!   bytes, the stream count or the role of a later acquire).
+//! * resident bytes equal the bytes of the linked streams, the finished
+//!   ones among them fit the budget, and the peak never falls.
 
 use pcs_pktgen::{
     chunk_bytes, Chunk, ChunkedGenerator, Generator, PacketSource, PktgenConfig, StreamCache,
@@ -30,29 +31,26 @@ use std::sync::Arc;
 
 const KEYS: usize = 3;
 
-/// Room for about three short streams: publishing more evicts.
+/// Room for about three short streams: finishing with more resident
+/// keeps nothing.
 const BUDGET_PACKETS: usize = 24;
 
 /// One stream as the model sees it.
 struct ModelStream {
+    key: usize,
     chunks: Vec<Chunk>,
     bytes: u64,
     done: bool,
     abandoned: bool,
     linked: bool,
-    /// Stays linked once finished.
-    keep: bool,
-    /// Clock value of the stream's most recent acquire.
-    last_used: u64,
 }
 
 /// The model cache: every stream ever produced, which one each key links
-/// to, which keys were ever acquired, and the byte accounting.
+/// to, how often each key was acquired, and the byte accounting.
 struct Model {
     streams: Vec<ModelStream>,
     linked: [Option<usize>; KEYS],
-    asked: [bool; KEYS],
-    clock: u64,
+    acquires: [u64; KEYS],
     resident: u64,
     peak: u64,
     budget: u64,
@@ -68,24 +66,6 @@ impl Model {
                 *l = None
             }
         });
-    }
-
-    /// Evict completed streams, least recently acquired first, until the
-    /// resident bytes fit the budget.
-    fn trim(&mut self) {
-        while self.resident > self.budget {
-            let victim = self
-                .linked
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|&id| self.streams[id].done)
-                .min_by_key(|&id| self.streams[id].last_used);
-            match victim {
-                Some(id) => self.unlink(id),
-                None => break,
-            }
-        }
     }
 }
 
@@ -121,8 +101,7 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
     let mut model = Model {
         streams: Vec::new(),
         linked: [None; KEYS],
-        asked: [false; KEYS],
-        clock: 0,
+        acquires: [0; KEYS],
         resident: 0,
         peak: 0,
         budget,
@@ -135,12 +114,10 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
         let pick = (step / 24) as usize;
         match step % 8 {
             0 => {
-                model.clock += 1;
+                model.acquires[k] += 1;
                 let role = cache.acquire(key(k), budget);
                 match (role, model.linked[k]) {
                     (StreamRole::Subscribe(subscriber), Some(id)) => {
-                        model.streams[id].last_used = model.clock;
-                        model.streams[id].keep = true;
                         readers.push(Reader {
                             subscriber,
                             stream: id,
@@ -150,15 +127,13 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                     (StreamRole::Produce(publisher), None) => {
                         let id = model.streams.len();
                         model.streams.push(ModelStream {
+                            key: k,
                             chunks: Vec::new(),
                             bytes: 0,
                             done: false,
                             abandoned: false,
                             linked: true,
-                            keep: model.asked[k],
-                            last_used: model.clock,
                         });
-                        model.asked[k] = true;
                         model.linked[k] = Some(id);
                         prop_assert!(publishers[k].is_none(), "step {i}: two producers");
                         publishers[k] = Some((publisher, id));
@@ -186,7 +161,6 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                     stream.bytes += bytes;
                     model.resident += bytes;
                     model.peak = model.peak.max(model.resident);
-                    model.trim();
                 }
             }
             2 => {
@@ -236,9 +210,7 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
                 if let Some((publisher, id)) = publishers[k].take() {
                     publisher.finish();
                     model.streams[id].done = true;
-                    if model.streams[id].keep {
-                        model.trim();
-                    } else {
+                    if model.acquires[k] < 2 || model.resident > model.budget {
                         model.unlink(id);
                     }
                 }
@@ -275,16 +247,24 @@ fn run(steps: &[u32]) -> Result<(), TestCaseError> {
         prop_assert_eq!(model.resident, linked_bytes, "step {}: model", i);
         prop_assert_eq!(cache.resident_bytes(), linked_bytes, "step {}", i);
         prop_assert_eq!(cache.peak_resident_bytes(), model.peak, "step {}", i);
+        let mut kept_bytes = 0;
         for stream in &model.streams {
             prop_assert!(
                 !(stream.abandoned && stream.linked),
                 "step {i}: an abandoned stream stayed linked"
             );
-            prop_assert!(
-                !(stream.done && stream.linked && !stream.keep),
-                "step {i}: a finished stream no one else asked for stayed linked"
-            );
+            if stream.done && stream.linked {
+                prop_assert!(
+                    model.acquires[stream.key] >= 2,
+                    "step {i}: a finished stream no one else asked for stayed linked"
+                );
+                kept_bytes += stream.bytes;
+            }
         }
+        prop_assert!(
+            kept_bytes <= budget,
+            "step {i}: kept streams overrun the budget"
+        );
     }
     Ok(())
 }
@@ -297,12 +277,14 @@ proptest! {
 }
 
 /// A fixed sequence that reaches every step kind, both halves of the
-/// keep rule, eviction and re-production after abandonment.
+/// keep rule, a finish over budget, and re-production after `clear` and
+/// after abandonment.
 #[test]
 fn scripted_sequence_covers_every_step() {
     // step = kind + 8 × key + 24 × pick
     let acquire = |k: u32| 8 * k;
     let publish = |k: u32, len: u32| 1 + 8 * k + 24 * (len - 1);
+    let finish = |k: u32| 5 + 8 * k;
     let steps = [
         acquire(0),
         acquire(0), // a second acquire while live: key 0 is kept
@@ -311,23 +293,27 @@ fn scripted_sequence_covers_every_step() {
         3, // clone a reader
         4, // read
         publish(0, 8),
-        5,      // finish key 0
-        4 + 24, // another reader reads on
+        finish(0), // two acquires, 16 packets resident: kept
+        4 + 24,    // another reader reads on
         acquire(1),
         publish(1, 8),
-        5 + 8,      // finish key 1: nobody else asked, so it leaves
-        acquire(1), // asked before: produces again, kept
+        finish(1),  // nobody else asked, so it leaves
+        acquire(1), // asked before: produces again
         publish(1, 8),
-        publish(1, 8), // 32 packets resident: evicts key 0
-        5 + 8,         // finish key 1
+        publish(1, 8),
+        finish(1),  // 32 packets resident: over budget, not kept
+        acquire(0), // key 0 is untouched: subscribes
         acquire(2),
         publish(2, 8),
         6 + 16,     // abandon key 2
         acquire(2), // produces again
-        acquire(0), // evicted: produces again
-        7,          // clear: unlinks key 1
-        acquire(1), // produces again
-        5 + 8,      // finish key 1: kept, clear forgot no key
+        publish(2, 4),
+        finish(2),  // two acquires, 20 packets resident: kept
+        7,          // clear: unlinks keys 0 and 2
+        acquire(0), // produces again
+        publish(0, 8),
+        finish(0),  // clear forgot no count: kept
+        acquire(0), // subscribes
         4,
         4 + 24,
         4 + 48,

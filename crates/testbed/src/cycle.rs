@@ -249,9 +249,10 @@ fn run_cell(
 /// and publishes it. A cell that asks for it while it is linked —
 /// typically the same measurement point over a *different* SUT set —
 /// subscribes to the published chunks instead of running the generator
-/// again. The cache keeps a completed stream only when such a second
-/// cell asked for it while it was live, or its key was asked for before;
-/// so a second SUT set that runs after the first regenerates the stream
+/// again. The cache keeps a completed stream only when its key was
+/// asked for twice by then (such a second cell asked while it was live,
+/// or the key was asked for before) and it fits the byte budget; so a
+/// second SUT set that runs after the first regenerates the stream
 /// once, and every later set subscribes. Either way every sniffer reads
 /// the very chunks the generator made, so results are byte-identical.
 fn cell_stream(
@@ -262,16 +263,15 @@ fn cell_stream(
     pipeline: PipelineConfig,
 ) -> (Box<dyn PacketSource>, StreamSubscriber) {
     let stats = &exec.stats;
-    // An armed cache-squeeze fault starves the stream cache's byte
-    // budget — an execution perturbation (eviction churn, re-generation)
-    // that must leave results byte-identical.
+    // An armed cache-squeeze fault zeroes the stream cache's byte budget,
+    // so no completed stream is kept: an execution perturbation (every
+    // cell regenerates) that must leave results byte-identical.
     let budget = exec
         .faults
         .as_deref()
         .map_or(pipeline.stream_cache_bytes, |plan| {
             plan.clamp_stream_budget(pipeline.stream_cache_bytes)
         });
-    let t0 = Instant::now();
     match StreamCache::global().acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
@@ -284,7 +284,6 @@ fn cell_stream(
             )
         }
         StreamRole::Subscribe(subscriber) => {
-            stats.note_stream_subscribe(t0.elapsed().as_nanos() as u64);
             stats.record_stream_shared();
             (Box::new(subscriber.clone()), subscriber)
         }
@@ -435,12 +434,9 @@ pub fn aggregate_point(
 /// assert!(point.suts.iter().all(|s| s.capture > 0.99));
 /// ```
 pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointResult {
-    let exec = ExecConfig::serial();
-    let cells: Vec<CellResult> = (0..cfg.repeats)
-        .map(|repeat| run_cell(suts, cfg, rate, repeat, &exec))
-        .collect();
-    let labels: Vec<String> = suts.iter().map(|sut| sut.spec.label()).collect();
-    aggregate_point(rate, cfg.count, &labels, &cells)
+    run_sweep(suts, cfg, &[rate])
+        .pop()
+        .expect("a one-rate sweep has one point")
 }
 
 /// Sweep a list of rates (the thesis' 50–950 Mbit/s x-axis); `None`

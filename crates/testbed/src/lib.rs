@@ -24,10 +24,10 @@
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global
 //! [`StreamCache`](pcs_pktgen::StreamCache). A stream stays cached only
-//! when a second cell asks for it, so N SUT sets measured at the same
-//! (workload, rate, repeat) grid generate each packet stream once, or
-//! twice when the second set asks only after the first finished it, and
-//! subscribe to its chunks thereafter (byte-budgeted and LRU-bounded).
+//! when a second cell asks for it and it fits the byte budget, so N SUT
+//! sets measured at the same (workload, rate, repeat) grid generate each
+//! packet stream once, or twice when the second set asks only after the
+//! first finished it, and subscribe to its chunks thereafter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,9 +20,8 @@ use std::sync::{Arc, Mutex};
 /// Counters a sweep (or a whole CLI run) accumulates while executing.
 ///
 /// Every counter is a cheap relaxed atomic and always maintained. The
-/// host-side timings — per-cell wall time and stream-subscribe latency —
-/// read the host clock: they describe execution speed, never simulation
-/// results.
+/// per-cell wall times read the host clock: they describe execution
+/// speed, never simulation results.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     cells_run: AtomicU64,
@@ -30,7 +29,6 @@ pub struct ExecStats {
     streams_shared: AtomicU64,
     cell_wall_ns: AtomicU64,
     cell_wall_ns_max: AtomicU64,
-    stream_subscribe_ns: AtomicU64,
     /// Hot-path buffer-pool counters published by every simulated cell
     /// (observability only — never part of any simulation result).
     sim_pools: Arc<PoolProbe>,
@@ -70,11 +68,6 @@ impl ExecStats {
         self.streams_shared.load(Ordering::Relaxed)
     }
 
-    /// Record the acquisition time of one stream-cache subscription.
-    pub fn note_stream_subscribe(&self, ns: u64) {
-        self.stream_subscribe_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Total wall-clock nanoseconds spent simulating cells. Dividing by
     /// `elapsed × jobs` gives the worker pool's utilization.
     pub fn cell_wall_ns(&self) -> u64 {
@@ -84,12 +77,6 @@ impl ExecStats {
     /// Slowest single cell's wall-clock nanoseconds.
     pub fn cell_wall_ns_max(&self) -> u64 {
         self.cell_wall_ns_max.load(Ordering::Relaxed)
-    }
-
-    /// Total wall-clock nanoseconds spent acquiring stream-cache
-    /// subscriptions.
-    pub fn stream_subscribe_ns(&self) -> u64 {
-        self.stream_subscribe_ns.load(Ordering::Relaxed)
     }
 
     /// The shared probe that every simulated cell publishes its hot-path
